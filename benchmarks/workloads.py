@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
+import scipy.optimize
 
 from lrsdp import certification, factorization, oracle
 from lrsdp.apps import (
@@ -252,6 +253,76 @@ def maxcut_bounds(problem: ConicSdpProblem, x: np.ndarray) -> tuple[float, float
     return lower, upper
 
 
+def kkt_bounds(problem: ConicSdpProblem, point, lam: np.ndarray) -> tuple[float, float, str]:
+    """Primal and dual objective of a KKT pair rebuilt from a local solution.
+
+    Used where the oracle gives no reference.  The primal point is the
+    returned factors lifted to X_j = Y_j Y_j^T (tail blocks as returned).  Two
+    multiplier candidates are tried: `lam`, the AL multipliers the solver
+    returned, and a fit made here by bounded least squares on S_j(y) X_j = 0
+    and c_free = A_free^T y over the equality rows and the inequality rows
+    tight at X, with y >= 0 on the latter.  (The fit leaves y undetermined on
+    rows that only touch a zero tail block, so it alone is not enough.)
+
+    Returns (primal objective, dual objective b.y, reason) for the first
+    candidate that passes, with reason empty: X is feasible, y has the
+    inequality sign, S_j = C_j - sum_i y_i A_ij is PSD and c_free = A_free^T y,
+    all to 1e-6 relative, and the two objectives agree to OBJ_TOL.  By weak
+    duality they then bracket the optimum up to those tolerances.  If neither
+    candidate passes, the reasons the fit failed.
+    """
+    xs = [y @ y.T for y in point.factors] + [t.to_dense() for t in point.tail_blocks]
+    cs = [c.to_dense() for c in problem.cost_blocks]
+    a = [[bl.to_dense() for bl in con.blocks] for con in problem.constraints]
+    b = problem.b
+    b_scale = 1.0 + (float(np.max(np.abs(b))) if b.size else 0.0)
+    free = np.asarray(point.free, dtype=float)
+    resid = np.array([
+        sum(float(np.sum(aij * x)) for aij, x in zip(row, xs)) + float(con.free @ free)
+        for row, con in zip(a, problem.constraints)
+    ]) - b
+    eq = set(problem.equality_indices().tolist())
+    iq = problem.inequality_indices()
+    viol = np.concatenate([np.abs(resid[list(eq)]), np.maximum(-resid[iq], 0.0)])
+    pobj = sum(float(np.sum(c * x)) for c, x in zip(cs, xs)) + float(problem.cost_free @ free)
+    primal_reason = (f"infeasible by {float(np.max(viol)):.2e}"
+                     if viol.size and float(np.max(viol)) > 1e-6 * b_scale else "")
+
+    def stack(mats, vec):
+        return np.concatenate([(m @ x).ravel() for m, x in zip(mats, xs)] + [vec])
+
+    active = sorted(eq) + [int(i) for i in iq if resid[i] <= 1e-6 * b_scale]
+    fitted = np.zeros(problem.m)
+    if active:
+        g = np.array([stack(a[i], problem.constraints[i].free) for i in active]).T
+        lower = np.array([-np.inf if i in eq else 0.0 for i in active])
+        fit = scipy.optimize.lsq_linear(g, stack(cs, problem.cost_free),
+                                        bounds=(lower, np.full(len(active), np.inf)), method="bvls")
+        fitted[active] = fit.x
+
+    def dual_reason(y):
+        reasons = [primal_reason] if primal_reason else []
+        if iq.size and float(np.min(y[iq])) < -1e-6:
+            reasons.append(f"inequality multiplier {float(np.min(y[iq])):.2e}")
+        for j, c in enumerate(cs):
+            w = np.linalg.eigvalsh(c - sum(yi * row[j] for yi, row in zip(y, a)))
+            if w[0] < -1e-6 * (1.0 + max(abs(w[0]), abs(w[-1]))):
+                reasons.append(f"slack block {j} has eigenvalue {w[0]:.2e}")
+        scale = 1.0 + sum(float(np.linalg.norm(c)) for c in cs) + float(np.max(np.abs(y), initial=0.0))
+        off = problem.cost_free - sum(yi * con.free for yi, con in zip(y, problem.constraints))
+        if off.size and float(np.max(np.abs(off))) > 1e-6 * scale:
+            reasons.append(f"free stationarity off by {float(np.max(np.abs(off))):.2e}")
+        if not _close(pobj, float(b @ y)):
+            reasons.append(f"duality gap {pobj - float(b @ y):.2e}")
+        return "; ".join(reasons)
+
+    for y in (np.asarray(lam, dtype=float), fitted):
+        reason = dual_reason(y)
+        if not reason:
+            return pobj, float(b @ y), ""
+    return pobj, float(b @ fitted), reason
+
+
 def _close(value: float, ref: float) -> bool:
     return abs(value - ref) <= OBJ_TOL * (1.0 + abs(ref))
 
@@ -270,18 +341,19 @@ class OperationTimeout(Exception):
 
 
 def _on_alarm(signum, frame):
-    raise OperationTimeout("operation exceeded its time limit")
+    raise OperationTimeout("operation still running at the run's deadline")
 
 
-def run_pass(ops, refs, config: SolverConfig, limit_s: float | None = None) -> list[Outcome]:
-    """Run and check every operation once.  An operation that raises, or runs
-    past `limit_s`, is recorded as failed; none stops the pass."""
-    previous = signal.signal(signal.SIGALRM, _on_alarm) if limit_s else None
+def run_pass(ops, refs, config: SolverConfig, deadline: float | None = None) -> list[Outcome]:
+    """Run and check every operation once.  An operation that raises, or is
+    still running at `deadline` (a ``time.perf_counter`` reading), is recorded
+    as failed; none stops the pass."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm) if deadline else None
     outcomes = []
     try:
         for op, ref in zip(ops, refs):
-            if limit_s:
-                signal.setitimer(signal.ITIMER_REAL, limit_s)
+            if deadline:
+                signal.setitimer(signal.ITIMER_REAL, max(deadline - time.perf_counter(), 1e-3))
             start = time.perf_counter()
             try:
                 result, error = run_operation(op, config), None
@@ -289,14 +361,14 @@ def run_pass(ops, refs, config: SolverConfig, limit_s: float | None = None) -> l
                 result, error = None, f"{type(exc).__name__}: {exc}"
             finally:
                 seconds = time.perf_counter() - start
-                if limit_s:
+                if deadline:
                     signal.setitimer(signal.ITIMER_REAL, 0.0)
             out = Outcome(op, seconds, result, error)
             if error is None:
                 check(out, ref)
             outcomes.append(out)
     finally:
-        if limit_s:
+        if deadline:
             signal.signal(signal.SIGALRM, previous)
     return outcomes
 
@@ -325,6 +397,11 @@ def check(out: Outcome, ref: float | None) -> None:
         lower, upper = maxcut_bounds(op.problem, x)
         out.ok = _close(value, lower) and _close(upper, lower)
         out.detail += f" obj={value:.10g} bounds=[{lower:.10g}, {upper:.10g}]"
+    elif ref is None and op.kind == "staircase":
+        pobj, dobj, reason = kkt_bounds(op.problem, res.state.point, res.state.lam)
+        out.ok = not reason and _close(value, dobj)
+        out.detail += (f" obj={value:.10g} oracle failed; rebuilt KKT pair primal={pobj:.10g}"
+                       f" dual={dobj:.10g}" + (f" ({reason})" if reason else ""))
     elif ref is None:
         out.detail += " no reference: the oracle failed on this instance"
     else:
