@@ -15,20 +15,28 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.optimize
 
 from .dense import densify
 from .factorization import (
     FactorizedPoint,
     RankBoundReport,
+    _numerical_rank,
+    _rank_from_singular_values,
     append_column,
-    factor,
     initial_rank_bound,
     lift,
 )
 from .model import ConicSdpProblem, PrimalPoint, SymmetricMatrix, apply_adjoint, apply_map
-from .solver import InfeasibleError, LagrangianState, SolverConfig, al_solve, al_value_grad
+from .solver import (
+    InfeasibleError,
+    LagrangianState,
+    SolverConfig,
+    _internal_factors,
+    _slack_hessian,
+    al_solve,
+    al_value_grad,
+)
 
 __all__ = [
     "Multipliers",
@@ -49,9 +57,6 @@ __all__ = [
     "licq_check",
     "staircase_solve",
 ]
-
-RANK_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class Multipliers:
@@ -157,18 +162,6 @@ def _as_primal(problem: ConicSdpProblem, point) -> PrimalPoint:
     return lift(point) if isinstance(point, FactorizedPoint) else point
 
 
-def _internal_factors(point: FactorizedPoint) -> list[np.ndarray]:
-    """Factor matrices for every block: given factors plus full-rank tails."""
-    ys = [np.asarray(y, dtype=float) for y in point.factors]
-    if point.tail_blocks:
-        tail = factor(
-            PrimalPoint(tuple(point.tail_blocks), np.zeros(0)),
-            [sm.dim for sm in point.tail_blocks],
-        )
-        ys.extend(tail.factors)
-    return ys
-
-
 def active_set(problem: ConicSdpProblem, point, tol: float = 1e-7) -> frozenset:
     """Equalities plus the inequalities tight at the point (relative tol)."""
     c = apply_map(problem, _as_primal(problem, point)) - problem.b
@@ -202,25 +195,19 @@ def estimate_multipliers(
         active = active_set(problem, point)
     ys = _internal_factors(point)
 
-    dim = sum(y.size for y in ys) + dp.d
     r0 = np.concatenate(
         [(2.0 * c @ y).ravel() for c, y in zip(dp.C, ys)] + ([dp.c_free] if dp.d else [])
     )
     act = sorted(active)
-    g_cols = np.zeros((dim, len(act)))
-    for col, i in enumerate(act):
-        parts = [(2.0 * dp.A[j][i] @ ys[j]).ravel() for j in range(len(ys))]
-        if dp.d:
-            parts.append(dp.Af[i])
-        g_cols[:, col] = np.concatenate(parts)
+    g_cols = dp.jacobian(ys, act).T
 
     lam = np.zeros(dp.m)
     rank_deficient = False
     if act:
+        rank_deficient = _numerical_rank(g_cols) < len(act)
         ineq_cols = [col for col, i in enumerate(act) if not dp.eq_mask[i]]
         if not ineq_cols:
-            sol, _, rank, _ = np.linalg.lstsq(g_cols, r0, rcond=None)
-            rank_deficient = rank < len(act)
+            sol = np.linalg.lstsq(g_cols, r0, rcond=None)[0]
         else:
             lb = np.full(len(act), -np.inf)
             ub = np.full(len(act), np.inf)
@@ -228,7 +215,6 @@ def estimate_multipliers(
                 lb[col] = 0.0
             res = scipy.optimize.lsq_linear(g_cols, r0, bounds=(lb, ub), method="bvls")
             sol = res.x
-            rank_deficient = np.linalg.matrix_rank(g_cols) < len(act)
         for col, i in enumerate(act):
             lam[i] = sol[col]
         residual = float(np.linalg.norm(r0 - g_cols @ sol))
@@ -290,37 +276,22 @@ def second_order_check(
     dp = densify(problem)
     k = dp.k
     ys = [np.asarray(y, dtype=float) for y in point.factors]
-    dims = [y.size for y in ys] + ([dp.d] if dp.d else [])
-    dim = sum(dims)
+    dim = sum(y.size for y in ys) + dp.d
     if dim == 0:
         return SecondOrderResult(True, 0.0, None, 0, vacuous=True)
 
     act = sorted(mult.active_set)
-    jac = np.zeros((len(act), dim))
-    for r, i in enumerate(act):
-        parts = [(2.0 * dp.A[j][i] @ ys[j]).ravel() for j in range(k)]
-        if dp.d:
-            parts.append(dp.Af[i])
-        jac[r] = np.concatenate(parts) if parts else np.zeros(dim)
-
     if act:
-        q, rmat, _ = sla.qr(jac.T, mode="full", pivoting=True)
-        diag = np.abs(np.diag(rmat)) if rmat.size else np.zeros(0)
-        top = diag[0] if diag.size else 0.0
-        rank = int(np.sum(diag > RANK_TOL * top)) if top > 0 else 0
-        null = q[:, rank:]
+        # right singular vectors past the numerical rank span the null space
+        _, svals, vt = np.linalg.svd(dp.jacobian(ys, act))
+        null = vt[_rank_from_singular_values(svals):].T
     else:
         null = np.eye(dim)
     if null.shape[1] == 0:
         return SecondOrderResult(True, 0.0, None, 0, vacuous=True)
 
     S, _ = slack_matrix(problem, mult.values)
-    h = np.zeros((dim, dim))
-    off = 0
-    for j in range(k):
-        n, p = ys[j].shape
-        h[off:off + n * p, off:off + n * p] = np.kron(2.0 * S[j].to_dense(), np.eye(p))
-        off += n * p
+    h = _slack_hessian([sm.to_dense() for sm in S[:k]], [y.shape[1] for y in ys], dim)
     reduced = null.T @ h @ null
     w, v = np.linalg.eigh(0.5 * (reduced + reduced.T))
     min_eig = float(w[0])
@@ -436,15 +407,10 @@ def escape_direction(point: FactorizedPoint, certificate: Certificate, block: in
     k = len(point.factors)
     y = point.factors[block] if block < k else _internal_factors(point)[block]
 
-    svals = np.linalg.svd(y, compute_uv=False)
-    top = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > RANK_TOL * top)) if top > 0 else 0
-    p = y.shape[1]
-    if rank < p:
+    _, svals, vt = np.linalg.svd(y)
+    if _rank_from_singular_values(svals) < y.shape[1]:
         # unit kernel vector of Y: smallest right singular vector
-        _, _, vt = np.linalg.svd(y)
-        z = vt[-1]
-        u = np.outer(v, z)
+        u = np.outer(v, vt[-1])
         return EscapeDirection("kernel", block, v, u, float(certificate.escape_eigenvalue))
     return EscapeDirection("rank_increment", block, v, None, float(certificate.escape_eigenvalue))
 
@@ -453,18 +419,9 @@ def licq_check(problem: ConicSdpProblem, point: FactorizedPoint, tol: float = 1e
     """Linear independence of active constraint gradients at the point."""
     dp = densify(problem)
     act = sorted(active_set(problem, point, tol))
-    ys = _internal_factors(point)
-    rows = []
-    for i in act:
-        parts = [(2.0 * dp.A[j][i] @ ys[j]).ravel() for j in range(len(ys))]
-        if dp.d:
-            parts.append(dp.Af[i])
-        rows.append(np.concatenate(parts))
-    if not rows:
+    if not act:
         return LicqResult(True, 0, 0)
-    jac = np.vstack(rows)
-    s = np.linalg.svd(jac, compute_uv=False)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
+    rank = _numerical_rank(dp.jacobian(_internal_factors(point), act))
     return LicqResult(rank == len(act), rank, len(act))
 
 

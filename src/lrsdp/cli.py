@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -213,7 +214,7 @@ def _config_summary(cfg: SolverConfig, rank_override) -> dict:
     }
 
 
-def _report_payload(report, cfg, rank_override, timing: bool, oracle_obj=None) -> dict:
+def _report_payload(problem, report, cfg, rank_override, timing: bool, oracle_obj=None) -> dict:
     trace = [
         {
             "rank": list(st.ranks),
@@ -236,7 +237,7 @@ def _report_payload(report, cfg, rank_override, timing: bool, oracle_obj=None) -
     if oracle_obj is not None:
         final["oracle_objective"] = oracle_obj
     return {
-        "problem": _report_problem(report),
+        "problem": _problem_summary(problem),
         "config": _config_summary(cfg, rank_override),
         "rank_bound": {
             "m_prime": report.rank_bound.m_prime,
@@ -246,10 +247,6 @@ def _report_payload(report, cfg, rank_override, timing: bool, oracle_obj=None) -
         "trace": trace,
         "final": final,
     }
-
-
-def _report_problem(report) -> dict:
-    return {"name": report.problem_name}
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +275,7 @@ def cmd_solve(args) -> int:
 
         oracle_obj = oracle_solve(problem).objective
 
-    payload = _report_payload(report, cfg, ranks, args.timing, oracle_obj)
-    payload["problem"] = _problem_summary(problem)
+    payload = _report_payload(problem, report, cfg, ranks, args.timing, oracle_obj)
     _write_output(format_report(payload), args.out)
     return EXIT_OK if report.verdict == "GlobalOptimal" else EXIT_NOT_CERTIFIED
 
@@ -385,7 +381,7 @@ def cmd_experiment(args) -> int:
     if args.kind == "genericity":
         def trial(t: int):
             problem = generate_random(BlockStructure((n,), 1, 0), m, "E" * m, args.seed + t)
-            report = staircase_solve(problem, SolverConfig(seed=args.seed + t, restarts=cfg.restarts), ranks=[p])
+            report = staircase_solve(problem, replace(cfg, seed=args.seed + t), ranks=[p])
             scale = 1.0 + abs(report.objective)
             first_rank = (
                 report.verdict == "GlobalOptimal"

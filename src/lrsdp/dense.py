@@ -49,6 +49,25 @@ class DenseProblem:
         free = self.Af.T @ lam if self.d else np.zeros(0)
         return blocks, free
 
+    def jacobian(self, ys, rows=None) -> np.ndarray:
+        """Constraint Jacobian at X_j = Y_j Y_j^T: row i is [2 A_i1 Y_1, ..., a_i].
+
+        Row i applied to the row-major (U_1, ..., u) gives
+        <A_i, sum_j U_j Y_j^T + Y_j U_j^T> + a_i . u.  Only the leading
+        len(ys) blocks get columns; `rows` selects constraint rows (all by
+        default).
+        """
+        sel = slice(None) if rows is None else np.asarray(rows, dtype=int)
+        r = self.m if rows is None else sel.size
+        parts = []
+        for a, y in zip(self.A, ys):
+            n, q = y.shape
+            # explicit shapes: with r = 0 a -1 in a reshape is ambiguous
+            parts.append(2.0 * (a[sel].reshape(r * n, n) @ y).reshape(r, n * q))
+        if self.d:
+            parts.append(self.Af[sel])
+        return np.hstack(parts) if parts else np.zeros((r, 0))
+
     def objective(self, blocks: list[np.ndarray], x: np.ndarray) -> float:
         val = sum(float(np.tensordot(c, xb)) for c, xb in zip(self.C, blocks))
         if self.d:

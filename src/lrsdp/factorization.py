@@ -19,6 +19,7 @@ from .model import (
     ConicSdpProblem,
     PrimalPoint,
     SymmetricMatrix,
+    packed_index,
     packed_size,
 )
 
@@ -152,19 +153,23 @@ def _stack_rows(problem: ConicSdpProblem, idx) -> np.ndarray:
     rows = np.zeros((len(idx), packed_size(n)))
     for r, i in enumerate(idx):
         bl = problem.constraints[i].blocks[0]
-        pos = bl.rows * n - bl.rows * (bl.rows - 1) // 2 + (bl.cols - bl.rows)
+        pos = packed_index(n, bl.rows, bl.cols)
         # off-diagonal entries scaled so packed vectors are isometric to matrices
         rows[r, pos] = np.where(bl.rows == bl.cols, bl.vals, np.sqrt(2.0) * bl.vals)
     return rows
 
 
-def _numerical_rank(mat: np.ndarray) -> int:
-    if mat.size == 0 or min(mat.shape) == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
+def _rank_from_singular_values(s: np.ndarray) -> int:
+    """The numerical-rank rule: singular values above RANK_TOL * sigma_1."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_TOL * s[0]))
+
+
+def _numerical_rank(mat: np.ndarray) -> int:
+    if mat.size == 0:
+        return 0
+    return _rank_from_singular_values(np.linalg.svd(mat, compute_uv=False))
 
 
 def m_prime_inequality(

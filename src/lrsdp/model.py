@@ -76,8 +76,11 @@ def packed_size(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def packed_index(n: int, i: int, j: int) -> int:
-    """Position of entry (i, j), i <= j, 0-based, in row-major packed storage."""
+def packed_index(n: int, i, j):
+    """Position of entry (i, j), i <= j, 0-based, in row-major packed storage.
+
+    Works elementwise on integer arrays of row and column indices.
+    """
     return i * n - i * (i - 1) // 2 + (j - i)
 
 
@@ -185,7 +188,7 @@ class CooSymmetric:
         """Trace inner product with a packed symmetric matrix of equal dim."""
         if m.dim != self.dim:
             raise ValueError("dimension mismatch")
-        idx = self.rows * self.dim - self.rows * (self.rows - 1) // 2 + (self.cols - self.rows)
+        idx = packed_index(self.dim, self.rows, self.cols)
         w = np.where(self.rows == self.cols, 1.0, 2.0)
         return float(np.dot(w * self.vals, m.packed[idx]))
 
@@ -384,9 +387,7 @@ def apply_adjoint(problem: ConicSdpProblem, lam: np.ndarray) -> tuple[list[Symme
         for j, bl in enumerate(con.blocks):
             if bl.nnz == 0:
                 continue
-            n = bl.dim
-            idx = bl.rows * n - bl.rows * (bl.rows - 1) // 2 + (bl.cols - bl.rows)
-            blocks[j][idx] += li * bl.vals
+            blocks[j][packed_index(bl.dim, bl.rows, bl.cols)] += li * bl.vals
         free += li * con.free
     return (
         [SymmetricMatrix(n, p) for n, p in zip(st.psd_sizes, blocks)],

@@ -4,6 +4,10 @@ Outer loop: safeguarded augmented Lagrangian with Powell-Hestenes-Rockafellar
 treatment of inequality rows.  Inner loop: trust-region Newton with truncated
 CG on exact Hessian-vector products, plus a dense negative-curvature probe at
 (near-)stationary points so the method settles only at second-order points.
+Both go through the constraint Jacobian J at the point: a Hessian-vector
+product is 2 S_j U_j + J^T (w * J u), and the probe assembles
+blockdiag(kron(2 S_j, I_q)) + J^T diag(w) J directly, with w the penalty on
+active rows and 0 elsewhere.
 
 Tail PSD blocks are parameterized internally at full rank (any PSD matrix of
 size n factors at rank n), so one variable layout serves every block; the
@@ -18,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dense import DenseProblem, densify
-from .factorization import FactorizedPoint
-from .model import ConicSdpProblem, SymmetricMatrix
+from .factorization import FactorizedPoint, factor
+from .model import ConicSdpProblem, PrimalPoint, SymmetricMatrix
 
 __all__ = [
     "SolverConfig",
@@ -73,13 +77,47 @@ class LagrangianState:
 # ---------------------------------------------------------------------------
 
 
-class _Work:
-    """Dense data plus the flattened (Y_1..Y_L, x) variable layout."""
+def _internal_factors(point: FactorizedPoint) -> list[np.ndarray]:
+    """Factor matrices for every block: given factors plus full-rank tails."""
+    ys = [np.asarray(y, dtype=float) for y in point.factors]
+    if point.tail_blocks:
+        tail = factor(
+            PrimalPoint(tuple(point.tail_blocks), np.zeros(0)),
+            [sm.dim for sm in point.tail_blocks],
+        )
+        ys.extend(tail.factors)
+    return ys
 
-    def __init__(self, dp: DenseProblem, ranks):
+
+def _slack_hessian(S, qs, dim: int) -> np.ndarray:
+    """blockdiag_j kron(2 S_j, I_q_j), zero-padded to dim.
+
+    This is the Hessian of sum_j <S_j, Y_j Y_j^T> in the row-major
+    (Y_1, ..., x) layout, for the leading len(S) blocks.
+    """
+    h = np.zeros((dim, dim))
+    off = 0
+    for s, q in zip(S, qs):
+        size = s.shape[0] * q
+        h[off:off + size, off:off + size] = np.kron(2.0 * s, np.eye(q))
+        off += size
+    return h
+
+
+class _Work:
+    """Dense data plus the flattened (Y_1..Y_L, x) variable layout.
+
+    The solver holds tail blocks as full-rank factors.  With
+    ``tail_matrices`` the tail slots hold the n x n matrices X_j themselves,
+    which are the public coordinates of ``al_value_grad`` and
+    ``al_hessian_vector``.
+    """
+
+    def __init__(self, dp: DenseProblem, ranks, tail_matrices: bool = False):
         if len(ranks) != dp.k:
             raise ValueError(f"need {dp.k} factor ranks, got {len(ranks)}")
         self.dp = dp
+        self.nf = dp.k if tail_matrices else len(dp.sizes)  # blocks held as factors
         self.qs = [int(q) for q in ranks] + [n for n in dp.sizes[dp.k:]]
         self.shapes = [(n, q) for n, q in zip(dp.sizes, self.qs)]
         self.offsets = []
@@ -110,32 +148,27 @@ class _Work:
         tails = tuple(SymmetricMatrix.from_dense(y @ y.T) for y in ys[k:])
         return FactorizedPoint(tuple(np.array(y) for y in ys[:k]), tails, np.array(x))
 
-    def from_point(self, point: FactorizedPoint) -> np.ndarray:
-        from .factorization import factor
-        from .model import PrimalPoint
-
-        ys = [np.array(y, dtype=float) for y in point.factors]
-        if point.tail_blocks:
-            # tail blocks enter the internal layout factorized at full rank
-            tail = factor(
-                PrimalPoint(tuple(point.tail_blocks), np.zeros(0)),
-                [sm.dim for sm in point.tail_blocks],
-            )
-            ys.extend(tail.factors)
-        return self.pack(ys, np.array(point.free, dtype=float))
-
 
 class _Eval:
-    """AL value, gradient and exact Hessian-vector products at a point."""
+    """AL value, gradient and exact Hessian-vector products at a point.
+
+    Second-order terms go through J, the constraint Jacobian at the point
+    (``DenseProblem.jacobian``): the Hessian is
+    blockdiag(kron(2 S_j, I_q)) + J^T diag(w) J, with w = rho on active rows
+    and 0 elsewhere.  A tail held as a matrix enters J as the factor I/2, whose
+    columns 2 A_i (I/2) = A_i are the derivative of <A_i, X_j>, and it carries
+    no S-curvature term.
+    """
 
     def __init__(self, work: _Work, z: np.ndarray, lam: np.ndarray, rho: float):
         dp = work.dp
+        nf = work.nf
         self.work = work
         self.z = z
+        self.lam = lam
+        self.rho = rho
         ys, x = work.unpack(z)
-        self.ys = ys
-        self.x = x
-        X = [y @ y.T for y in ys]
+        X = [y @ y.T for y in ys[:nf]] + ys[nf:]
         self.c = dp.apply(X, x) - dp.b
         self.sdp_objective = dp.objective(X, x)
 
@@ -155,38 +188,27 @@ class _Eval:
 
         adj, adj_free = dp.adjoint(lam_t)
         self.S = [cj - aj for cj, aj in zip(dp.C, adj)]
-        grad_blocks = [2.0 * s @ y for s, y in zip(self.S, ys)]
+        grad_blocks = [2.0 * s @ y for s, y in zip(self.S, ys[:nf])] + self.S[nf:]
         grad_free = dp.c_free - adj_free if dp.d else np.zeros(0)
         self.grad = work.pack(grad_blocks, grad_free)
 
-        self.AY = [np.einsum("iab,bq->iaq", a, y) for a, y in zip(dp.A, ys)]
+        self.J = dp.jacobian(ys[:nf] + [0.5 * np.eye(n) for n in dp.sizes[nf:]])
         self.hvp_weight = np.where(self.active, rho, 0.0)
         if not np.all(np.isfinite(self.grad)) or not np.isfinite(value):
             raise NumericalFailure("non-finite augmented Lagrangian evaluation")
 
     def hvp(self, u: np.ndarray) -> np.ndarray:
-        dp = self.work.dp
-        us, ux = self.work.unpack(u)
-        dc = np.zeros(dp.m)
-        for ay, uj in zip(self.AY, us):
-            dc += 2.0 * np.einsum("iaq,aq->i", ay, uj)
-        if dp.d:
-            dc += dp.Af @ ux
-        wdc = self.hvp_weight * dc
-        hy = [
-            2.0 * s @ uj + 2.0 * np.einsum("i,iaq->aq", wdc, ay)
-            for s, uj, ay in zip(self.S, us, self.AY)
-        ]
-        hx = dp.Af.T @ wdc if dp.d else np.zeros(0)
-        return self.work.pack(hy, hx)
+        work = self.work
+        us, _ = work.unpack(u)
+        out = self.J.T @ (self.hvp_weight * (self.J @ u))
+        for off, (n, q), s, uj in zip(work.offsets, work.shapes, self.S[:work.nf], us):
+            out[off:off + n * q] += (2.0 * s @ uj).ravel()
+        return out
 
     def dense_hessian(self) -> np.ndarray:
-        h = np.empty((self.work.dim, self.work.dim))
-        e = np.zeros(self.work.dim)
-        for i in range(self.work.dim):
-            e[i] = 1.0
-            h[:, i] = self.hvp(e)
-            e[i] = 0.0
+        work = self.work
+        h = _slack_hessian(self.S[:work.nf], work.qs, work.dim)
+        h += self.J.T @ (self.hvp_weight[:, None] * self.J)
         return 0.5 * (h + h.T)
 
     def infeasibility(self) -> float:
@@ -231,9 +253,9 @@ def _steihaug(g: np.ndarray, hvp, delta: float, max_cg: int):
     return z
 
 
-def _inner(work: _Work, z, lam, rho, tol, max_iter, tr0):
-    """Trust-region Newton on the AL; returns (z, eval, accepted, stalled)."""
-    ev = _Eval(work, z, lam, rho)
+def _inner(ev: _Eval, tol, max_iter, tr0):
+    """Trust-region Newton on the AL from ev's point; returns (eval, accepted, stalled)."""
+    work = ev.work
     delta = tr0
     accepted = 0
     curv_floor = 1e-8
@@ -262,24 +284,23 @@ def _inner(work: _Work, z, lam, rho, tol, max_iter, tr0):
 
         if model_dec <= 0.0 or not np.all(np.isfinite(step)):
             delta *= 0.25
-            if delta < 1e-13 * (1.0 + float(np.linalg.norm(z))):
-                return z, ev, accepted, True
+            if delta < 1e-13 * (1.0 + float(np.linalg.norm(ev.z))):
+                return ev, accepted, True
             continue
 
-        z_trial = z + step
-        ev_trial = _Eval(work, z_trial, lam, rho)
+        ev_trial = _Eval(work, ev.z + step, ev.lam, ev.rho)
         ratio = (ev.value - ev_trial.value) / model_dec
 
         if ratio >= 0.1:
-            z, ev = z_trial, ev_trial
+            ev = ev_trial
             accepted += 1
         if ratio >= 0.75:
             delta = min(delta * 2.0, 1e10)
         elif ratio < 0.1:
             delta *= 0.25
-            if delta < 1e-13 * (1.0 + float(np.linalg.norm(z))):
-                return z, ev, accepted, True
-    return z, ev, accepted, it >= max_iter
+            if delta < 1e-13 * (1.0 + float(np.linalg.norm(ev.z))):
+                return ev, accepted, True
+    return ev, accepted, it >= max_iter
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +308,21 @@ def _inner(work: _Work, z, lam, rho, tol, max_iter, tr0):
 # ---------------------------------------------------------------------------
 
 
-def _mixed_eval(problem: ConicSdpProblem, point: FactorizedPoint, lam, rho):
-    """AL pieces in the public (Y, X-tail, x) coordinates."""
+def _public_eval(problem: ConicSdpProblem, point: FactorizedPoint, lam, rho) -> _Eval:
+    """_Eval in the public (Y, X-tail, x) coordinates."""
     dp = densify(problem)
-    k = dp.k
-    ys = [np.asarray(y, dtype=float) for y in point.factors]
-    tails = [t.to_dense() for t in point.tail_blocks]
-    X = [y @ y.T for y in ys] + tails
-    x = np.asarray(point.free, dtype=float)
-    c = dp.apply(X, x) - dp.b
-    shifted = np.asarray(lam, dtype=float) - rho * c
-    lam_t = np.where(dp.eq_mask, shifted, np.maximum(0.0, shifted))
-    active = dp.eq_mask | (shifted > 0.0)
-    adj, adj_free = dp.adjoint(lam_t)
-    S = [cj - aj for cj, aj in zip(dp.C, adj)]
-    return dp, ys, tails, x, c, lam_t, active, S, adj_free
+    work = _Work(dp, point.ranks, tail_matrices=True)
+    ys = list(point.factors) + [t.to_dense() for t in point.tail_blocks]
+    z = work.pack(ys, np.asarray(point.free, dtype=float))
+    return _Eval(work, z, np.asarray(lam, dtype=float), rho)
+
+
+def _public_point(work: _Work, z: np.ndarray) -> FactorizedPoint:
+    ys, x = work.unpack(z)
+    k = work.dp.k
+    return FactorizedPoint(
+        tuple(ys[:k]), tuple(SymmetricMatrix.from_dense(t) for t in ys[k:]), x
+    )
 
 
 def al_value_grad(problem: ConicSdpProblem, point: FactorizedPoint, lam, rho: float):
@@ -311,24 +332,8 @@ def al_value_grad(problem: ConicSdpProblem, point: FactorizedPoint, lam, rho: fl
     blocks, the slack-matrix component for tail blocks, and the free-part
     slack for the free variables.
     """
-    dp, ys, tails, x, c, lam_t, active, S, adj_free = _mixed_eval(problem, point, lam, rho)
-    lam = np.asarray(lam, dtype=float)
-    eq = dp.eq_mask
-    value = dp.objective([y @ y.T for y in ys] + tails, x)
-    value += float(np.sum((-lam * c + 0.5 * rho * c * c)[eq]))
-    if np.any(~eq):
-        if rho <= 0.0:
-            raise NumericalFailure("PHR terms need rho > 0 with inequality rows")
-        value += float(np.sum(lam_t[~eq] ** 2 - lam[~eq] ** 2)) / (2.0 * rho)
-    if not np.isfinite(value):
-        raise NumericalFailure("non-finite augmented Lagrangian value")
-    k = dp.k
-    grad = FactorizedPoint(
-        factors=tuple(2.0 * S[j] @ ys[j] for j in range(k)),
-        tail_blocks=tuple(SymmetricMatrix.from_dense(S[j]) for j in range(k, len(S))),
-        free=(dp.c_free - adj_free if dp.d else np.zeros(0)),
-    )
-    return value, grad
+    ev = _public_eval(problem, point, lam, rho)
+    return ev.value, _public_point(ev.work, ev.grad)
 
 
 def al_hessian_vector(
@@ -339,46 +344,24 @@ def al_hessian_vector(
     direction: FactorizedPoint,
 ) -> FactorizedPoint:
     """Exact Hessian-vector product of the AL, in the public coordinates."""
-    dp, ys, tails, x, c, lam_t, active, S, _ = _mixed_eval(problem, point, lam, rho)
-    k = dp.k
-    us = [np.asarray(u, dtype=float) for u in direction.factors]
-    uds = [t.to_dense() for t in direction.tail_blocks]
-    ux = np.asarray(direction.free, dtype=float)
-
-    dc = np.zeros(dp.m)
-    for j in range(k):
-        dc += 2.0 * np.einsum("iab,aq,bq->i", dp.A[j], us[j], ys[j])
-    for j, ud in enumerate(uds):
-        dc += np.einsum("iab,ab->i", dp.A[k + j], ud)
-    if dp.d:
-        dc += dp.Af @ ux
-    wdc = np.where(active, rho, 0.0) * dc
-    dS = [np.einsum("i,iab->ab", wdc, dp.A[j]) for j in range(len(dp.A))]
-
-    out_factors = tuple(
-        2.0 * S[j] @ us[j] + 2.0 * dS[j] @ ys[j] for j in range(k)
-    )
-    out_tails = tuple(SymmetricMatrix.from_dense(dS[k + j]) for j in range(len(uds)))
-    out_free = dp.Af.T @ wdc if dp.d else np.zeros(0)
-    res = FactorizedPoint(out_factors, out_tails, out_free)
-    for a in res.factors:
-        if not np.all(np.isfinite(a)):
-            raise NumericalFailure("non-finite Hessian-vector product")
-    return res
+    ev = _public_eval(problem, point, lam, rho)
+    us = list(direction.factors) + [t.to_dense() for t in direction.tail_blocks]
+    hu = ev.hvp(ev.work.pack(us, np.asarray(direction.free, dtype=float)))
+    if not np.all(np.isfinite(hu)):
+        raise NumericalFailure("non-finite Hessian-vector product")
+    return _public_point(ev.work, hu)
 
 
 def inner_minimize(problem: ConicSdpProblem, state: LagrangianState, config: SolverConfig) -> LagrangianState:
     """Minimize the AL at fixed multipliers/penalty from the state's point."""
     dp = densify(problem)
-    work = _Work(dp, [y.shape[1] for y in state.point.factors])
-    z0 = work.from_point(state.point)
+    work = _Work(dp, state.point.ranks)
+    z0 = work.pack(_internal_factors(state.point), state.point.free)
     ev0 = _Eval(work, z0, state.lam, state.rho)
     tol = max(config.outer_tol, 0.1 * ev0.infeasibility())
-    z, ev, accepted, stalled = _inner(
-        work, z0, state.lam, state.rho, tol, config.max_inner, config.tr_radius_init
-    )
+    ev, accepted, stalled = _inner(ev0, tol, config.max_inner, config.tr_radius_init)
     return LagrangianState(
-        point=work.to_point(z),
+        point=work.to_point(ev.z),
         lam=np.array(state.lam),
         rho=state.rho,
         objective=ev.sdp_objective,
@@ -416,7 +399,7 @@ def al_solve(
 
     if warm_start is not None:
         point0, lam, rho = warm_start
-        z = work.from_point(point0)
+        z = work.pack(_internal_factors(point0), point0.free)
         lam = np.array(lam, dtype=float)
         rho = float(rho)
     else:
@@ -430,11 +413,9 @@ def al_solve(
     stall = 0
     state = None
     for outer in range(1, config.max_outer + 1):
-        tol_inner = max(config.outer_tol, 0.1 * min(best_infeas, ev.infeasibility()))
-        z, ev, accepted, stalled = _inner(
-            work, z, lam, rho, tol_inner, config.max_inner, config.tr_radius_init
-        )
-        lam_new = np.clip(ev.lam_tilde, -config.dual_cap, config.dual_cap)
+        tol_inner = max(config.outer_tol, 0.1 * best_infeas)
+        ev, accepted, _ = _inner(ev, tol_inner, config.max_inner, config.tr_radius_init)
+        lam = np.clip(ev.lam_tilde, -config.dual_cap, config.dual_cap)
         infeas = ev.infeasibility()
         stationarity = float(np.linalg.norm(ev.grad))
         trace.append(
@@ -447,9 +428,8 @@ def al_solve(
                 "inner_accepted": accepted,
             }
         )
-        lam = lam_new
         state = LagrangianState(
-            point=work.to_point(z),
+            point=work.to_point(ev.z),
             lam=lam,
             rho=rho,
             objective=ev.sdp_objective,
@@ -471,6 +451,6 @@ def al_solve(
         else:
             stall = 0
         best_infeas = min(best_infeas, infeas)
-        ev = _Eval(work, z, lam, rho)
+        ev = _Eval(work, ev.z, lam, rho)
 
     return replace(state, converged=False), trace

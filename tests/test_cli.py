@@ -247,6 +247,26 @@ class TestExperimentCommand:
         rep = json.loads(out)
         assert rep["fraction_certified_first_rank"] >= 0.8
 
+    def test_genericity_honours_tol_and_max_outer(self, monkeypatch):
+        import lrsdp.cli as cli
+
+        seen = []
+        real = cli.staircase_solve
+
+        def spy(problem, config, **kwargs):
+            seen.append(config)
+            return real(problem, config, **kwargs)
+
+        monkeypatch.setattr(cli, "staircase_solve", spy)
+        code, _, _ = run_cli(
+            ["experiment", "genericity", "--n", "4", "--m", "3", "--p", "2", "--trials", "2",
+             "--seed", "5", "--tol", "1e-6", "--max-outer", "1"]
+        )
+        assert code == 0
+        assert [c.seed for c in seen] == [5, 6]
+        for c in seen:
+            assert (c.max_outer, c.outer_tol, c.feas_tol) == (1, 1e-6, 1e-6)
+
     def test_jobs_do_not_change_output(self):
         argv = ["experiment", "licq", "--n", "5", "--p", "2", "--m", "4", "--trials", "6"]
         _, seq, _ = run_cli(argv)

@@ -124,6 +124,79 @@ class TestHessianVector:
             assert abs(slope - exact) <= 1e-5 * (1.0 + abs(exact))
 
 
+# tail blocks (2, 10, 17), free variables (2, 5, 10, 17, 28), inequality rows
+JACOBIAN_SEEDS = (2, 5, 10, 17, 28)
+
+
+def unconstrained_mixed():
+    """m = 0 with a factor block, a tail block and a free variable."""
+    return make_problem((3, 2), 1, 1, [np.eye(3), np.diag([1.0, -1.0])], [0.5], [])
+
+
+def eval_at(problem, ranks, seed):
+    from lrsdp.dense import densify
+    from lrsdp.solver import _Eval, _Work
+
+    rng = np.random.default_rng(seed)
+    work = _Work(densify(problem), ranks)
+    return _Eval(work, rng.standard_normal(work.dim), rng.standard_normal(problem.m), 2.0)
+
+
+def jacobian_cases():
+    cases = [mixed_instance(seed) for seed in JACOBIAN_SEEDS]
+    return cases + [(unconstrained_mixed(), [2])]
+
+
+class TestConstraintJacobian:
+    def test_cases_cover_tails_free_and_inactive_rows(self):
+        tails = free = inactive = 0
+        for seed, (problem, ranks) in zip(JACOBIAN_SEEDS, jacobian_cases()):
+            st = problem.structure
+            tails += st.factorized_count < st.num_blocks
+            free += st.free_dim > 0
+            ev = eval_at(problem, ranks, seed)
+            inactive += int(np.sum(~ev.active & ~ev.work.dp.eq_mask))
+        assert tails and free and inactive
+
+    def test_rows_match_central_differences_of_apply(self):
+        from lrsdp.dense import densify
+
+        h = 1e-4
+        for seed, (problem, ranks) in enumerate(jacobian_cases()):
+            dp = densify(problem)
+            rng = np.random.default_rng(seed)
+            qs = list(ranks) + list(problem.structure.tail_sizes)
+            ys = [rng.standard_normal((n, q)) for n, q in zip(dp.sizes, qs)]
+            x = rng.standard_normal(dp.d)
+            jac = dp.jacobian(ys)
+            assert jac.shape == (dp.m, sum(y.size for y in ys) + dp.d)
+            for _ in range(2):
+                us = [rng.standard_normal(y.shape) for y in ys]
+                ux = rng.standard_normal(dp.d)
+
+                def at(t):
+                    blocks = [(y + t * u) @ (y + t * u).T for y, u in zip(ys, us)]
+                    return dp.apply(blocks, x + t * ux)
+
+                slope = (at(h) - at(-h)) / (2.0 * h)
+                exact = jac @ np.concatenate([u.ravel() for u in us] + [ux])
+                np.testing.assert_allclose(exact, slope, rtol=1e-8, atol=1e-8)
+            rows = [i for i in range(dp.m) if i % 2 == 0]
+            np.testing.assert_array_equal(dp.jacobian(ys, rows), jac[rows])
+            # leading blocks only: the first block's columns plus the free ones
+            width = ys[0].size
+            lead = np.hstack([jac[:, :width], jac[:, jac.shape[1] - dp.d:]])
+            np.testing.assert_array_equal(dp.jacobian(ys[:1]), lead)
+
+    def test_dense_hessian_matches_hvp_columns(self):
+        for seed, (problem, ranks) in enumerate(jacobian_cases()):
+            ev = eval_at(problem, ranks, seed)
+            hess = ev.dense_hessian()
+            np.testing.assert_array_equal(hess, hess.T)
+            cols = np.column_stack([ev.hvp(e) for e in np.eye(ev.work.dim)])
+            assert np.linalg.norm(hess - cols) <= 1e-12 * np.linalg.norm(cols)
+
+
 class TestInnerMinimize:
     def test_stationary_start_returns_same_point(self):
         prob = trivial_sdp()
