@@ -6,8 +6,11 @@ CG on exact Hessian-vector products, plus a dense negative-curvature probe at
 (near-)stationary points so the method settles only at second-order points.
 Both go through the constraint Jacobian J at the point: a Hessian-vector
 product is 2 S_j U_j + J^T (w * J u), and the probe assembles
-blockdiag(kron(2 S_j, I_q)) + J^T diag(w) J directly, with w the penalty on
-active rows and 0 elsewhere.
+blockdiag(2 S_j (x) I_q) + J^T diag(w) J directly, writing 2 S_j into the q
+diagonal sub-blocks of each block, with w the penalty on active rows and 0
+elsewhere.  The probe takes only lambda_min and its eigenvector, by a
+partial LAPACK eigensolve, and at most once per evaluation point: a rejected
+escape step shrinks the radius and reuses the direction.
 
 Tail PSD blocks are parameterized internally at full rank (any PSD matrix of
 size n factors at rank n), so one variable layout serves every block; the
@@ -18,8 +21,10 @@ certification reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .dense import DenseProblem, densify
 from .factorization import FactorizedPoint, factor
@@ -93,15 +98,47 @@ def _slack_hessian(S, qs, dim: int) -> np.ndarray:
     """blockdiag_j kron(2 S_j, I_q_j), zero-padded to dim.
 
     This is the Hessian of sum_j <S_j, Y_j Y_j^T> in the row-major
-    (Y_1, ..., x) layout, for the leading len(S) blocks.
+    (Y_1, ..., x) layout, for the leading len(S) blocks.  Entry (a q + i,
+    b q + k) of block j is 2 S_j[a, b] when i == k, so 2 S_j is written into
+    the q diagonal sub-blocks of the block's (n, q, n, q) view.
     """
     h = np.zeros((dim, dim))
     off = 0
     for s, q in zip(S, qs):
-        size = s.shape[0] * q
-        h[off:off + size, off:off + size] = np.kron(2.0 * s, np.eye(q))
+        n = s.shape[0]
+        size = n * q
+        diag = np.arange(q)
+        h[off:off + size, off:off + size].reshape(n, q, n, q)[:, diag, :, diag] = 2.0 * s
         off += size
     return h
+
+
+# the probe settles when lambda_min >= -CURV_FLOOR * max(|lambda_min|, |lambda_max|, 1)
+CURV_FLOOR = 1e-8
+
+
+def _probe(h: np.ndarray) -> np.ndarray | None:
+    """Unit eigenvector of lambda_min(h), or None when h settles.
+
+    Only lambda_min is computed (LAPACK syevr on one index).  lambda_max
+    enters the settle rule through its scale alone, so it is bracketed by
+    max diag(h) <= lambda_max <= max row-sum |h| and computed only when
+    that bracket leaves the decision open.
+    """
+    w, v = scipy.linalg.eigh(h, subset_by_index=[0, 0], check_finite=False)
+    lo = float(w[0])
+    if lo >= 0.0:
+        return None
+    # for lo < 0, max(|lo|, |lambda_max|, 1) == max(|lo|, lambda_max, 1)
+    floor = max(-lo, 1.0)
+    if -lo <= CURV_FLOOR * max(floor, float(np.max(np.diag(h)))):
+        return None
+    if -lo > CURV_FLOOR * max(floor, float(np.max(np.sum(np.abs(h), axis=1)))):
+        return v[:, 0]
+    dim = h.shape[0]
+    hi = scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=[dim - 1, dim - 1],
+                           check_finite=False)
+    return None if -lo <= CURV_FLOOR * max(floor, float(hi[0])) else v[:, 0]
 
 
 class _Work:
@@ -211,6 +248,11 @@ class _Eval:
         h += self.J.T @ (self.hvp_weight[:, None] * self.J)
         return 0.5 * (h + h.T)
 
+    @cached_property
+    def curvature(self) -> np.ndarray | None:
+        """The probe at this point (``_probe`` of the dense Hessian), computed once."""
+        return _probe(self.dense_hessian())
+
     def infeasibility(self) -> float:
         viol = np.where(self.work.dp.eq_mask, self.c, np.minimum(self.c, 0.0))
         return float(np.linalg.norm(viol))
@@ -258,7 +300,6 @@ def _inner(ev: _Eval, tol, max_iter, tr0):
     work = ev.work
     delta = tr0
     accepted = 0
-    curv_floor = 1e-8
 
     it = 0
     while it < max_iter:
@@ -268,12 +309,9 @@ def _inner(ev: _Eval, tol, max_iter, tr0):
         step = None
         if gnorm <= tol:
             # gradient is flat: probe the spectrum for escapable curvature
-            h = ev.dense_hessian()
-            w, v = np.linalg.eigh(h)
-            hscale = max(abs(float(w[0])), abs(float(w[-1])), 1.0)
-            if w[0] >= -curv_floor * hscale:
+            direction = ev.curvature
+            if direction is None:
                 break
-            direction = v[:, 0]
             if float(g @ direction) > 0.0:
                 direction = -direction
             step = delta * direction

@@ -197,6 +197,105 @@ class TestConstraintJacobian:
             assert np.linalg.norm(hess - cols) <= 1e-12 * np.linalg.norm(cols)
 
 
+
+def full_eigh_settles(h):
+    """The probe's settle rule, decided from every eigenvalue of h."""
+    from lrsdp.solver import CURV_FLOOR
+
+    w = np.linalg.eigh(h)[0]
+    return bool(w[0] >= -CURV_FLOOR * max(abs(w[0]), abs(w[-1]), 1.0))
+
+
+def check_probe(h):
+    """_probe(h) decides as the full-eigh rule and returns a lambda_min unit vector."""
+    from lrsdp.solver import _probe
+
+    direction = _probe(h)
+    assert (direction is None) == full_eigh_settles(h)
+    if direction is not None:
+        w = np.linalg.eigh(h)[0]
+        assert abs(np.linalg.norm(direction) - 1.0) <= 1e-12
+        rayleigh = float(direction @ h @ direction)
+        assert abs(rayleigh - w[0]) <= 1e-10 * max(abs(w[0]), abs(w[-1]))
+    return direction
+
+
+class TestCurvatureProbe:
+    def test_decision_matches_full_eigh_rule_near_the_floor(self, monkeypatch):
+        import scipy.linalg
+
+        from lrsdp import solver
+
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("eigvals_only", False))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(solver.scipy.linalg, "eigh", counting)
+        rng = np.random.default_rng(0)
+        escapes = 0
+        for n in (4, 20, 60):
+            for top in (1e-3, 1.0, 30.0, 1e3):
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                w = np.sort(rng.uniform(0.0, top, n))
+                w[-1] = top
+                for shift in (0.0, -0.5e-8, -2e-8):
+                    w[0] = shift * max(top, 1.0)
+                    h = (q * w) @ q.T
+                    escapes += check_probe(0.5 * (h + h.T)) is not None
+        assert escapes == 12  # every -2e-8 case, no other
+        assert any(calls)  # some bracket left the decision to lambda_max
+
+    def test_agrees_on_dense_hessians(self):
+        escapes = 0
+        for seed, (problem, ranks) in enumerate(jacobian_cases()):
+            ev = eval_at(problem, ranks, seed)
+            escapes += check_probe(ev.dense_hessian()) is not None
+            np.testing.assert_array_equal(ev.curvature, check_probe(ev.dense_hessian()))
+        assert escapes  # random points carry negative curvature
+
+    def test_slack_hessian_equals_kron(self):
+        from lrsdp.solver import _slack_hessian
+
+        rng = np.random.default_rng(3)
+        blocks = [rng.standard_normal((n, n)) for n in (5, 3, 1)]
+        blocks = [b + b.T for b in blocks]
+        qs = [2, 3, 1]
+        h = _slack_hessian(blocks, qs, 10 + 9 + 1 + 4)
+        expected = np.zeros_like(h)
+        off = 0
+        for b, q in zip(blocks, qs):
+            size = b.shape[0] * q
+            expected[off:off + size, off:off + size] = np.kron(2.0 * b, np.eye(q))
+            off += size
+        np.testing.assert_array_equal(h, expected)
+
+    def test_rejected_escape_reuses_the_probe(self, monkeypatch):
+        import scipy.linalg
+
+        from lrsdp import solver
+
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting(h, *args, **kwargs):
+            calls.append(np.array(h))
+            return eigh(h, *args, **kwargs)
+
+        monkeypatch.setattr(solver.scipy.linalg, "eigh", counting)
+        # saddle at Y = 0 with a flat gradient; the quartic penalty on X_22
+        # rejects the unit escape step and accepts it at radius 1/4
+        e22 = np.diag([0.0, 1.0])
+        prob = make_problem((2,), 1, 0, [np.diag([1.0, -1.0])], [], [([e22], [], 0.0, "E")])
+        y0 = FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0))
+        st = LagrangianState(y0, np.zeros(1), 10.0, 0.0, 0.0, 0.0)
+        out = inner_minimize(prob, st, SolverConfig(max_inner=2))
+        np.testing.assert_allclose(np.abs(out.point.factors[0]), [[0.0], [0.25]])
+        assert len(calls) == 1
+
+
 class TestInnerMinimize:
     def test_stationary_start_returns_same_point(self):
         prob = trivial_sdp()
