@@ -36,6 +36,7 @@ from .solver import (
     _slack_hessian,
     al_solve,
     al_value_grad,
+    kkt_scales,
 )
 
 __all__ = [
@@ -338,16 +339,13 @@ def certify(
     primal = lift(point)
     duality_gap = primal.objective(problem) - float(problem.b @ mult.values)
 
-    norm_c = max([sm.norm() for sm in problem.cost_blocks] + [0.0])
-    norm_c += float(np.linalg.norm(problem.cost_free))
-    lam_scale = float(np.max(np.abs(mult.values))) if mult.values.size else 0.0
-    b_scale = float(np.max(np.abs(problem.b))) if problem.m else 0.0
+    stat_scale, feas_scale, lam_scale = kkt_scales(problem, mult.values)
     tols = {
-        "stationarity": cert_tol * (1.0 + norm_c + lam_scale),
-        "feasibility": cert_tol * (1.0 + b_scale),
-        "complementarity": cert_tol * (1.0 + lam_scale) * (1.0 + b_scale),
+        "stationarity": cert_tol * stat_scale,
+        "feasibility": cert_tol * feas_scale,
+        "complementarity": cert_tol * lam_scale * feas_scale,
         "sign": cert_tol,
-        "free": cert_tol * (1.0 + norm_c + lam_scale),
+        "free": cert_tol * stat_scale,
         "slack": cert_tol,
     }
 

@@ -35,6 +35,7 @@ __all__ = [
     "LagrangianState",
     "InfeasibleError",
     "NumericalFailure",
+    "kkt_scales",
     "al_value_grad",
     "al_hessian_vector",
     "inner_minimize",
@@ -75,6 +76,21 @@ class LagrangianState:
     infeasibility: float
     stationarity: float
     converged: bool = True
+
+
+def kkt_scales(problem: ConicSdpProblem, lam) -> tuple[float, float, float]:
+    """Scales of the KKT tolerances, shared by ``al_solve`` and certification.
+
+    Returns (1 + ||C|| + ||lam||_inf, 1 + ||b||_inf, 1 + ||lam||_inf), with
+    ||C|| the largest cost-block Frobenius norm plus the free cost's norm.
+    Stationarity scales with the first, feasibility with the second and
+    complementarity with the product of the last two.
+    """
+    norm_c = max([sm.norm() for sm in problem.cost_blocks] + [0.0])
+    norm_c += float(np.linalg.norm(problem.cost_free))
+    lam_scale = float(np.max(np.abs(lam))) if np.size(lam) else 0.0
+    b_scale = float(np.max(np.abs(problem.b))) if problem.m else 0.0
+    return 1.0 + norm_c + lam_scale, 1.0 + b_scale, 1.0 + lam_scale
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +443,12 @@ def al_solve(
 ):
     """Full augmented-Lagrangian solve at the given factor ranks.
 
+    Stops when infeasibility <= feas_tol * (1 + ||b||_inf) and the AL
+    gradient norm <= outer_tol * (1 + ||C|| + ||lam||_inf) (``kkt_scales``);
+    the penalty grows only while infeasibility is above its tolerance.
     Returns (final LagrangianState, trace of per-outer-iteration records).
-    Raises InfeasibleError when infeasibility stalls above feas_tol with the
-    penalty at its cap.
+    Raises InfeasibleError when infeasibility stalls above its tolerance with
+    the penalty at its cap.
     """
     dp = densify(problem)
     work = _Work(dp, ranks)
@@ -445,6 +464,7 @@ def al_solve(
         lam = np.zeros(dp.m)
         rho = config.penalty_init
 
+    feas_tol = config.feas_tol * kkt_scales(problem, lam)[1]
     trace = []
     ev = _Eval(work, z, lam, rho)
     best_infeas = ev.infeasibility()
@@ -475,12 +495,13 @@ def al_solve(
             stationarity=stationarity,
             converged=True,
         )
-        if infeas <= config.feas_tol and stationarity <= config.outer_tol:
+        stat_tol = config.outer_tol * kkt_scales(problem, lam)[0]
+        if infeas <= feas_tol and stationarity <= stat_tol:
             return state, trace
 
-        if infeas > best_infeas / 4.0:
+        if infeas > feas_tol and infeas > best_infeas / 4.0:
             rho = min(rho * config.penalty_growth, config.penalty_cap)
-        if rho >= config.penalty_cap and infeas > config.feas_tol:
+        if rho >= config.penalty_cap and infeas > feas_tol:
             stall += 1
             if stall >= 5:
                 raise InfeasibleError(

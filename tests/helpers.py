@@ -69,6 +69,15 @@ def correlation_sdp():
     )
 
 
+def maxcut_sdp(n: int, seed: int):
+    """MaxCut relaxation of G(n, 0.3): min <-L/4, X> s.t. X_ii = 1."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < 0.3, 1).astype(float)
+    adj = upper + upper.T
+    laplacian = np.diag(adj.sum(axis=1)) - adj
+    rows = [([np.diag(np.eye(n)[i])], [], 1.0, "E") for i in range(n)]
+    return make_problem((n,), 1, 0, [-0.25 * laplacian], [], rows, name=f"maxcut-n{n}-s{seed}")
+
 def iqm_cost(a: float, b: float, c: float) -> np.ndarray:
     """Cost matrix encoding the quadratic a x^2 + b x + c through (x, 1)."""
     return np.array([[a, b / 2.0], [b / 2.0, c]])

@@ -21,6 +21,7 @@ from helpers import (
     iqm_cost,
     indefinite_trace_sdp,
     make_problem,
+    maxcut_sdp,
     mixed_instance,
     point_axpy,
     point_dot,
@@ -331,6 +332,17 @@ class TestOuterLoop:
         np.testing.assert_allclose(state.lam, [1.0], atol=1e-6)
         assert state.infeasibility <= 1e-8
         assert state.stationarity <= 1e-8
+
+    def test_stops_once_converged_without_raising_the_penalty(self):
+        # the absolute 1e-8 stationarity test ran all 50 outer iterations here,
+        # raising rho to its cap while infeasibility sat at roundoff
+        prob = maxcut_sdp(24, 10)
+        cfg = SolverConfig(seed=0)
+        state, trace = al_solve(prob, [7], cfg)
+        assert state.converged
+        assert len(trace) <= 10
+        assert all(rec["rho"] < cfg.penalty_cap for rec in trace)
+        assert state.infeasibility <= cfg.feas_tol * 2.0
 
     def test_indefinite_cost_with_trace_constraint(self):
         state, _ = al_solve(indefinite_trace_sdp(), [2], SolverConfig(seed=0))
