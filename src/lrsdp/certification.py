@@ -65,7 +65,6 @@ class Multipliers:
     active_set: frozenset
     source: str  # FromSolver | LeastSquares
     residual: float | None = None
-    rank_deficient: bool = False
 
 
 @dataclass(frozen=True)
@@ -203,9 +202,7 @@ def estimate_multipliers(
     g_cols = dp.jacobian(ys, act).T
 
     lam = np.zeros(dp.m)
-    rank_deficient = False
     if act:
-        rank_deficient = _numerical_rank(g_cols) < len(act)
         ineq_cols = [col for col, i in enumerate(act) if not dp.eq_mask[i]]
         if not ineq_cols:
             sol = np.linalg.lstsq(g_cols, r0, rcond=None)[0]
@@ -225,7 +222,7 @@ def estimate_multipliers(
     for i in problem.inequality_indices():
         if lam[i] < 0.0:
             lam[i] = 0.0 if lam[i] > -1e-10 else lam[i]
-    return Multipliers(lam, frozenset(active), "LeastSquares", residual, rank_deficient)
+    return Multipliers(lam, frozenset(active), "LeastSquares", residual)
 
 
 def kkt_residuals(problem: ConicSdpProblem, point: FactorizedPoint, mult: Multipliers) -> KktResiduals:

@@ -5,7 +5,7 @@ identical flags and seeds reproduce identical bytes.  Wall-clock timing is
 only emitted under --timing, since it would break that reproducibility.
 
 Exit codes: 0 certified globally optimal, 1 usage/parse errors, 2 not
-certified (indeterminate or escapable), 3 infeasible.
+certified (indeterminate or escapable), 3 infeasible, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .model import (
     read_problem,
     validate,
 )
-from .solver import InfeasibleError, SolverConfig
+from .solver import InfeasibleError, NumericalFailure, SolverConfig
 
 __all__ = ["main", "cmd_solve", "cmd_certify", "cmd_bound", "cmd_experiment",
            "read_point", "write_point", "format_report"]
@@ -47,6 +47,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CERTIFIED = 2
 EXIT_INFEASIBLE = 3
+EXIT_NUMERICAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,9 @@ def cmd_solve(args) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     oracle_obj = None
     if args.oracle:

@@ -1,9 +1,11 @@
 """Local solver for the factorized problem.
 
 Outer loop: safeguarded augmented Lagrangian with Powell-Hestenes-Rockafellar
-treatment of inequality rows.  Inner loop: trust-region Newton with truncated
-CG on exact Hessian-vector products, plus a dense negative-curvature probe at
-(near-)stationary points so the method settles only at second-order points.
+treatment of inequality rows, stopped by the scale-relative tolerances of
+``kkt_scales`` that certification also uses.  Inner loop: trust-region
+Newton with truncated CG on exact Hessian-vector products, plus a dense
+negative-curvature probe at (near-)stationary points so the method settles
+only at second-order points.
 Both go through the constraint Jacobian J at the point: a Hessian-vector
 product is 2 S_j U_j + J^T (w * J u), and the probe assembles
 blockdiag(2 S_j (x) I_q) + J^T diag(w) J directly, writing 2 S_j into the q
@@ -146,15 +148,15 @@ def _probe(h: np.ndarray) -> np.ndarray | None:
     if lo >= 0.0:
         return None
     # for lo < 0, max(|lo|, |lambda_max|, 1) == max(|lo|, lambda_max, 1)
-    floor = max(-lo, 1.0)
-    if -lo <= CURV_FLOOR * max(floor, float(np.max(np.diag(h)))):
+    base = max(-lo, 1.0)
+    if -lo <= CURV_FLOOR * max(base, float(np.max(np.diag(h)))):
         return None
-    if -lo > CURV_FLOOR * max(floor, float(np.max(np.sum(np.abs(h), axis=1)))):
+    if -lo > CURV_FLOOR * max(base, float(np.max(np.sum(np.abs(h), axis=1)))):
         return v[:, 0]
     dim = h.shape[0]
     hi = scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=[dim - 1, dim - 1],
                            check_finite=False)
-    return None if -lo <= CURV_FLOOR * max(floor, float(hi[0])) else v[:, 0]
+    return None if -lo <= CURV_FLOOR * max(base, float(hi[0])) else v[:, 0]
 
 
 class _Work:

@@ -119,6 +119,19 @@ class TestSolveCommand:
         code, _, err = run_cli(["solve", path])
         assert code == 3
 
+    def test_numerical_failure_exit_four(self, trivial_file, monkeypatch):
+        import lrsdp.cli as cli
+        from lrsdp.solver import NumericalFailure
+
+        def failing(problem, config, **kwargs):
+            raise NumericalFailure("non-finite augmented Lagrangian evaluation")
+
+        monkeypatch.setattr(cli, "staircase_solve", failing)
+        code, out, err = run_cli(["solve", trivial_file])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure: non-finite")
+
     def test_oracle_flag_reports_reference_value(self, trivial_file):
         _, out, _ = run_cli(["solve", trivial_file, "--oracle"])
         report = json.loads(out)

@@ -237,17 +237,24 @@ class TestCurvatureProbe:
         monkeypatch.setattr(solver.scipy.linalg, "eigh", counting)
         rng = np.random.default_rng(0)
         escapes = 0
+        needed_top = set()  # decisions that needed lambda_max itself
         for n in (4, 20, 60):
             for top in (1e-3, 1.0, 30.0, 1e3):
-                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-                w = np.sort(rng.uniform(0.0, top, n))
-                w[-1] = top
-                for shift in (0.0, -0.5e-8, -2e-8):
-                    w[0] = shift * max(top, 1.0)
-                    h = (q * w) @ q.T
-                    escapes += check_probe(0.5 * (h + h.T)) is not None
-        assert escapes == 12  # every -2e-8 case, no other
-        assert any(calls)  # some bracket left the decision to lambda_max
+                # a spread spectrum, and one spike over a small bulk
+                for bulk in (1.0, 0.01):
+                    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                    w = np.sort(rng.uniform(0.0, bulk * top, n))
+                    w[-1] = top
+                    for shift in (0.0, -0.5e-8, -2e-8):
+                        w[0] = shift * max(top, 1.0)
+                        h = (q * w) @ q.T
+                        calls.clear()
+                        escaped = check_probe(0.5 * (h + h.T)) is not None
+                        escapes += escaped
+                        if any(calls):
+                            needed_top.add(escaped)
+        assert escapes == 24  # every -2e-8 case, no other
+        assert needed_top == {False, True}
 
     def test_agrees_on_dense_hessians(self):
         escapes = 0
