@@ -78,6 +78,7 @@ def maxcut_sdp(n: int, seed: int):
     rows = [([np.diag(np.eye(n)[i])], [], 1.0, "E") for i in range(n)]
     return make_problem((n,), 1, 0, [-0.25 * laplacian], [], rows, name=f"maxcut-n{n}-s{seed}")
 
+
 def iqm_cost(a: float, b: float, c: float) -> np.ndarray:
     """Cost matrix encoding the quadratic a x^2 + b x + c through (x, 1)."""
     return np.array([[a, b / 2.0], [b / 2.0, c]])

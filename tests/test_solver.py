@@ -198,7 +198,6 @@ class TestConstraintJacobian:
             assert np.linalg.norm(hess - cols) <= 1e-12 * np.linalg.norm(cols)
 
 
-
 def full_eigh_settles(h):
     """The probe's settle rule, decided from every eigenvalue of h."""
     from lrsdp.solver import CURV_FLOOR
@@ -221,20 +220,26 @@ def check_probe(h):
     return direction
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Records one entry per scipy.linalg.eigh call the solver makes."""
+    import scipy.linalg
+
+    from lrsdp import solver
+
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(solver.scipy.linalg, "eigh", counting)
+    return calls
+
+
 class TestCurvatureProbe:
-    def test_decision_matches_full_eigh_rule_near_the_floor(self, monkeypatch):
-        import scipy.linalg
-
-        from lrsdp import solver
-
-        calls = []
-        eigh = scipy.linalg.eigh
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("eigvals_only", False))
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(solver.scipy.linalg, "eigh", counting)
+    def test_decision_matches_full_eigh_rule_near_the_floor(self, eigh_calls):
         rng = np.random.default_rng(0)
         escapes = 0
         needed_top = set()  # decisions that needed lambda_max itself
@@ -248,10 +253,10 @@ class TestCurvatureProbe:
                     for shift in (0.0, -0.5e-8, -2e-8):
                         w[0] = shift * max(top, 1.0)
                         h = (q * w) @ q.T
-                        calls.clear()
+                        eigh_calls.clear()
                         escaped = check_probe(0.5 * (h + h.T)) is not None
                         escapes += escaped
-                        if any(calls):
+                        if len(eigh_calls) > 1:
                             needed_top.add(escaped)
         assert escapes == 24  # every -2e-8 case, no other
         assert needed_top == {False, True}
@@ -280,19 +285,7 @@ class TestCurvatureProbe:
             off += size
         np.testing.assert_array_equal(h, expected)
 
-    def test_rejected_escape_reuses_the_probe(self, monkeypatch):
-        import scipy.linalg
-
-        from lrsdp import solver
-
-        calls = []
-        eigh = scipy.linalg.eigh
-
-        def counting(h, *args, **kwargs):
-            calls.append(np.array(h))
-            return eigh(h, *args, **kwargs)
-
-        monkeypatch.setattr(solver.scipy.linalg, "eigh", counting)
+    def test_rejected_escape_reuses_the_probe(self, eigh_calls):
         # saddle at Y = 0 with a flat gradient; the quartic penalty on X_22
         # rejects the unit escape step and accepts it at radius 1/4
         e22 = np.diag([0.0, 1.0])
@@ -301,7 +294,7 @@ class TestCurvatureProbe:
         st = LagrangianState(y0, np.zeros(1), 10.0, 0.0, 0.0, 0.0)
         out = inner_minimize(prob, st, SolverConfig(max_inner=2))
         np.testing.assert_allclose(np.abs(out.point.factors[0]), [[0.0], [0.25]])
-        assert len(calls) == 1
+        assert len(eigh_calls) == 1
 
 
 class TestInnerMinimize:
