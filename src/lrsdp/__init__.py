@@ -16,8 +16,6 @@ from .model import (
     PrimalPoint,
     ProblemFormatError,
     SymmetricMatrix,
-    apply_adjoint,
-    apply_map,
     read_problem,
     validate,
     write_problem,

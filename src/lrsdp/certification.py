@@ -27,7 +27,7 @@ from .factorization import (
     initial_rank_bound,
     lift,
 )
-from .model import ConicSdpProblem, PrimalPoint, SymmetricMatrix, apply_adjoint, apply_map
+from .model import ConicSdpProblem, SymmetricMatrix
 from .solver import (
     InfeasibleError,
     LagrangianState,
@@ -158,25 +158,22 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _as_primal(problem: ConicSdpProblem, point) -> PrimalPoint:
-    return lift(point) if isinstance(point, FactorizedPoint) else point
+def _lifted_blocks(point: FactorizedPoint) -> list[np.ndarray]:
+    """Dense X_j: Y_j Y_j^T for factor blocks, tail blocks as given."""
+    return [y @ y.T for y in point.factors] + [t.to_dense() for t in point.tail_blocks]
 
 
-def active_set(problem: ConicSdpProblem, point, tol: float = 1e-7) -> frozenset:
+def active_set(problem: ConicSdpProblem, point: FactorizedPoint, tol: float = 1e-7) -> frozenset:
     """Equalities plus the inequalities tight at the point (relative tol)."""
-    c = apply_map(problem, _as_primal(problem, point)) - problem.b
-    idx = set(int(i) for i in problem.equality_indices())
-    for i in problem.inequality_indices():
-        if abs(c[i]) <= tol * (1.0 + abs(problem.b[i])):
-            idx.add(int(i))
-    return frozenset(idx)
+    dp = densify(problem)
+    c = dp.apply(_lifted_blocks(point), point.free) - dp.b
+    tight = dp.eq_mask | (np.abs(c) <= tol * (1.0 + np.abs(dp.b)))
+    return frozenset(int(i) for i in np.flatnonzero(tight))
 
 
-def slack_matrix(problem: ConicSdpProblem, lam) -> tuple[list[SymmetricMatrix], np.ndarray]:
-    """S(lambda) = C - A*(lambda), per block, plus the free component."""
-    adj, adj_free = apply_adjoint(problem, lam)
-    blocks = [c - a for c, a in zip(problem.cost_blocks, adj)]
-    return blocks, problem.cost_free - adj_free
+def slack_matrix(problem: ConicSdpProblem, lam) -> tuple[list[np.ndarray], np.ndarray]:
+    """S(lambda) = C - A*(lambda), dense per block, plus the free component."""
+    return densify(problem).slack(lam)
 
 
 def estimate_multipliers(
@@ -226,30 +223,23 @@ def estimate_multipliers(
 
 
 def kkt_residuals(problem: ConicSdpProblem, point: FactorizedPoint, mult: Multipliers) -> KktResiduals:
-    S, s_free = slack_matrix(problem, mult.values)
+    dp = densify(problem)
+    S, s_free = dp.slack(mult.values)
     k = len(point.factors)
     stationarity = 0.0
     for j, y in enumerate(point.factors):
-        stationarity = max(stationarity, float(np.linalg.norm(S[j].to_dense() @ y)))
+        stationarity = max(stationarity, float(np.linalg.norm(S[j] @ y)))
 
-    c = apply_map(problem, lift(point)) - problem.b
-    eq = problem.equality_indices()
-    ineq = problem.inequality_indices()
-    viol = np.zeros(problem.m)
-    viol[eq] = c[eq]
-    if ineq.size:
-        viol[ineq] = np.minimum(c[ineq], 0.0)
-    feasibility = float(np.linalg.norm(viol))
+    X = _lifted_blocks(point)
+    c = dp.apply(X, point.free) - dp.b
+    ineq = dp.ineq_mask
+    feasibility = float(np.linalg.norm(np.where(ineq, np.minimum(c, 0.0), c)))
 
-    comp = 0.0
-    for i in ineq:
-        comp = max(comp, abs(float(mult.values[i] * c[i])))
-    for t, sm in enumerate(point.tail_blocks):
-        comp = max(comp, abs(S[k + t].inner(sm)))
+    comp = float(np.max(np.abs(mult.values * c)[ineq], initial=0.0))
+    for j in range(k, len(X)):
+        comp = max(comp, abs(float(np.tensordot(S[j], X[j]))))
 
-    sign = 0.0
-    if ineq.size:
-        sign = max(0.0, -float(np.min(mult.values[ineq])))
+    sign = max(0.0, -float(np.min(mult.values[ineq], initial=0.0)))
     return KktResiduals(
         stationarity=stationarity,
         feasibility=feasibility,
@@ -288,8 +278,8 @@ def second_order_check(
     if null.shape[1] == 0:
         return SecondOrderResult(True, 0.0, None, 0, vacuous=True)
 
-    S, _ = slack_matrix(problem, mult.values)
-    h = _slack_hessian([sm.to_dense() for sm in S[:k]], [y.shape[1] for y in ys], dim)
+    S, _ = dp.slack(mult.values)
+    h = _slack_hessian(S[:k], [y.shape[1] for y in ys], dim)
     reduced = null.T @ h @ null
     w, v = np.linalg.eigh(0.5 * (reduced + reduced.T))
     min_eig = float(w[0])
@@ -324,11 +314,11 @@ def certify(
     else is Indeterminate.  The duality gap is reported as an independent
     numerical witness.
     """
-    S, _ = slack_matrix(problem, mult.values)
+    S, _ = densify(problem).slack(mult.values)
     spectra = []
     eigvecs = []
     for sm in S:
-        w, v = np.linalg.eigh(sm.to_dense())
+        w, v = np.linalg.eigh(sm)
         spectra.append(w)
         eigvecs.append(v)
 

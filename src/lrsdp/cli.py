@@ -5,14 +5,14 @@ identical flags and seeds reproduce identical bytes.  Wall-clock timing is
 only emitted under --timing, since it would break that reproducibility.
 
 Exit codes: 0 certified globally optimal, 1 usage/parse errors, 2 not
-certified (indeterminate or escapable), 3 infeasible, 4 numerical failure.
+certified (indeterminate or escapable), 3 infeasible, 4 numerical failure;
+``main`` maps the last two for every subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +140,7 @@ def read_point(text: str) -> FactorizedPoint:
     factors, tails = [], []
     free = np.zeros(0)
     pos = 0
+    header_fields = {"factor": 3, "tail": 2, "free": 2}
 
     def take_rows(count, width):
         nonlocal pos
@@ -157,17 +158,21 @@ def read_point(text: str) -> FactorizedPoint:
     while pos < len(lines):
         toks = lines[pos].split()
         pos += 1
+        if toks[0] not in header_fields:
+            raise ValueError(f"unknown point section {toks[0]!r}")
+        if len(toks) != header_fields[toks[0]]:
+            raise ValueError(
+                f"point section header {lines[pos - 1]!r} needs {header_fields[toks[0]]} fields"
+            )
         if toks[0] == "factor":
             n, p = int(toks[1]), int(toks[2])
             factors.append(take_rows(n, p))
         elif toks[0] == "tail":
             n = int(toks[1])
             tails.append(SymmetricMatrix.from_dense(take_rows(n, n)))
-        elif toks[0] == "free":
+        else:
             d = int(toks[1])
             free = take_rows(1, d)[0]
-        else:
-            raise ValueError(f"unknown point section {toks[0]!r}")
     return FactorizedPoint(tuple(factors), tuple(tails), free)
 
 
@@ -264,14 +269,7 @@ def cmd_solve(args) -> int:
 
     cfg = _config_from_args(args)
     ranks = args.rank
-    try:
-        report = staircase_solve(problem, cfg, ranks=ranks)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = staircase_solve(problem, cfg, ranks=ranks)
 
     oracle_obj = None
     if args.oracle:
@@ -367,16 +365,6 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _run_trials(fn, n_trials: int, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(t) for t in range(n_trials)]
-    results = [None] * n_trials
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for t, res in zip(range(n_trials), pool.map(fn, range(n_trials))):
-            results[t] = res
-    return results
-
-
 def cmd_experiment(args) -> int:
     cfg = _config_from_args(args)
     n, m, p = args.n, args.m, args.p
@@ -409,7 +397,7 @@ def cmd_experiment(args) -> int:
                 rec["matches_oracle"] = abs(report.objective - obj) <= 1e-5 * (1.0 + abs(obj))
             return rec
 
-        records = _run_trials(trial, args.trials, args.jobs)
+        records = [trial(t) for t in range(args.trials)]
         payload = {
             "kind": "genericity",
             "params": {"n": n, "m": m, "p": p, "trials": args.trials, "seed": args.seed},
@@ -433,7 +421,7 @@ def cmd_experiment(args) -> int:
                 "slack_min_eig": cert.slack_min_eig,
             }
 
-        records = _run_trials(trial, args.trials, args.jobs)
+        records = [trial(t) for t in range(args.trials)]
         payload = {
             "kind": "adversarial",
             "params": {"n": n, "m": m, "p": p, "trials": args.trials, "seed": args.seed},
@@ -454,7 +442,7 @@ def cmd_experiment(args) -> int:
                 "active_count": res.active_count,
             }
 
-        records = _run_trials(trial, args.trials, args.jobs)
+        records = [trial(t) for t in range(args.trials)]
         payload = {
             "kind": "licq",
             "params": {"n": n, "m": m, "p": p, "trials": args.trials, "seed": args.seed},
@@ -534,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--m", type=int, default=8)
     pe.add_argument("--p", type=int, default=4)
     pe.add_argument("--trials", type=int, default=100)
-    pe.add_argument("--jobs", type=int, default=1)
     pe.add_argument("--oracle", action="store_true")
     common(pe)
     pe.set_defaults(func=cmd_experiment)
@@ -548,7 +535,14 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

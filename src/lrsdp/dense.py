@@ -2,7 +2,10 @@
 
 Constraint blocks are stored sparse in the model; the local solver, the
 certification routines and the interior-point oracle all want stacked dense
-arrays.  ``DenseProblem`` is that one conversion, built once per solve.
+arrays.  ``DenseProblem`` is that one conversion, and its ``apply``,
+``adjoint``, ``slack`` and ``jacobian`` are the one constraint operator: the
+solver and the certifier evaluate A(X), A*(lambda) and C - A*(lambda) through
+the same view.
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ class DenseProblem:
         blocks = [np.einsum("i,iab->ab", lam, a) for a in self.A]
         free = self.Af.T @ lam if self.d else np.zeros(0)
         return blocks, free
+
+    def slack(self, lam: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """S(lambda) = C_j - sum_i lam_i A_ij per block, and c_free - A_f^T lam."""
+        adj, adj_free = self.adjoint(lam)
+        return [c - a for c, a in zip(self.C, adj)], self.c_free - adj_free
 
     def jacobian(self, ys, rows=None) -> np.ndarray:
         """Constraint Jacobian at X_j = Y_j Y_j^T: row i is [2 A_i1 Y_1, ..., a_i].

@@ -1,4 +1,4 @@
-"""Block-structured SDP problem data: types, linear maps, validation, file I/O.
+"""Block-structured SDP problem data: types, validation, file I/O.
 
 A problem is
 
@@ -33,8 +33,6 @@ __all__ = [
     "PrimalPoint",
     "ProblemFormatError",
     "validate",
-    "apply_map",
-    "apply_adjoint",
     "read_problem",
     "write_problem",
 ]
@@ -183,14 +181,6 @@ class CooSymmetric:
         a[self.rows, self.cols] = self.vals
         a[self.cols, self.rows] = self.vals
         return a
-
-    def inner_packed(self, m: SymmetricMatrix) -> float:
-        """Trace inner product with a packed symmetric matrix of equal dim."""
-        if m.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        idx = packed_index(self.dim, self.rows, self.cols)
-        w = np.where(self.rows == self.cols, 1.0, 2.0)
-        return float(np.dot(w * self.vals, m.packed[idx]))
 
     @property
     def nnz(self) -> int:
@@ -353,46 +343,6 @@ def validate(problem: ConicSdpProblem) -> list[str]:
             break
 
     return diags
-
-
-def apply_map(problem: ConicSdpProblem, point: PrimalPoint) -> np.ndarray:
-    """Evaluate the constraint map: component i is <A_i, X> + a_i . x."""
-    st = problem.structure
-    if len(point.psd_blocks) != st.num_blocks:
-        raise ValueError("dimension mismatch: wrong number of PSD blocks")
-    for j, x in enumerate(point.psd_blocks):
-        if x.dim != st.psd_sizes[j]:
-            raise ValueError(f"dimension mismatch: block {j}")
-    if point.free.shape != (st.free_dim,):
-        raise ValueError("dimension mismatch: free part")
-
-    out = np.zeros(problem.m)
-    for i, con in enumerate(problem.constraints):
-        acc = sum(bl.inner_packed(x) for bl, x in zip(con.blocks, point.psd_blocks))
-        out[i] = acc + np.dot(con.free, point.free)
-    return out
-
-
-def apply_adjoint(problem: ConicSdpProblem, lam: np.ndarray) -> tuple[list[SymmetricMatrix], np.ndarray]:
-    """Evaluate the adjoint map: per-block sum_i lam_i A_ij, plus the free part."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (problem.m,):
-        raise ValueError(f"length mismatch: lambda has shape {lam.shape}, m = {problem.m}")
-    st = problem.structure
-    blocks = [np.zeros(packed_size(n)) for n in st.psd_sizes]
-    free = np.zeros(st.free_dim)
-    for li, con in zip(lam, problem.constraints):
-        if li == 0.0:
-            continue
-        for j, bl in enumerate(con.blocks):
-            if bl.nnz == 0:
-                continue
-            blocks[j][packed_index(bl.dim, bl.rows, bl.cols)] += li * bl.vals
-        free += li * con.free
-    return (
-        [SymmetricMatrix(n, p) for n, p in zip(st.psd_sizes, blocks)],
-        free,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -53,20 +54,24 @@ class NumericalFailure(RuntimeError):
     pass
 
 
+# penalty schedule, multiplier safeguard and initial trust radius of the AL
+PENALTY_INIT = 10.0
+PENALTY_GROWTH = 10.0
+PENALTY_CAP = 1e12
+DUAL_CAP = 1e10
+TR_RADIUS_INIT = 1.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     outer_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_outer: int = 50
     max_inner: int = 500
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    tr_radius_init: float = 1.0
     seed: int = 0
-    init_scale: float = 1.0
-    penalty_cap: float = 1e12
-    dual_cap: float = 1e10
     restarts: int = 3
+    # not settable; readable on a config for callers that compare rho with the cap
+    penalty_cap: ClassVar[float] = PENALTY_CAP
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,10 +246,8 @@ class _Eval:
             value += float(np.sum((lam_t[~eq] ** 2 - lam[~eq] ** 2))) / (2.0 * rho)
         self.value = value
 
-        adj, adj_free = dp.adjoint(lam_t)
-        self.S = [cj - aj for cj, aj in zip(dp.C, adj)]
+        self.S, grad_free = dp.slack(lam_t)
         grad_blocks = [2.0 * s @ y for s, y in zip(self.S, ys[:nf])] + self.S[nf:]
-        grad_free = dp.c_free - adj_free if dp.d else np.zeros(0)
         self.grad = work.pack(grad_blocks, grad_free)
 
         self.J = dp.jacobian(ys[:nf] + [0.5 * np.eye(n) for n in dp.sizes[nf:]])
@@ -313,10 +316,10 @@ def _steihaug(g: np.ndarray, hvp, delta: float, max_cg: int):
     return z
 
 
-def _inner(ev: _Eval, tol, max_iter, tr0):
+def _inner(ev: _Eval, tol, max_iter):
     """Trust-region Newton on the AL from ev's point; returns (eval, accepted, stalled)."""
     work = ev.work
-    delta = tr0
+    delta = TR_RADIUS_INIT
     accepted = 0
 
     it = 0
@@ -415,7 +418,7 @@ def inner_minimize(problem: ConicSdpProblem, state: LagrangianState, config: Sol
     z0 = work.pack(_internal_factors(state.point), state.point.free)
     ev0 = _Eval(work, z0, state.lam, state.rho)
     tol = max(config.outer_tol, 0.1 * ev0.infeasibility())
-    ev, accepted, stalled = _inner(ev0, tol, config.max_inner, config.tr_radius_init)
+    ev, accepted, stalled = _inner(ev0, tol, config.max_inner)
     return LagrangianState(
         point=work.to_point(ev.z),
         lam=np.array(state.lam),
@@ -427,12 +430,12 @@ def inner_minimize(problem: ConicSdpProblem, state: LagrangianState, config: Sol
     )
 
 
-def _initial_z(work: _Work, rng: np.random.Generator, sigma: float, b: np.ndarray) -> np.ndarray:
+def _initial_z(work: _Work, rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
     # i.i.d. normal factors scaled so lifted diagonals start near the rhs scale
     theta = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     ys = []
     for n, q in work.shapes:
-        ys.append(rng.standard_normal((n, q)) * (sigma * np.sqrt(theta / q)))
+        ys.append(rng.standard_normal((n, q)) * np.sqrt(theta / q))
     x = np.zeros(work.dp.d)
     return work.pack(ys, x)
 
@@ -462,9 +465,9 @@ def al_solve(
         lam = np.array(lam, dtype=float)
         rho = float(rho)
     else:
-        z = _initial_z(work, rng, config.init_scale, dp.b)
+        z = _initial_z(work, rng, dp.b)
         lam = np.zeros(dp.m)
-        rho = config.penalty_init
+        rho = PENALTY_INIT
 
     feas_tol = config.feas_tol * kkt_scales(problem, lam)[1]
     trace = []
@@ -474,8 +477,8 @@ def al_solve(
     state = None
     for outer in range(1, config.max_outer + 1):
         tol_inner = max(config.outer_tol, 0.1 * best_infeas)
-        ev, accepted, _ = _inner(ev, tol_inner, config.max_inner, config.tr_radius_init)
-        lam = np.clip(ev.lam_tilde, -config.dual_cap, config.dual_cap)
+        ev, accepted, _ = _inner(ev, tol_inner, config.max_inner)
+        lam = np.clip(ev.lam_tilde, -DUAL_CAP, DUAL_CAP)
         infeas = ev.infeasibility()
         stationarity = float(np.linalg.norm(ev.grad))
         trace.append(
@@ -502,8 +505,8 @@ def al_solve(
             return state, trace
 
         if infeas > feas_tol and infeas > best_infeas / 4.0:
-            rho = min(rho * config.penalty_growth, config.penalty_cap)
-        if rho >= config.penalty_cap and infeas > feas_tol:
+            rho = min(rho * PENALTY_GROWTH, PENALTY_CAP)
+        if rho >= PENALTY_CAP and infeas > feas_tol:
             stall += 1
             if stall >= 5:
                 raise InfeasibleError(

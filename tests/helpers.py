@@ -35,6 +35,24 @@ def make_problem(sizes, k, d, cost_blocks, cost_free, rows, name=""):
     )
 
 
+def apply_reference(problem, blocks, x):
+    """A(X) row by row from the sparse data: sum_j <A_ij, X_j> + a_i . x.
+
+    Independent of ``DenseProblem``; ``blocks`` are dense X_j.
+    """
+    return np.array([
+        sum(float(np.tensordot(a.to_dense(), xb)) for a, xb in zip(con.blocks, blocks))
+        + float(np.dot(con.free, x))
+        for con in problem.constraints
+    ])
+
+
+def lifted(point: FactorizedPoint):
+    """Dense X_j (Y_j Y_j^T, tails as given) and the free part of a point."""
+    blocks = [y @ y.T for y in point.factors] + [t.to_dense() for t in point.tail_blocks]
+    return blocks, point.free
+
+
 def trivial_sdp():
     """min <I, X> s.t. X_11 = 1 over 2x2 PSD; optimum E_11, value 1, lam (1)."""
     return make_problem(

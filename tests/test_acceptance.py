@@ -40,6 +40,8 @@ from lrsdp.oracle import active_subset_feasible, brute_force_2x2, oracle_solve
 from lrsdp.solver import SolverConfig, al_hessian_vector, al_value_grad
 
 from helpers import (
+    apply_reference,
+    lifted,
     make_problem,
     mixed_instance,
     point_axpy,
@@ -76,10 +78,8 @@ def test_criterion_1_derivative_correctness():
         rho = 2.0
 
         from lrsdp.dense import densify
-        from lrsdp.factorization import lift
-        from lrsdp.model import apply_map
 
-        c = apply_map(problem, lift(point)) - problem.b
+        c = apply_reference(problem, *lifted(point)) - problem.b
         shifted = lam - rho * c
         if np.any(np.abs(shifted[~densify(problem).eq_mask]) < 1e-3):
             continue  # keep clear of the clipped-multiplier switch

@@ -188,6 +188,14 @@ class TestCertifyCommand:
         code, _, err = run_cli(["certify", trivial_file, tpath])
         assert code == 1 and "factor 0" in err
 
+    @pytest.mark.parametrize("header", ["factor 2", "factor 2 1 1", "tail", "free 1 2"])
+    def test_malformed_section_header_exit_one(self, tmp_path, trivial_file, header):
+        tpath = os.path.join(tmp_path, "bad.point")
+        open(tpath, "w").write(header + "\n1\n0\n")
+        code, out, err = run_cli(["certify", trivial_file, tpath])
+        assert code == 1 and out == ""
+        assert err.startswith("error: point section header")
+
     def test_point_roundtrip(self):
         rng = np.random.default_rng(0)
         pt = FactorizedPoint(
@@ -280,11 +288,23 @@ class TestExperimentCommand:
         for c in seen:
             assert (c.max_outer, c.outer_tol, c.feas_tol) == (1, 1e-6, 1e-6)
 
-    def test_jobs_do_not_change_output(self):
-        argv = ["experiment", "licq", "--n", "5", "--p", "2", "--m", "4", "--trials", "6"]
-        _, seq, _ = run_cli(argv)
-        _, par, _ = run_cli(argv + ["--jobs", "3"])
-        assert seq == par
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [("NumericalFailure", 4, "numerical failure: "), ("InfeasibleError", 3, "infeasible: ")],
+    )
+    def test_solver_errors_map_to_exit_codes(self, monkeypatch, error, code, prefix):
+        import lrsdp.cli as cli
+        import lrsdp.solver as solver
+
+        def failing(problem, config, **kwargs):
+            raise getattr(solver, error)("stalled")
+
+        monkeypatch.setattr(cli, "staircase_solve", failing)
+        got, out, err = run_cli(["experiment", "genericity", "--n", "4", "--m", "3", "--p", "2",
+                                 "--trials", "2"])
+        assert got == code
+        assert out == ""
+        assert err == prefix + "stalled\n"
 
 
 class TestDeterminism:

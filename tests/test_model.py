@@ -1,4 +1,4 @@
-"""Problem data model: validation, linear maps, text format."""
+"""Problem data model: validation, the constraint map of its dense view, text format."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,13 @@ from lrsdp.model import (
     CooSymmetric,
     ProblemFormatError,
     SymmetricMatrix,
-    apply_adjoint,
-    apply_map,
     read_problem,
     validate,
     write_problem,
 )
-from lrsdp.model import PrimalPoint
+from lrsdp.dense import densify
 
-from helpers import make_problem, trivial_sdp
+from helpers import apply_reference, make_problem, trivial_sdp
 
 
 def test_validate_clean_problem():
@@ -75,91 +73,81 @@ def test_normalized_constructor_reorders():
     assert validate(prob) == []
 
 
+def _sym(g):
+    return 0.5 * (g + g.T)
+
+
 class TestApplyMap:
+    """``DenseProblem.apply`` against hand values and the row-by-row reference."""
+
+    def check(self, prob, blocks, x, expected=None):
+        got = densify(prob).apply(blocks, x)
+        np.testing.assert_allclose(got, apply_reference(prob, blocks, x), rtol=1e-13, atol=1e-13)
+        if expected is not None:
+            np.testing.assert_allclose(got, expected)
+        return got
+
     def test_identity_times_diagonal(self):
         prob = make_problem((2,), 1, 0, [np.zeros((2, 2))], [], [([np.eye(2)], [], 0.0, "E")])
-        x = PrimalPoint((SymmetricMatrix.from_dense(np.diag([1.0, 2.0])),), np.zeros(0))
-        np.testing.assert_allclose(apply_map(prob, x), [3.0])
+        self.check(prob, [np.diag([1.0, 2.0])], np.zeros(0), [3.0])
 
     def test_unit_matrix_entry(self):
-        prob = trivial_sdp()
-        x = PrimalPoint((SymmetricMatrix.from_dense(np.diag([1.0, 0.0])),), np.zeros(0))
-        np.testing.assert_allclose(apply_map(prob, x), [1.0])
+        self.check(trivial_sdp(), [np.diag([1.0, 0.0])], np.zeros(0), [1.0])
 
     def test_two_blocks(self):
         prob = make_problem(
             (2, 2), 2, 0, [np.zeros((2, 2))] * 2, [],
             [([np.eye(2), np.eye(2)], [], 0.0, "E")],
         )
-        x = PrimalPoint(
-            (SymmetricMatrix.from_dense(np.eye(2)), SymmetricMatrix.zeros(2)), np.zeros(0)
-        )
-        np.testing.assert_allclose(apply_map(prob, x), [2.0])
-
-    def test_dimension_mismatch_raises(self):
-        prob = trivial_sdp()
-        x = PrimalPoint((SymmetricMatrix.from_dense(np.eye(3)),), np.zeros(0))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            apply_map(prob, x)
+        self.check(prob, [np.eye(2), np.zeros((2, 2))], np.zeros(0), [2.0])
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         prob = make_problem(
             (3,), 1, 2, [np.zeros((3, 3))], np.zeros(2),
             [
-                ([0.5 * (g + g.T)], rng.standard_normal(2), 0.0, "E")
+                ([_sym(g)], rng.standard_normal(2), 0.0, "E")
                 for g in [rng.standard_normal((3, 3)) for _ in range(4)]
             ],
         )
         def rand_point(seed):
             r = np.random.default_rng(seed)
-            return PrimalPoint(
-                (SymmetricMatrix.from_dense(0.5 * (lambda g: g + g.T)(r.standard_normal((3, 3)))),),
-                r.standard_normal(2),
-            )
-        x, y = rand_point(1), rand_point(2)
-        both = PrimalPoint(
-            (SymmetricMatrix(3, x.psd_blocks[0].packed + y.psd_blocks[0].packed),),
-            x.free + y.free,
-        )
+            return _sym(r.standard_normal((3, 3))), r.standard_normal(2)
+        (x, xf), (y, yf) = rand_point(1), rand_point(2)
         np.testing.assert_allclose(
-            apply_map(prob, both), apply_map(prob, x) + apply_map(prob, y), rtol=1e-13, atol=1e-13
+            self.check(prob, [x + y], xf + yf),
+            self.check(prob, [x], xf) + self.check(prob, [y], yf),
+            rtol=1e-13, atol=1e-13,
         )
 
 
 class TestApplyAdjoint:
+    """``DenseProblem.adjoint`` against hand values and the reference A(X)."""
+
     def test_zero_multipliers(self):
-        prob = trivial_sdp()
-        blocks, free = apply_adjoint(prob, np.zeros(1))
-        assert np.all(blocks[0].packed == 0.0)
+        blocks, free = densify(trivial_sdp()).adjoint(np.zeros(1))
+        assert np.all(blocks[0] == 0.0)
+        assert free.shape == (0,)
 
     def test_single_constraint_scaling(self):
-        prob = trivial_sdp()
-        blocks, _ = apply_adjoint(prob, np.array([2.0]))
-        np.testing.assert_allclose(blocks[0].to_dense(), [[2.0, 0.0], [0.0, 0.0]])
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            apply_adjoint(trivial_sdp(), np.zeros(3))
+        blocks, _ = densify(trivial_sdp()).adjoint(np.array([2.0]))
+        np.testing.assert_allclose(blocks[0], [[2.0, 0.0], [0.0, 0.0]])
 
     def test_adjoint_identity_random(self):
-        # <A*(lam), X> = lam . A(X) to machine precision
+        # <A*(lam), X> + A_f^T lam . x = lam . A(X) to machine precision
         rng = np.random.default_rng(3)
         for trial in range(10):
             n, m, d = 4, 5, 2
             rows = []
             for _ in range(m):
                 g = rng.standard_normal((n, n))
-                rows.append(([0.5 * (g + g.T)], rng.standard_normal(d), 0.0, "E"))
+                rows.append(([_sym(g)], rng.standard_normal(d), 0.0, "E"))
             prob = make_problem((n,), 1, d, [np.zeros((n, n))], np.zeros(d), rows)
             lam = rng.standard_normal(m)
-            g = rng.standard_normal((n, n))
-            x = PrimalPoint(
-                (SymmetricMatrix.from_dense(0.5 * (g + g.T)),), rng.standard_normal(d)
-            )
-            blocks, free = apply_adjoint(prob, lam)
-            lhs = blocks[0].inner(x.psd_blocks[0]) + float(free @ x.free)
-            rhs = float(lam @ apply_map(prob, x))
+            x, xf = _sym(rng.standard_normal((n, n))), rng.standard_normal(d)
+            blocks, free = densify(prob).adjoint(lam)
+            lhs = float(np.tensordot(blocks[0], x)) + float(free @ xf)
+            rhs = float(lam @ apply_reference(prob, [x], xf))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 

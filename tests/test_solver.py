@@ -18,8 +18,10 @@ from lrsdp.apps import build_integer_quadratic, generate_random
 from lrsdp.oracle import oracle_solve
 
 from helpers import (
+    apply_reference,
     iqm_cost,
     indefinite_trace_sdp,
+    lifted,
     make_problem,
     maxcut_sdp,
     mixed_instance,
@@ -34,11 +36,9 @@ from helpers import (
 def kink_safe(problem, point, lam, rho, margin=1e-3):
     """Avoid sampling right on a clipped-multiplier switch."""
     from lrsdp.dense import densify
-    from lrsdp.factorization import lift
-    from lrsdp.model import apply_map
 
     dp = densify(problem)
-    c = apply_map(problem, lift(point)) - dp.b
+    c = apply_reference(problem, *lifted(point)) - dp.b
     shifted = lam - rho * c
     ineq = ~dp.eq_mask
     return not np.any(np.abs(shifted[ineq]) < margin)
@@ -362,13 +362,10 @@ class TestOuterLoop:
             assert np.all(state.lam[ineq] >= 0.0)
 
     def test_complementarity_at_convergence(self):
-        from lrsdp.factorization import lift
-        from lrsdp.model import apply_map
-
         for seed in range(5):
             prob = generate_random(BlockStructure((4,), 1, 0), 6, "EEEIII", seed + 20)
             state, _ = al_solve(prob, [3], SolverConfig(seed=seed))
-            c = apply_map(prob, lift(state.point)) - prob.b
+            c = apply_reference(prob, *lifted(state.point)) - prob.b
             for i in prob.inequality_indices():
                 assert abs(state.lam[i] * c[i]) <= 1e-6 * (1.0 + abs(state.lam[i]))
 
