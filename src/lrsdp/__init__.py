@@ -33,6 +33,7 @@ from .factorization import (
     m_prime_inequality,
     triangular,
 )
+from .dense import DenseProblem, densify
 from .solver import (
     InfeasibleError,
     LagrangianState,
@@ -41,7 +42,6 @@ from .solver import (
     al_hessian_vector,
     al_solve,
     al_value_grad,
-    inner_minimize,
 )
 from .certification import (
     Certificate,
@@ -59,7 +59,6 @@ from .certification import (
     kkt_residuals,
     licq_check,
     second_order_check,
-    slack_matrix,
     staircase_solve,
 )
 from .oracle import (

@@ -7,17 +7,24 @@ eigenvalue instead yields an explicit escape: either a descent direction at
 the same rank (when the factor has a kernel) or one appended column.  The
 staircase alternates local solves with certification until a certificate, a
 full-rank stop, or the retry budget ends the run.
+
+The certificate's building blocks take the problem's dense view
+(``DenseProblem``) rather than the problem, and none of them builds it:
+``staircase_solve`` calls ``densify`` once per solve and passes the view to
+every check, and each CLI command builds its own once.  ``al_solve`` still
+takes the problem and builds its own view once per local solve.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
 
-from .dense import densify
+from .dense import DenseProblem, densify
 from .factorization import (
     FactorizedPoint,
     RankBoundReport,
@@ -25,7 +32,6 @@ from .factorization import (
     _rank_from_singular_values,
     append_column,
     initial_rank_bound,
-    lift,
 )
 from .model import ConicSdpProblem, SymmetricMatrix
 from .solver import (
@@ -40,6 +46,8 @@ from .solver import (
 )
 
 __all__ = [
+    "CERT_TOL",
+    "ACTIVE_TOL",
     "Multipliers",
     "KktResiduals",
     "Certificate",
@@ -50,7 +58,6 @@ __all__ = [
     "SolveReport",
     "active_set",
     "estimate_multipliers",
-    "slack_matrix",
     "kkt_residuals",
     "second_order_check",
     "certify",
@@ -58,6 +65,12 @@ __all__ = [
     "licq_check",
     "staircase_solve",
 ]
+
+# relative tolerance of the certificate's KKT and slack tests (``certify``)
+CERT_TOL = 1e-7
+# an inequality is active when |<A_i, X> - b_i| <= ACTIVE_TOL * (1 + |b_i|)
+ACTIVE_TOL = 1e-7
+
 
 @dataclass(frozen=True, eq=False)
 class Multipliers:
@@ -89,6 +102,7 @@ class KktResiduals:
 class Certificate:
     slack_spectrum: tuple[np.ndarray, ...]
     kkt: KktResiduals
+    multipliers: Multipliers
     duality_gap: float
     verdict: str  # GlobalOptimal | Escapable | Indeterminate
     escape_block: int | None = None
@@ -163,21 +177,15 @@ def _lifted_blocks(point: FactorizedPoint) -> list[np.ndarray]:
     return [y @ y.T for y in point.factors] + [t.to_dense() for t in point.tail_blocks]
 
 
-def active_set(problem: ConicSdpProblem, point: FactorizedPoint, tol: float = 1e-7) -> frozenset:
-    """Equalities plus the inequalities tight at the point (relative tol)."""
-    dp = densify(problem)
+def active_set(dp: DenseProblem, point: FactorizedPoint) -> frozenset:
+    """Equalities plus the inequalities tight at the point (``ACTIVE_TOL``)."""
     c = dp.apply(_lifted_blocks(point), point.free) - dp.b
-    tight = dp.eq_mask | (np.abs(c) <= tol * (1.0 + np.abs(dp.b)))
+    tight = dp.eq_mask | (np.abs(c) <= ACTIVE_TOL * (1.0 + np.abs(dp.b)))
     return frozenset(int(i) for i in np.flatnonzero(tight))
 
 
-def slack_matrix(problem: ConicSdpProblem, lam) -> tuple[list[np.ndarray], np.ndarray]:
-    """S(lambda) = C - A*(lambda), dense per block, plus the free component."""
-    return densify(problem).slack(lam)
-
-
 def estimate_multipliers(
-    problem: ConicSdpProblem,
+    dp: DenseProblem,
     point: FactorizedPoint,
     active: frozenset | None = None,
 ) -> Multipliers:
@@ -187,9 +195,8 @@ def estimate_multipliers(
     inequality multipliers pinned to zero and active ones constrained
     nonnegative.  Tail blocks participate through their full-rank factors.
     """
-    dp = densify(problem)
     if active is None:
-        active = active_set(problem, point)
+        active = active_set(dp, point)
     ys = _internal_factors(point)
 
     r0 = np.concatenate(
@@ -216,14 +223,13 @@ def estimate_multipliers(
     else:
         residual = float(np.linalg.norm(r0))
     # enforce the sign invariant against roundoff from the bounded solver
-    for i in problem.inequality_indices():
+    for i in np.flatnonzero(dp.ineq_mask):
         if lam[i] < 0.0:
             lam[i] = 0.0 if lam[i] > -1e-10 else lam[i]
     return Multipliers(lam, frozenset(active), "LeastSquares", residual)
 
 
-def kkt_residuals(problem: ConicSdpProblem, point: FactorizedPoint, mult: Multipliers) -> KktResiduals:
-    dp = densify(problem)
+def kkt_residuals(dp: DenseProblem, point: FactorizedPoint, mult: Multipliers) -> KktResiduals:
     S, s_free = dp.slack(mult.values)
     k = len(point.factors)
     stationarity = 0.0
@@ -250,7 +256,7 @@ def kkt_residuals(problem: ConicSdpProblem, point: FactorizedPoint, mult: Multip
 
 
 def second_order_check(
-    problem: ConicSdpProblem,
+    dp: DenseProblem,
     point: FactorizedPoint,
     mult: Multipliers,
     tol: float = 1e-7,
@@ -261,7 +267,6 @@ def second_order_check(
     form is sum_j 2 <S_j, U_j U_j^T>, restricted to directions annihilating
     the active-constraint Jacobian U |-> <A_i, U Y^T + Y U^T>.
     """
-    dp = densify(problem)
     k = dp.k
     ys = [np.asarray(y, dtype=float) for y in point.factors]
     dim = sum(y.size for y in ys) + dp.d
@@ -300,21 +305,26 @@ def second_order_check(
 
 
 def certify(
-    problem: ConicSdpProblem,
+    dp: DenseProblem,
     point: FactorizedPoint,
-    mult: Multipliers,
-    cert_tol: float = 1e-7,
+    candidates: Sequence[Multipliers],
+    cert_tol: float = CERT_TOL,
     licq: bool | None = None,
 ) -> Certificate:
     """Slack-matrix certificate at the point.
 
+    The KKT residuals are evaluated once per candidate ``Multipliers``, and
+    the candidate of least stationarity (the earlier one on a tie) is
+    certified and returned as ``Certificate.multipliers``.
     GlobalOptimal requires every KKT residual under its tolerance and every
     slack block PSD up to -cert_tol * (1 + ||S_j||_2); a clearly negative
     slack eigenvalue gives Escapable with the offending eigenpair; everything
     else is Indeterminate.  The duality gap is reported as an independent
     numerical witness.
     """
-    S, _ = densify(problem).slack(mult.values)
+    scored = [(kkt_residuals(dp, point, mult), mult) for mult in candidates]
+    kkt, mult = min(scored, key=lambda km: km[0].stationarity)
+    S, _ = dp.slack(mult.values)
     spectra = []
     eigvecs = []
     for sm in S:
@@ -322,11 +332,10 @@ def certify(
         spectra.append(w)
         eigvecs.append(v)
 
-    kkt = kkt_residuals(problem, point, mult)
-    primal = lift(point)
-    duality_gap = primal.objective(problem) - float(problem.b @ mult.values)
+    primal = dp.objective(_lifted_blocks(point), point.free)
+    duality_gap = primal - float(dp.b @ mult.values)
 
-    stat_scale, feas_scale, lam_scale = kkt_scales(problem, mult.values)
+    stat_scale, feas_scale, lam_scale = kkt_scales(dp, mult.values)
     tols = {
         "stationarity": cert_tol * stat_scale,
         "feasibility": cert_tol * feas_scale,
@@ -367,6 +376,7 @@ def certify(
     return Certificate(
         slack_spectrum=tuple(spectra),
         kkt=kkt,
+        multipliers=mult,
         duality_gap=duality_gap,
         verdict=verdict,
         escape_block=worst_block,
@@ -400,10 +410,9 @@ def escape_direction(point: FactorizedPoint, certificate: Certificate, block: in
     return EscapeDirection("rank_increment", block, v, None, float(certificate.escape_eigenvalue))
 
 
-def licq_check(problem: ConicSdpProblem, point: FactorizedPoint, tol: float = 1e-7) -> LicqResult:
+def licq_check(dp: DenseProblem, point: FactorizedPoint) -> LicqResult:
     """Linear independence of active constraint gradients at the point."""
-    dp = densify(problem)
-    act = sorted(active_set(problem, point, tol))
+    act = sorted(active_set(dp, point))
     if not act:
         return LicqResult(True, 0, 0)
     rank = _numerical_rank(dp.jacobian(_internal_factors(point), act))
@@ -413,15 +422,6 @@ def licq_check(problem: ConicSdpProblem, point: FactorizedPoint, tol: float = 1e
 # ---------------------------------------------------------------------------
 # staircase
 # ---------------------------------------------------------------------------
-
-
-def _pick_multipliers(problem, point, state: LagrangianState) -> Multipliers:
-    act = active_set(problem, point)
-    from_solver = Multipliers(np.array(state.lam), act, "FromSolver")
-    ls = estimate_multipliers(problem, point, act)
-    stat_solver = kkt_residuals(problem, point, from_solver).stationarity
-    stat_ls = kkt_residuals(problem, point, ls).stationarity
-    return ls if stat_ls < stat_solver else from_solver
 
 
 def _escape_line_search(problem, state: LagrangianState, trial_points) -> FactorizedPoint | None:
@@ -438,19 +438,21 @@ def staircase_solve(
     problem: ConicSdpProblem,
     config: SolverConfig,
     ranks=None,
-    cert_tol: float = 1e-7,
 ) -> SolveReport:
     """Solve-certify-escalate loop.
 
     Starts at the rank bound (or the override), solving with the augmented
     Lagrangian, recovering multipliers both from the solver and by least
-    squares, and certifying.  Escapable certificates trigger a kernel descent
-    at the same rank or a one-column rank increment; Indeterminate ones burn a
-    fresh-seed restart.  Terminates on GlobalOptimal, on full rank, or when
-    the per-rank restart budget is exhausted.
+    squares, and certifying with the more stationary of the two.  The dense
+    view is built once here and shared by every stage's checks.  Escapable
+    certificates trigger a kernel descent at the same rank or a one-column
+    rank increment; Indeterminate ones burn a fresh-seed restart.  Terminates
+    on GlobalOptimal, on full rank, or when the per-rank restart budget is
+    exhausted.
     """
     t0 = time.perf_counter()
     st = problem.structure
+    dp = densify(problem)
     bound = initial_rank_bound(problem)
     if ranks is None:
         cur_ranks = list(bound.p_per_block)
@@ -505,9 +507,13 @@ def staircase_solve(
             )
             warm = None
             continue
-        mult = _pick_multipliers(problem, state.point, state)
-        licq = licq_check(problem, state.point)
-        cert = certify(problem, state.point, mult, cert_tol, licq=licq.holds)
+        act = active_set(dp, state.point)
+        candidates = (
+            Multipliers(np.array(state.lam), act, "FromSolver"),
+            estimate_multipliers(dp, state.point, act),
+        )
+        licq = licq_check(dp, state.point)
+        cert = certify(dp, state.point, candidates, licq=licq.holds)
 
         action = "stop"
         if cert.verdict == "GlobalOptimal":

@@ -19,11 +19,13 @@ import numpy as np
 
 from .apps import adversarial_instance, generate_random
 from .certification import (
+    CERT_TOL,
     certify,
     estimate_multipliers,
     licq_check,
     staircase_solve,
 )
+from .dense import densify
 from .factorization import (
     FactorizedPoint,
     lift,
@@ -308,14 +310,15 @@ def cmd_certify(args) -> int:
         print("error: free part length mismatch", file=sys.stderr)
         return EXIT_USAGE
 
-    mult = estimate_multipliers(problem, point)
-    licq = licq_check(problem, point)
-    cert = certify(problem, point, mult, cert_tol=args.cert_tol, licq=licq.holds)
+    dp = densify(problem)
+    licq = licq_check(dp, point)
+    mult = estimate_multipliers(dp, point)
+    cert = certify(dp, point, [mult], cert_tol=args.cert_tol, licq=licq.holds)
     payload = {
         "problem": _problem_summary(problem),
         "objective": lift(point).objective(problem),
-        "multipliers": mult.values,
-        "multiplier_source": mult.source,
+        "multipliers": cert.multipliers.values,
+        "multiplier_source": cert.multipliers.source,
         "kkt": cert.kkt.as_dict(),
         "slack_spectrum": [list(s) for s in cert.slack_spectrum],
         "duality_gap": cert.duality_gap,
@@ -411,8 +414,8 @@ def cmd_experiment(args) -> int:
         def trial(t: int):
             built = adversarial_instance(n, p, m, args.seed + t)
             point = built.planted_point
-            mult = estimate_multipliers(built.problem, point)
-            cert = certify(built.problem, point, mult)
+            dp = densify(built.problem)
+            cert = certify(dp, point, [estimate_multipliers(dp, point)])
             return {
                 "seed": args.seed + t,
                 "verdict": cert.verdict,
@@ -434,7 +437,7 @@ def cmd_experiment(args) -> int:
             rng = np.random.default_rng(args.seed + t)
             y0 = rng.standard_normal((n, p))
             problem = _licq_instance(rng, n, m, y0)
-            res = licq_check(problem, FactorizedPoint((y0,), (), np.zeros(0)))
+            res = licq_check(densify(problem), FactorizedPoint((y0,), (), np.zeros(0)))
             return {
                 "seed": args.seed + t,
                 "holds": res.holds,
@@ -505,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("certify", help="certificate for a given point")
     pc.add_argument("path")
     pc.add_argument("point")
-    pc.add_argument("--cert-tol", type=float, default=1e-7, dest="cert_tol")
+    pc.add_argument("--cert-tol", type=float, default=CERT_TOL, dest="cert_tol")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_certify)
 

@@ -6,6 +6,11 @@ arrays.  ``DenseProblem`` is that one conversion, and its ``apply``,
 ``adjoint``, ``slack`` and ``jacobian`` are the one constraint operator: the
 solver and the certifier evaluate A(X), A*(lambda) and C - A*(lambda) through
 the same view.
+
+Callers build the view and pass it down: ``staircase_solve`` once per solve
+for every certificate check, ``al_solve`` once per local solve (and the
+``al_value_grad`` / ``al_hessian_vector`` entry points once per call), each
+oracle entry point once per call, and each CLI command once.
 """
 
 from __future__ import annotations

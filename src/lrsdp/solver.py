@@ -41,7 +41,6 @@ __all__ = [
     "kkt_scales",
     "al_value_grad",
     "al_hessian_vector",
-    "inner_minimize",
     "al_solve",
 ]
 
@@ -85,7 +84,7 @@ class LagrangianState:
     converged: bool = True
 
 
-def kkt_scales(problem: ConicSdpProblem, lam) -> tuple[float, float, float]:
+def kkt_scales(dp: DenseProblem, lam) -> tuple[float, float, float]:
     """Scales of the KKT tolerances, shared by ``al_solve`` and certification.
 
     Returns (1 + ||C|| + ||lam||_inf, 1 + ||b||_inf, 1 + ||lam||_inf), with
@@ -93,10 +92,10 @@ def kkt_scales(problem: ConicSdpProblem, lam) -> tuple[float, float, float]:
     Stationarity scales with the first, feasibility with the second and
     complementarity with the product of the last two.
     """
-    norm_c = max([sm.norm() for sm in problem.cost_blocks] + [0.0])
-    norm_c += float(np.linalg.norm(problem.cost_free))
+    norm_c = max([float(np.linalg.norm(c)) for c in dp.C] + [0.0])
+    norm_c += float(np.linalg.norm(dp.c_free))
     lam_scale = float(np.max(np.abs(lam))) if np.size(lam) else 0.0
-    b_scale = float(np.max(np.abs(problem.b))) if problem.m else 0.0
+    b_scale = float(np.max(np.abs(dp.b))) if dp.m else 0.0
     return 1.0 + norm_c + lam_scale, 1.0 + b_scale, 1.0 + lam_scale
 
 
@@ -411,25 +410,6 @@ def al_hessian_vector(
     return _public_point(ev.work, hu)
 
 
-def inner_minimize(problem: ConicSdpProblem, state: LagrangianState, config: SolverConfig) -> LagrangianState:
-    """Minimize the AL at fixed multipliers/penalty from the state's point."""
-    dp = densify(problem)
-    work = _Work(dp, state.point.ranks)
-    z0 = work.pack(_internal_factors(state.point), state.point.free)
-    ev0 = _Eval(work, z0, state.lam, state.rho)
-    tol = max(config.outer_tol, 0.1 * ev0.infeasibility())
-    ev, accepted, stalled = _inner(ev0, tol, config.max_inner)
-    return LagrangianState(
-        point=work.to_point(ev.z),
-        lam=np.array(state.lam),
-        rho=state.rho,
-        objective=ev.sdp_objective,
-        infeasibility=ev.infeasibility(),
-        stationarity=float(np.linalg.norm(ev.grad)),
-        converged=not stalled,
-    )
-
-
 def _initial_z(work: _Work, rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
     # i.i.d. normal factors scaled so lifted diagonals start near the rhs scale
     theta = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
@@ -469,7 +449,7 @@ def al_solve(
         lam = np.zeros(dp.m)
         rho = PENALTY_INIT
 
-    feas_tol = config.feas_tol * kkt_scales(problem, lam)[1]
+    feas_tol = config.feas_tol * kkt_scales(dp, lam)[1]
     trace = []
     ev = _Eval(work, z, lam, rho)
     best_infeas = ev.infeasibility()
@@ -500,7 +480,7 @@ def al_solve(
             stationarity=stationarity,
             converged=True,
         )
-        stat_tol = config.outer_tol * kkt_scales(problem, lam)[0]
+        stat_tol = config.outer_tol * kkt_scales(dp, lam)[0]
         if infeas <= feas_tol and stationarity <= stat_tol:
             return state, trace
 

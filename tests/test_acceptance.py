@@ -29,6 +29,7 @@ import contextlib
 import io
 
 from lrsdp.cli import _licq_instance, main as cli_main
+from lrsdp.dense import densify
 from lrsdp.factorization import (
     FactorizedPoint,
     m_prime_inequality,
@@ -76,8 +77,6 @@ def test_criterion_1_derivative_correctness():
         point = random_factor_point(problem, ranks, seed)
         lam = rng.standard_normal(problem.m)
         rho = 2.0
-
-        from lrsdp.dense import densify
 
         c = apply_reference(problem, *lifted(point)) - problem.b
         shifted = lam - rho * c
@@ -213,9 +212,10 @@ def test_criterion_5_planted_spurious_points():
     for seed in range(trials):
         built = adversarial_instance(n, p, m, seed)
         planted_obj = built.extras["planted_objective"]
-        mult = estimate_multipliers(built.problem, built.planted_point)
-        kk = kkt_residuals(built.problem, built.planted_point, mult)
-        cert = certify(built.problem, built.planted_point, mult)
+        dp = densify(built.problem)
+        mult = estimate_multipliers(dp, built.planted_point)
+        kk = kkt_residuals(dp, built.planted_point, mult)
+        cert = certify(dp, built.planted_point, [mult])
         if kk.stationarity <= 1e-10 * (1.0 + abs(planted_obj)):
             stat_ok += 1
         if cert.verdict != "GlobalOptimal":
@@ -292,7 +292,7 @@ def test_criterion_8_regularity_of_generic_rows():
         rng = np.random.default_rng(seed)
         y0 = rng.standard_normal((8, 3))
         problem = _licq_instance(rng, 8, 6, y0)
-        res = licq_check(problem, FactorizedPoint((y0,), (), np.zeros(0)))
+        res = licq_check(densify(problem), FactorizedPoint((y0,), (), np.zeros(0)))
         passed += res.holds
 
     e11 = np.zeros((2, 2)); e11[0, 0] = 1.0
@@ -301,7 +301,7 @@ def test_criterion_8_regularity_of_generic_rows():
         [([e11], [], 1.0, "E"), ([e11], [], 1.0, "E")],
     )
     dup_fails = not licq_check(
-        dup, FactorizedPoint((np.array([[1.0], [0.0]]),), (), np.zeros(0))
+        densify(dup), FactorizedPoint((np.array([[1.0], [0.0]]),), (), np.zeros(0))
     ).holds
     elapsed = time.perf_counter() - t0
     ok = passed == 100 and dup_fails

@@ -21,6 +21,7 @@ from lrsdp.apps import (
     write_fixture,
 )
 from lrsdp.certification import estimate_multipliers, kkt_residuals, staircase_solve
+from lrsdp.dense import densify
 from lrsdp.factorization import triangular
 from lrsdp.model import BlockStructure, read_problem, validate, write_problem
 from lrsdp.oracle import oracle_solve
@@ -178,8 +179,9 @@ class TestAdversarial:
     def test_planted_point_is_first_order_critical(self):
         for seed in range(5):
             built = adversarial_instance(6, 2, 8, seed)
-            mult = estimate_multipliers(built.problem, built.planted_point)
-            kk = kkt_residuals(built.problem, built.planted_point, mult)
+            dp = densify(built.problem)
+            mult = estimate_multipliers(dp, built.planted_point)
+            kk = kkt_residuals(dp, built.planted_point, mult)
             assert kk.stationarity <= 1e-12 * (1.0 + abs(built.extras["planted_objective"]))
             assert kk.feasibility <= 1e-12
 

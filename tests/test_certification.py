@@ -1,5 +1,7 @@
 """Multiplier recovery, certificates, escapes, LICQ, staircase."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from lrsdp.certification import (
     kkt_residuals,
     licq_check,
     second_order_check,
-    slack_matrix,
     staircase_solve,
 )
+from lrsdp.dense import densify
 from lrsdp.factorization import FactorizedPoint, append_column, factor
 from lrsdp.model import BlockStructure
 from lrsdp.solver import SolverConfig, al_solve, al_value_grad
@@ -39,19 +41,19 @@ class TestActiveSet:
     def test_equalities_always_active(self):
         prob = trivial_sdp()
         y = FactorizedPoint((E1,), (), np.zeros(0))
-        assert active_set(prob, y) == frozenset({0})
+        assert active_set(densify(prob), y) == frozenset({0})
 
     def test_slack_inequality_inactive(self):
         e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
         prob = make_problem((2,), 1, 0, [np.eye(2)], [], [([e11], [], 1.0, "I")])
         y = FactorizedPoint((np.array([[np.sqrt(2.0)], [0.0]]),), (), np.zeros(0))
-        assert active_set(prob, y) == frozenset()
+        assert active_set(densify(prob), y) == frozenset()
 
     def test_iqm_matches_oracle_complementarity(self):
         built = build_integer_quadratic(iqm_cost(1.0, -0.8, 0.16))
         sol = oracle_solve(built.problem)
         pt = factor(sol.X, [2], psd_tol=1e-6)
-        act = active_set(built.problem, pt)
+        act = active_set(densify(built.problem), pt)
         # indices with strictly positive multiplier must be active
         for i in np.flatnonzero(sol.lam > 1e-6):
             assert int(i) in act
@@ -59,14 +61,16 @@ class TestActiveSet:
 
 class TestEstimateMultipliers:
     def test_trivial_analytic(self):
-        mult = estimate_multipliers(trivial_sdp(), FactorizedPoint((E1,), (), np.zeros(0)))
+        mult = estimate_multipliers(
+            densify(trivial_sdp()), FactorizedPoint((E1,), (), np.zeros(0))
+        )
         np.testing.assert_allclose(mult.values, [1.0], atol=1e-12)
         assert mult.residual <= 1e-12
 
     def test_unconstrained_residual_is_gradient_norm(self):
         prob = unconstrained_indefinite()
         y = FactorizedPoint((E1,), (), np.zeros(0))
-        mult = estimate_multipliers(prob, y)
+        mult = estimate_multipliers(densify(prob), y)
         assert mult.values.size == 0
         # residual = ||2 C Y|| = ||2 e1|| = 2
         assert mult.residual == pytest.approx(2.0)
@@ -75,7 +79,7 @@ class TestEstimateMultipliers:
         for seed in range(4):
             prob = generate_random(BlockStructure((5,), 1, 0), 5, "EEEEE", seed + 70)
             state, _ = al_solve(prob, [3], SolverConfig(seed=seed))
-            ls = estimate_multipliers(prob, state.point)
+            ls = estimate_multipliers(densify(prob), state.point)
             norm_c = max(sm.norm() for sm in prob.cost_blocks)
             assert ls.residual <= 1e-6 * (1.0 + norm_c)
             np.testing.assert_allclose(ls.values, state.lam, atol=1e-5)
@@ -83,19 +87,19 @@ class TestEstimateMultipliers:
     def test_active_inequality_multipliers_nonnegative(self):
         built = build_integer_quadratic(iqm_cost(1.0, -0.8, 0.16))
         state, _ = al_solve(built.problem, [2], SolverConfig(seed=0))
-        mult = estimate_multipliers(built.problem, state.point)
+        mult = estimate_multipliers(densify(built.problem), state.point)
         for i in built.problem.inequality_indices():
             assert mult.values[i] >= -1e-10
 
 
 class TestSlackMatrix:
     def test_trivial(self):
-        s, s_free = slack_matrix(trivial_sdp(), np.array([1.0]))
+        s, s_free = densify(trivial_sdp()).slack(np.array([1.0]))
         np.testing.assert_allclose(s[0], np.diag([0.0, 1.0]))
 
     def test_zero_multipliers_give_cost(self):
         prob = trivial_sdp()
-        s, _ = slack_matrix(prob, np.zeros(1))
+        s, _ = densify(prob).slack(np.zeros(1))
         np.testing.assert_array_equal(s[0], prob.cost_blocks[0].to_dense())
 
     def test_pairing_identity(self):
@@ -108,7 +112,7 @@ class TestSlackMatrix:
             g = rng.standard_normal((4, 4))
             xd = 0.5 * (g + g.T)
             x = PrimalPoint((SymmetricMatrix.from_dense(xd),), np.zeros(0))
-            s, _ = slack_matrix(prob, lam)
+            s, _ = densify(prob).slack(lam)
             lhs = float(np.tensordot(s[0], xd))
             rhs = x.objective(prob) - float(lam @ apply_reference(prob, [xd], x.free))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
@@ -117,19 +121,19 @@ class TestSlackMatrix:
 class TestKktResiduals:
     def test_all_zero_at_analytic_optimum(self):
         mult = Multipliers(np.array([1.0]), frozenset({0}), "FromSolver")
-        kk = kkt_residuals(trivial_sdp(), FactorizedPoint((E1,), (), np.zeros(0)), mult)
+        kk = kkt_residuals(densify(trivial_sdp()), FactorizedPoint((E1,), (), np.zeros(0)), mult)
         for v in kk.as_dict().values():
             assert v <= 1e-12
 
     def test_stationarity_linear_in_multiplier_shift(self):
         mult = Multipliers(np.array([1.1]), frozenset({0}), "FromSolver")
-        kk = kkt_residuals(trivial_sdp(), FactorizedPoint((E1,), (), np.zeros(0)), mult)
+        kk = kkt_residuals(densify(trivial_sdp()), FactorizedPoint((E1,), (), np.zeros(0)), mult)
         assert kk.stationarity == pytest.approx(0.1)
 
     def test_feasibility_at_zero_point(self):
         mult = Multipliers(np.zeros(1), frozenset({0}), "FromSolver")
         kk = kkt_residuals(
-            trivial_sdp(), FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0)), mult
+            densify(trivial_sdp()), FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0)), mult
         )
         assert kk.feasibility == pytest.approx(1.0)
 
@@ -138,7 +142,7 @@ class TestSecondOrder:
     def test_psd_cost_passes_at_origin(self):
         prob = make_problem((2,), 1, 0, [np.eye(2)], [], [])
         res = second_order_check(
-            prob, FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0)),
+            densify(prob), FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0)),
             Multipliers(np.zeros(0), frozenset(), "FromSolver"),
         )
         assert res.passes
@@ -146,7 +150,7 @@ class TestSecondOrder:
 
     def test_indefinite_cost_fails_with_direction(self):
         res = second_order_check(
-            unconstrained_indefinite(),
+            densify(unconstrained_indefinite()),
             FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0)),
             Multipliers(np.zeros(0), frozenset(), "FromSolver"),
         )
@@ -158,25 +162,26 @@ class TestSecondOrder:
     def test_solver_output_passes_on_generic_instance(self):
         prob = generate_random(BlockStructure((6,), 1, 0), 4, "EEEE", 31)
         state, _ = al_solve(prob, [3], SolverConfig(seed=31))
-        mult = estimate_multipliers(prob, state.point)
-        res = second_order_check(prob, state.point, mult, tol=1e-6)
+        dp = densify(prob)
+        mult = estimate_multipliers(dp, state.point)
+        res = second_order_check(dp, state.point, mult, tol=1e-6)
         assert res.passes
-        cert = certify(prob, state.point, mult)
+        cert = certify(dp, state.point, [mult])
         assert cert.verdict == "GlobalOptimal"
 
 
 class TestCertify:
     def test_trivial_optimum(self):
         mult = Multipliers(np.array([1.0]), frozenset({0}), "FromSolver")
-        cert = certify(trivial_sdp(), FactorizedPoint((E1,), (), np.zeros(0)), mult)
+        cert = certify(densify(trivial_sdp()), FactorizedPoint((E1,), (), np.zeros(0)), [mult])
         assert cert.verdict == "GlobalOptimal"
         assert abs(cert.duality_gap) <= 1e-10
 
     def test_indefinite_slack_is_escapable(self):
         cert = certify(
-            unconstrained_indefinite(),
+            densify(unconstrained_indefinite()),
             FactorizedPoint((E1,), (), np.zeros(0)),
-            Multipliers(np.zeros(0), frozenset(), "FromSolver"),
+            [Multipliers(np.zeros(0), frozenset(), "FromSolver")],
         )
         assert cert.verdict == "Escapable"
         assert cert.escape_block == 0
@@ -186,8 +191,9 @@ class TestCertify:
     def test_planted_spurious_point_never_certifies(self):
         for seed in range(5):
             built = adversarial_instance(6, 2, 8, seed)
-            mult = estimate_multipliers(built.problem, built.planted_point)
-            cert = certify(built.problem, built.planted_point, mult)
+            dp = densify(built.problem)
+            mult = estimate_multipliers(dp, built.planted_point)
+            cert = certify(dp, built.planted_point, [mult])
             assert cert.verdict != "GlobalOptimal"
             assert cert.kkt.stationarity <= 1e-10
 
@@ -203,9 +209,10 @@ class TestCertify:
         for seed in range(4):
             prob = generate_random(BlockStructure((5,), 1, 0), 6, "EEEEII", seed + 130)
             state, _ = al_solve(prob, [3], SolverConfig(seed=seed))
-            mult = estimate_multipliers(prob, state.point)
-            kk = kkt_residuals(prob, state.point, mult)
-            cert = certify(prob, state.point, mult)
+            dp = densify(prob)
+            mult = estimate_multipliers(dp, state.point)
+            kk = kkt_residuals(dp, state.point, mult)
+            cert = certify(dp, state.point, [mult])
             y_norm = sum(np.linalg.norm(y) for y in state.point.factors)
             lam_inf = np.max(np.abs(mult.values)) if mult.values.size else 0.0
             m = prob.m
@@ -217,23 +224,41 @@ class TestCertify:
             assert abs(cert.duality_gap) <= 2.0 * bound + 1e-10
 
 
+    def test_least_stationary_candidate_wins(self):
+        dp = densify(trivial_sdp())
+        point = FactorizedPoint((E1,), (), np.zeros(0))
+        off = Multipliers(np.array([1.1]), frozenset({0}), "FromSolver")
+        exact = Multipliers(np.array([1.0]), frozenset({0}), "LeastSquares")
+        for candidates in ([off, exact], [exact, off]):
+            cert = certify(dp, point, candidates)
+            assert cert.multipliers is exact
+            assert cert.verdict == "GlobalOptimal"
+
+    def test_tie_keeps_the_first_candidate(self):
+        dp = densify(trivial_sdp())
+        point = FactorizedPoint((E1,), (), np.zeros(0))
+        first = Multipliers(np.array([1.0]), frozenset({0}), "FromSolver")
+        second = Multipliers(np.array([1.0]), frozenset({0}), "LeastSquares")
+        assert certify(dp, point, [first, second]).multipliers is first
+
+
 class TestEscapeDirection:
     def test_kernel_direction_from_rank_deficient_factor(self):
         y = FactorizedPoint((np.array([[1.0, 0.0], [0.0, 0.0]]),), (), np.zeros(0))
-        cert = certify(
-            unconstrained_indefinite(), y, Multipliers(np.zeros(0), frozenset(), "FromSolver")
-        )
+        dp = densify(unconstrained_indefinite())
+        cert = certify(dp, y, [Multipliers(np.zeros(0), frozenset(), "FromSolver")])
         esc = escape_direction(y, cert)
         assert esc.kind == "kernel"
         np.testing.assert_allclose(np.abs(esc.matrix), [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
-        s, _ = slack_matrix(unconstrained_indefinite(), np.zeros(0))
+        s, _ = dp.slack(np.zeros(0))
         quad = np.tensordot(s[0], esc.matrix @ esc.matrix.T)
         assert quad < 0.0
 
     def test_full_rank_factor_requests_rank_increment(self):
         y = FactorizedPoint((E1,), (), np.zeros(0))
         cert = certify(
-            unconstrained_indefinite(), y, Multipliers(np.zeros(0), frozenset(), "FromSolver")
+            densify(unconstrained_indefinite()), y,
+            [Multipliers(np.zeros(0), frozenset(), "FromSolver")],
         )
         esc = escape_direction(y, cert)
         assert esc.kind == "rank_increment"
@@ -244,8 +269,8 @@ class TestEscapeDirection:
         built = adversarial_instance(6, 3, 7, seed=2)
         y0 = built.planted_point.factors[0]
         wide = FactorizedPoint((np.hstack([y0, np.zeros((6, 1))]),), (), np.zeros(0))
-        mult = estimate_multipliers(built.problem, wide)
-        cert = certify(built.problem, wide, mult)
+        dp = densify(built.problem)
+        cert = certify(dp, wide, [estimate_multipliers(dp, wide)])
         assert cert.verdict == "Escapable"
         esc = escape_direction(wide, cert)
         assert esc.kind == "kernel"
@@ -264,8 +289,8 @@ class TestEscapeDirection:
             warm_start=(built.planted_point, lam0, 10.0),
         )
         assert abs(state.objective - built.extras["planted_objective"]) < 1e-6
-        mult = estimate_multipliers(built.problem, state.point)
-        cert = certify(built.problem, state.point, mult)
+        dp = densify(built.problem)
+        cert = certify(dp, state.point, [estimate_multipliers(dp, state.point)])
         assert cert.verdict == "Escapable"
         esc = escape_direction(state.point, cert)
         base, _ = al_value_grad(built.problem, state.point, state.lam, state.rho)
@@ -276,7 +301,7 @@ class TestEscapeDirection:
 
 class TestLicq:
     def test_single_active_constraint_holds(self):
-        res = licq_check(trivial_sdp(), FactorizedPoint((E1,), (), np.zeros(0)))
+        res = licq_check(densify(trivial_sdp()), FactorizedPoint((E1,), (), np.zeros(0)))
         assert res.holds
         assert res.jacobian_rank == res.active_count == 1
 
@@ -286,7 +311,7 @@ class TestLicq:
             (2,), 1, 0, [np.eye(2)], [],
             [([e11], [], 1.0, "E"), ([e11], [], 1.0, "E")],
         )
-        res = licq_check(prob, FactorizedPoint((E1,), (), np.zeros(0)))
+        res = licq_check(densify(prob), FactorizedPoint((E1,), (), np.zeros(0)))
         assert not res.holds
         assert res.jacobian_rank == 1
         assert res.active_count == 2
@@ -298,7 +323,7 @@ class TestLicq:
             rng = np.random.default_rng(seed)
             y0 = rng.standard_normal((6, 2))
             prob = _licq_instance(rng, 6, 5, y0)
-            res = licq_check(prob, FactorizedPoint((y0,), (), np.zeros(0)))
+            res = licq_check(densify(prob), FactorizedPoint((y0,), (), np.zeros(0)))
             assert res.holds
 
 
@@ -318,6 +343,35 @@ class TestStaircase:
         assert seq[0] == 1
         assert max(seq) >= 2
         assert abs(report.objective - target) <= 1e-5 * (1.0 + abs(target))
+
+    def test_one_dense_view_and_two_residual_evaluations_per_stage(self, monkeypatch):
+        from lrsdp import certification
+
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(certification, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("densify", "kkt_residuals"):
+            monkeypatch.setattr(certification, name, counting(name))
+        # infeasible stages at rank 1; five escapes before the certificate
+        problems = [
+            build_sensing_psd(4, 2, 5, seed=0).problem,
+            generate_random(BlockStructure((6,), 1, 0), 8, "EEEEEIII", 5),
+        ]
+        for prob in problems:
+            calls.clear()
+            report = staircase_solve(prob, SolverConfig(seed=0), ranks=[1])
+            certified = sum(s.verdict != "Infeasible" for s in report.stages)
+            assert len(report.stages) >= 3
+            assert calls["densify"] == 1
+            assert calls["kkt_residuals"] == 2 * certified
 
     def test_generic_equality_instances_certify_without_escalation(self):
         good = 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lrsdp.certification import Multipliers, active_set, certify
+from lrsdp.dense import densify
 from lrsdp.factorization import factor
 from lrsdp.model import BlockStructure
 from lrsdp.oracle import (
@@ -57,8 +58,9 @@ class TestInteriorPoint:
             w = np.linalg.eigvalsh(sol.X.psd_blocks[0].to_dense())
             nrank = int(np.sum(w > 1e-7 * w[-1]))
             pt = factor(sol.X, [nrank], psd_tol=1e-6)
-            mult = Multipliers(sol.lam, active_set(prob, pt), "FromSolver")
-            cert = certify(prob, pt, mult, cert_tol=1e-4)
+            dp = densify(prob)
+            mult = Multipliers(sol.lam, active_set(dp, pt), "FromSolver")
+            cert = certify(dp, pt, [mult], cert_tol=1e-4)
             assert cert.verdict == "GlobalOptimal"
 
     def test_infeasible_problem_reports(self):

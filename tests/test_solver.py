@@ -7,12 +7,10 @@ from lrsdp.factorization import FactorizedPoint
 from lrsdp.model import BlockStructure
 from lrsdp.solver import (
     InfeasibleError,
-    LagrangianState,
     SolverConfig,
     al_hessian_vector,
     al_solve,
     al_value_grad,
-    inner_minimize,
 )
 from lrsdp.apps import build_integer_quadratic, generate_random
 from lrsdp.oracle import oracle_solve
@@ -141,6 +139,18 @@ def eval_at(problem, ranks, seed):
     rng = np.random.default_rng(seed)
     work = _Work(densify(problem), ranks)
     return _Eval(work, rng.standard_normal(work.dim), rng.standard_normal(problem.m), 2.0)
+
+
+def run_inner(problem, point, lam, rho, max_inner=500):
+    """_inner from a point at fixed (lam, rho), with al_solve's first inner tolerance."""
+    from lrsdp.dense import densify
+    from lrsdp.solver import _Eval, _Work, _inner, _internal_factors
+
+    work = _Work(densify(problem), point.ranks)
+    z0 = work.pack(_internal_factors(point), point.free)
+    ev0 = _Eval(work, z0, np.asarray(lam, dtype=float), rho)
+    ev, _, _ = _inner(ev0, max(SolverConfig().outer_tol, 0.1 * ev0.infeasibility()), max_inner)
+    return ev
 
 
 def jacobian_cases():
@@ -291,9 +301,8 @@ class TestCurvatureProbe:
         e22 = np.diag([0.0, 1.0])
         prob = make_problem((2,), 1, 0, [np.diag([1.0, -1.0])], [], [([e22], [], 0.0, "E")])
         y0 = FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0))
-        st = LagrangianState(y0, np.zeros(1), 10.0, 0.0, 0.0, 0.0)
-        out = inner_minimize(prob, st, SolverConfig(max_inner=2))
-        np.testing.assert_allclose(np.abs(out.point.factors[0]), [[0.0], [0.25]])
+        ev = run_inner(prob, y0, np.zeros(1), 10.0, max_inner=2)
+        np.testing.assert_allclose(np.abs(ev.work.unpack(ev.z)[0][0]), [[0.0], [0.25]])
         assert len(eigh_calls) == 1
 
 
@@ -301,28 +310,23 @@ class TestInnerMinimize:
     def test_stationary_start_returns_same_point(self):
         prob = trivial_sdp()
         y = FactorizedPoint((np.array([[1.0], [0.0]]),), (), np.zeros(0))
-        st = LagrangianState(y, np.array([1.0]), 10.0, 1.0, 0.0, 0.0)
-        out = inner_minimize(prob, st, SolverConfig())
-        np.testing.assert_array_equal(out.point.factors[0], y.factors[0])
-        assert out.stationarity <= 1e-10
+        ev = run_inner(prob, y, np.array([1.0]), 10.0)
+        np.testing.assert_array_equal(ev.work.unpack(ev.z)[0][0], y.factors[0])
+        assert np.linalg.norm(ev.grad) <= 1e-10
 
     def test_feasible_start_converges_tightly(self):
         prob = trivial_sdp()
         rng = np.random.default_rng(0)
         y0 = rng.standard_normal((2, 2))
         y0[0] /= np.linalg.norm(y0[0])  # X_11 = 1: feasible start
-        st = LagrangianState(
-            FactorizedPoint((y0,), (), np.zeros(0)), np.array([1.0]), 10.0, 0.0, 0.0, 1.0
-        )
-        out = inner_minimize(prob, st, SolverConfig())
-        assert out.stationarity <= 1e-8
+        ev = run_inner(prob, FactorizedPoint((y0,), (), np.zeros(0)), np.array([1.0]), 10.0)
+        assert np.linalg.norm(ev.grad) <= 1e-8
 
     def test_escapes_flat_saddle(self):
         prob = make_problem((2,), 1, 0, [np.diag([1.0, -1.0])], [], [])
         y0 = FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0))
-        st = LagrangianState(y0, np.zeros(0), 1.0, 0.0, 0.0, 0.0)
-        out = inner_minimize(prob, st, SolverConfig(max_inner=15))
-        assert out.objective < -1e-6  # strictly left the saddle
+        ev = run_inner(prob, y0, np.zeros(0), 1.0, max_inner=15)
+        assert ev.sdp_objective < -1e-6  # strictly left the saddle
 
 
 class TestOuterLoop:
