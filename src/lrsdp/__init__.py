@@ -49,7 +49,6 @@ from .certification import (
     KktResiduals,
     LicqResult,
     Multipliers,
-    SecondOrderResult,
     SolveReport,
     StageRecord,
     active_set,
@@ -58,7 +57,6 @@ from .certification import (
     estimate_multipliers,
     kkt_residuals,
     licq_check,
-    second_order_check,
     staircase_solve,
 )
 from .oracle import (

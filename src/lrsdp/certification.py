@@ -11,8 +11,10 @@ full-rank stop, or the retry budget ends the run.
 The certificate's building blocks take the problem's dense view
 (``DenseProblem``) rather than the problem, and none of them builds it:
 ``staircase_solve`` calls ``densify`` once per solve and passes the view to
-every check, and each CLI command builds its own once.  ``al_solve`` still
-takes the problem and builds its own view once per local solve.
+every check and to the escape line search, and each CLI command builds its
+own once.  ``al_solve`` still takes the problem and builds its own view once
+per local solve.  ``licq_check`` reports constraint qualification for the
+CLI; the certificate itself does not need it.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from .factorization import (
     append_column,
     initial_rank_bound,
 )
-from .model import ConicSdpProblem, SymmetricMatrix
+from .model import ConicSdpProblem
 from .solver import (
     InfeasibleError,
     LagrangianState,
     SolverConfig,
     _internal_factors,
-    _slack_hessian,
     al_solve,
     al_value_grad,
     kkt_scales,
@@ -52,14 +53,12 @@ __all__ = [
     "KktResiduals",
     "Certificate",
     "EscapeDirection",
-    "SecondOrderResult",
     "LicqResult",
     "StageRecord",
     "SolveReport",
     "active_set",
     "estimate_multipliers",
     "kkt_residuals",
-    "second_order_check",
     "certify",
     "escape_direction",
     "licq_check",
@@ -108,7 +107,6 @@ class Certificate:
     escape_block: int | None = None
     escape_vector: np.ndarray | None = None
     escape_eigenvalue: float | None = None
-    licq: bool | None = None
     tolerances: dict = field(default_factory=dict)
 
     @property
@@ -123,15 +121,6 @@ class EscapeDirection:
     vector: np.ndarray                 # slack eigenvector v
     matrix: np.ndarray | None = None   # U = v z^T for kernel escapes
     eigenvalue: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class SecondOrderResult:
-    passes: bool
-    min_eig: float
-    worst_direction: FactorizedPoint | None
-    null_dim: int
-    vacuous: bool = False
 
 
 @dataclass(frozen=True)
@@ -255,61 +244,11 @@ def kkt_residuals(dp: DenseProblem, point: FactorizedPoint, mult: Multipliers) -
     )
 
 
-def second_order_check(
-    dp: DenseProblem,
-    point: FactorizedPoint,
-    mult: Multipliers,
-    tol: float = 1e-7,
-) -> SecondOrderResult:
-    """Minimum eigenvalue of the Lagrangian Hessian on the active null space.
-
-    Variables are the factor blocks plus the free part; the Hessian quadratic
-    form is sum_j 2 <S_j, U_j U_j^T>, restricted to directions annihilating
-    the active-constraint Jacobian U |-> <A_i, U Y^T + Y U^T>.
-    """
-    k = dp.k
-    ys = [np.asarray(y, dtype=float) for y in point.factors]
-    dim = sum(y.size for y in ys) + dp.d
-    if dim == 0:
-        return SecondOrderResult(True, 0.0, None, 0, vacuous=True)
-
-    act = sorted(mult.active_set)
-    if act:
-        # right singular vectors past the numerical rank span the null space
-        _, svals, vt = np.linalg.svd(dp.jacobian(ys, act))
-        null = vt[_rank_from_singular_values(svals):].T
-    else:
-        null = np.eye(dim)
-    if null.shape[1] == 0:
-        return SecondOrderResult(True, 0.0, None, 0, vacuous=True)
-
-    S, _ = dp.slack(mult.values)
-    h = _slack_hessian(S[:k], [y.shape[1] for y in ys], dim)
-    reduced = null.T @ h @ null
-    w, v = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    min_eig = float(w[0])
-    worst_vec = null @ v[:, 0]
-
-    factors = []
-    off = 0
-    for j in range(k):
-        n, p = ys[j].shape
-        factors.append(worst_vec[off:off + n * p].reshape(n, p))
-        off += n * p
-    worst = FactorizedPoint(
-        tuple(factors),
-        tuple(SymmetricMatrix.zeros(sm.dim) for sm in point.tail_blocks),
-        worst_vec[off:] if dp.d else np.zeros(0),
-    )
-    return SecondOrderResult(min_eig >= -tol, min_eig, worst, null.shape[1])
-
-
 def certify(
     dp: DenseProblem,
     point: FactorizedPoint,
     candidates: Sequence[Multipliers],
     cert_tol: float = CERT_TOL,
-    licq: bool | None = None,
 ) -> Certificate:
     """Slack-matrix certificate at the point.
 
@@ -382,20 +321,18 @@ def certify(
         escape_block=worst_block,
         escape_vector=esc_vec,
         escape_eigenvalue=esc_val,
-        licq=licq,
         tolerances=tols,
     )
 
 
-def escape_direction(point: FactorizedPoint, certificate: Certificate, block: int | None = None) -> EscapeDirection:
+def escape_direction(point: FactorizedPoint, certificate: Certificate) -> EscapeDirection:
     """Descent move out of a point whose slack has a negative eigenvalue.
 
     If the block's factor is column rank deficient, U = v z^T with z in the
     kernel of Y is feasible to first order and has <S, U U^T> < 0; otherwise
     the rank must grow by one column along v.
     """
-    if block is None:
-        block = certificate.escape_block
+    block = certificate.escape_block
     if block is None or certificate.escape_vector is None:
         raise ValueError("certificate carries no escape data")
     v = certificate.escape_vector
@@ -424,11 +361,11 @@ def licq_check(dp: DenseProblem, point: FactorizedPoint) -> LicqResult:
 # ---------------------------------------------------------------------------
 
 
-def _escape_line_search(problem, state: LagrangianState, trial_points) -> FactorizedPoint | None:
-    base, _ = al_value_grad(problem, state.point, state.lam, state.rho)
+def _escape_line_search(dp: DenseProblem, state: LagrangianState, trial_points) -> FactorizedPoint | None:
+    base, _ = al_value_grad(dp, state.point, state.lam, state.rho)
     thresh = base - 1e-12 * (1.0 + abs(base))
     for cand in trial_points:
-        val, _ = al_value_grad(problem, cand, state.lam, state.rho)
+        val, _ = al_value_grad(dp, cand, state.lam, state.rho)
         if val < thresh:
             return cand
     return None
@@ -444,11 +381,11 @@ def staircase_solve(
     Starts at the rank bound (or the override), solving with the augmented
     Lagrangian, recovering multipliers both from the solver and by least
     squares, and certifying with the more stationary of the two.  The dense
-    view is built once here and shared by every stage's checks.  Escapable
-    certificates trigger a kernel descent at the same rank or a one-column
-    rank increment; Indeterminate ones burn a fresh-seed restart.  Terminates
-    on GlobalOptimal, on full rank, or when the per-rank restart budget is
-    exhausted.
+    view is built once here and shared by every stage's checks and escape
+    line searches.  Escapable certificates trigger a kernel descent at the
+    same rank or a one-column rank increment; Indeterminate ones burn a
+    fresh-seed restart.  Terminates on GlobalOptimal, on full rank, or when
+    the per-rank restart budget is exhausted.
     """
     t0 = time.perf_counter()
     st = problem.structure
@@ -512,8 +449,7 @@ def staircase_solve(
             Multipliers(np.array(state.lam), act, "FromSolver"),
             estimate_multipliers(dp, state.point, act),
         )
-        licq = licq_check(dp, state.point)
-        cert = certify(dp, state.point, candidates, licq=licq.holds)
+        cert = certify(dp, state.point, candidates)
 
         action = "stop"
         if cert.verdict == "GlobalOptimal":
@@ -529,7 +465,7 @@ def staircase_solve(
                     trials.append(
                         FactorizedPoint(tuple(factors), state.point.tail_blocks, state.point.free)
                     )
-                stepped = _escape_line_search(problem, state, trials)
+                stepped = _escape_line_search(dp, state, trials)
                 if stepped is not None:
                     kernel_left -= 1
                     warm = (stepped, state.lam, state.rho)
@@ -541,7 +477,7 @@ def staircase_solve(
                     trials = []
                     for alpha in (0.3, 0.1, 0.03, 0.01, 1e-3):
                         trials.append(append_column(state.point, blk, esc.vector, alpha))
-                    stepped = _escape_line_search(problem, state, trials)
+                    stepped = _escape_line_search(dp, state, trials)
                     if stepped is None:
                         stepped = append_column(state.point, blk, esc.vector, 1e-3)
                     cur_ranks[blk] += 1

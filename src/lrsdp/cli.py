@@ -194,8 +194,7 @@ def _load_problem(path: str) -> ConicSdpProblem:
 
 def _config_from_args(args) -> SolverConfig:
     return SolverConfig(
-        outer_tol=args.tol,
-        feas_tol=args.tol,
+        tol=args.tol,
         max_outer=args.max_outer,
         seed=args.seed,
         restarts=args.restarts,
@@ -213,8 +212,8 @@ def _problem_summary(problem: ConicSdpProblem) -> dict:
 
 def _config_summary(cfg: SolverConfig, rank_override) -> dict:
     return {
-        "outer_tol": cfg.outer_tol,
-        "feas_tol": cfg.feas_tol,
+        "outer_tol": cfg.tol,
+        "feas_tol": cfg.tol,
         "max_outer": cfg.max_outer,
         "restarts": cfg.restarts,
         "seed": cfg.seed,
@@ -271,6 +270,10 @@ def cmd_solve(args) -> int:
 
     cfg = _config_from_args(args)
     ranks = args.rank
+    k = problem.structure.factorized_count
+    if ranks is not None and len(ranks) != k:
+        print(f"error: --rank needs {k} comma-separated ranks, got {len(ranks)}", file=sys.stderr)
+        return EXIT_USAGE
     report = staircase_solve(problem, cfg, ranks=ranks)
 
     oracle_obj = None
@@ -313,7 +316,7 @@ def cmd_certify(args) -> int:
     dp = densify(problem)
     licq = licq_check(dp, point)
     mult = estimate_multipliers(dp, point)
-    cert = certify(dp, point, [mult], cert_tol=args.cert_tol, licq=licq.holds)
+    cert = certify(dp, point, [mult], cert_tol=args.cert_tol)
     payload = {
         "problem": _problem_summary(problem),
         "objective": lift(point).objective(problem),
@@ -411,6 +414,10 @@ def cmd_experiment(args) -> int:
             payload["fraction_matching_oracle"] = sum(r["matches_oracle"] for r in records) / args.trials
 
     elif args.kind == "adversarial":
+        if p >= n:
+            print(f"error: adversarial needs --p below --n, got p = {p}, n = {n}", file=sys.stderr)
+            return EXIT_USAGE
+
         def trial(t: int):
             built = adversarial_instance(n, p, m, args.seed + t)
             point = built.planted_point
@@ -486,6 +493,17 @@ def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lrsdp", description="Certified low-rank SDP solver")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -493,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-outer", type=int, default=50, dest="max_outer")
+        p.add_argument("--max-outer", type=_int_at_least(1), default=50, dest="max_outer")
         p.add_argument("--restarts", type=int, default=3)
         p.add_argument("--out", default=None)
 
@@ -521,10 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("experiment", help="seeded statistical experiments")
     pe.add_argument("kind", choices=["genericity", "adversarial", "licq"])
-    pe.add_argument("--n", type=int, default=12)
-    pe.add_argument("--m", type=int, default=8)
-    pe.add_argument("--p", type=int, default=4)
-    pe.add_argument("--trials", type=int, default=100)
+    pe.add_argument("--n", type=_int_at_least(1), default=12)
+    pe.add_argument("--m", type=_int_at_least(0), default=8)
+    pe.add_argument("--p", type=_int_at_least(1), default=4)
+    pe.add_argument("--trials", type=_int_at_least(1), default=100)
     pe.add_argument("--oracle", action="store_true")
     common(pe)
     pe.set_defaults(func=cmd_experiment)

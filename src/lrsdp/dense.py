@@ -7,10 +7,11 @@ arrays.  ``DenseProblem`` is that one conversion, and its ``apply``,
 solver and the certifier evaluate A(X), A*(lambda) and C - A*(lambda) through
 the same view.
 
-Callers build the view and pass it down: ``staircase_solve`` once per solve
-for every certificate check, ``al_solve`` once per local solve (and the
-``al_value_grad`` / ``al_hessian_vector`` entry points once per call), each
-oracle entry point once per call, and each CLI command once.
+Callers build the view and pass it down.  Only these build one:
+``staircase_solve`` once per solve, for every certificate check and escape
+line search; ``al_solve`` once per local solve; each oracle entry point once
+per call; and each CLI command once.  ``al_value_grad`` and
+``al_hessian_vector`` take the view from their caller.
 """
 
 from __future__ import annotations

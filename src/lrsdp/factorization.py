@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import oracle
 from .model import (
     ConicSdpProblem,
     PrimalPoint,
@@ -172,17 +173,14 @@ def _numerical_rank(mat: np.ndarray) -> int:
     return _rank_from_singular_values(np.linalg.svd(mat, compute_uv=False))
 
 
-def m_prime_inequality(
-    problem: ConicSdpProblem,
-    cap: int = 20,
-    feasibility=None,
-) -> RankBoundReport:
+def m_prime_inequality(problem: ConicSdpProblem, cap: int = 20) -> RankBoundReport:
     """m' for a single-block problem (largest independent simultaneously-active set).
 
     With no inequalities this is just the rank of the constraint stack.  With
     inequalities and m <= cap, enumerates candidate active sets, certifying
-    each with a feasibility solve (oracle-backed by default) and pruning
-    supersets of infeasible sets; above the cap falls back to min(m, rank A).
+    each with an oracle feasibility solve (``oracle.active_subset_feasible``,
+    looked up at call time) and pruning supersets of infeasible sets; above
+    the cap falls back to min(m, rank A).
     """
     st = problem.structure
     if st.num_blocks != 1 or st.free_dim != 0:
@@ -203,11 +201,6 @@ def m_prime_inequality(
         mp = min(m, all_rank)
         return RankBoundReport(mp, (_min_rank_for(mp, n),), "RankUpperBound")
 
-    if feasibility is None:
-        from .oracle import active_subset_feasible
-
-        feasibility = active_subset_feasible
-
     best = -1
     infeasible: list[frozenset[int]] = []
     for size in range(0, len(ineq_idx) + 1):
@@ -217,7 +210,7 @@ def m_prime_inequality(
             sset = frozenset(combo)
             if any(bad <= sset for bad in infeasible):
                 continue
-            if feasibility(problem, combo):
+            if oracle.active_subset_feasible(problem, combo):
                 r = _numerical_rank(_stack_rows(problem, eq_idx + list(combo)))
                 best = max(best, r)
             else:

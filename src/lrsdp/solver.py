@@ -2,10 +2,11 @@
 
 Outer loop: safeguarded augmented Lagrangian with Powell-Hestenes-Rockafellar
 treatment of inequality rows, stopped by the scale-relative tolerances of
-``kkt_scales`` that certification also uses.  Inner loop: trust-region
-Newton with truncated CG on exact Hessian-vector products, plus a dense
-negative-curvature probe at (near-)stationary points so the method settles
-only at second-order points.
+``kkt_scales`` that certification also uses, with one relative tolerance
+(``SolverConfig.tol``) for stationarity and feasibility.  Inner loop:
+trust-region Newton with truncated CG on exact Hessian-vector products, plus
+a dense negative-curvature probe at (near-)stationary points so the method
+settles only at second-order points.
 Both go through the constraint Jacobian J at the point: a Hessian-vector
 product is 2 S_j U_j + J^T (w * J u), and the probe assembles
 blockdiag(2 S_j (x) I_q) + J^T diag(w) J directly, writing 2 S_j into the q
@@ -18,6 +19,10 @@ Tail PSD blocks are parameterized internally at full rank (any PSD matrix of
 size n factors at rank n), so one variable layout serves every block; the
 factorized/tail distinction matters again only for rank bounds and for
 certification reporting.
+
+``al_solve`` takes the problem and builds its dense view once per solve; the
+public evaluators ``al_value_grad`` and ``al_hessian_vector`` take a view
+(``densify``) from their caller and build none.
 """
 
 from __future__ import annotations
@@ -59,18 +64,22 @@ PENALTY_GROWTH = 10.0
 PENALTY_CAP = 1e12
 DUAL_CAP = 1e10
 TR_RADIUS_INIT = 1.0
+# trust-region iterations per outer iteration
+MAX_INNER = 500
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    outer_tol: float = 1e-8
-    feas_tol: float = 1e-8
+    tol: float = 1e-8  # relative stationarity and feasibility tolerance of ``al_solve``
     max_outer: int = 50
-    max_inner: int = 500
     seed: int = 0
     restarts: int = 3
     # not settable; readable on a config for callers that compare rho with the cap
     penalty_cap: ClassVar[float] = PENALTY_CAP
+
+    def __post_init__(self):
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,9 +375,8 @@ def _inner(ev: _Eval, tol, max_iter):
 # ---------------------------------------------------------------------------
 
 
-def _public_eval(problem: ConicSdpProblem, point: FactorizedPoint, lam, rho) -> _Eval:
+def _public_eval(dp: DenseProblem, point: FactorizedPoint, lam, rho) -> _Eval:
     """_Eval in the public (Y, X-tail, x) coordinates."""
-    dp = densify(problem)
     work = _Work(dp, point.ranks, tail_matrices=True)
     ys = list(point.factors) + [t.to_dense() for t in point.tail_blocks]
     z = work.pack(ys, np.asarray(point.free, dtype=float))
@@ -383,26 +391,26 @@ def _public_point(work: _Work, z: np.ndarray) -> FactorizedPoint:
     )
 
 
-def al_value_grad(problem: ConicSdpProblem, point: FactorizedPoint, lam, rho: float):
-    """Augmented-Lagrangian value and gradient.
+def al_value_grad(dp: DenseProblem, point: FactorizedPoint, lam, rho: float):
+    """Augmented-Lagrangian value and gradient on the problem's dense view.
 
     Gradient is returned in the same shape as the point: 2*S_j*Y_j for factor
     blocks, the slack-matrix component for tail blocks, and the free-part
     slack for the free variables.
     """
-    ev = _public_eval(problem, point, lam, rho)
+    ev = _public_eval(dp, point, lam, rho)
     return ev.value, _public_point(ev.work, ev.grad)
 
 
 def al_hessian_vector(
-    problem: ConicSdpProblem,
+    dp: DenseProblem,
     point: FactorizedPoint,
     lam,
     rho: float,
     direction: FactorizedPoint,
 ) -> FactorizedPoint:
     """Exact Hessian-vector product of the AL, in the public coordinates."""
-    ev = _public_eval(problem, point, lam, rho)
+    ev = _public_eval(dp, point, lam, rho)
     us = list(direction.factors) + [t.to_dense() for t in direction.tail_blocks]
     hu = ev.hvp(ev.work.pack(us, np.asarray(direction.free, dtype=float)))
     if not np.all(np.isfinite(hu)):
@@ -428,8 +436,8 @@ def al_solve(
 ):
     """Full augmented-Lagrangian solve at the given factor ranks.
 
-    Stops when infeasibility <= feas_tol * (1 + ||b||_inf) and the AL
-    gradient norm <= outer_tol * (1 + ||C|| + ||lam||_inf) (``kkt_scales``);
+    Stops when infeasibility <= tol * (1 + ||b||_inf) and the AL gradient
+    norm <= tol * (1 + ||C|| + ||lam||_inf) (``kkt_scales``);
     the penalty grows only while infeasibility is above its tolerance.
     Returns (final LagrangianState, trace of per-outer-iteration records).
     Raises InfeasibleError when infeasibility stalls above its tolerance with
@@ -449,15 +457,15 @@ def al_solve(
         lam = np.zeros(dp.m)
         rho = PENALTY_INIT
 
-    feas_tol = config.feas_tol * kkt_scales(dp, lam)[1]
+    feas_tol = config.tol * kkt_scales(dp, lam)[1]
     trace = []
     ev = _Eval(work, z, lam, rho)
     best_infeas = ev.infeasibility()
     stall = 0
     state = None
     for outer in range(1, config.max_outer + 1):
-        tol_inner = max(config.outer_tol, 0.1 * best_infeas)
-        ev, accepted, _ = _inner(ev, tol_inner, config.max_inner)
+        tol_inner = max(config.tol, 0.1 * best_infeas)
+        ev, accepted, _ = _inner(ev, tol_inner, MAX_INNER)
         lam = np.clip(ev.lam_tilde, -DUAL_CAP, DUAL_CAP)
         infeas = ev.infeasibility()
         stationarity = float(np.linalg.norm(ev.grad))
@@ -480,7 +488,7 @@ def al_solve(
             stationarity=stationarity,
             converged=True,
         )
-        stat_tol = config.outer_tol * kkt_scales(dp, lam)[0]
+        stat_tol = config.tol * kkt_scales(dp, lam)[0]
         if infeas <= feas_tol and stationarity <= stat_tol:
             return state, trace
 

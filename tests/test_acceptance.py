@@ -78,25 +78,26 @@ def test_criterion_1_derivative_correctness():
         lam = rng.standard_normal(problem.m)
         rho = 2.0
 
+        dp = densify(problem)
         c = apply_reference(problem, *lifted(point)) - problem.b
         shifted = lam - rho * c
-        if np.any(np.abs(shifted[~densify(problem).eq_mask]) < 1e-3):
+        if np.any(np.abs(shifted[~dp.eq_mask]) < 1e-3):
             continue  # keep clear of the clipped-multiplier switch
         checked += 1
 
-        _, grad = al_value_grad(problem, point, lam, rho)
+        _, grad = al_value_grad(dp, point, lam, rho)
         d = random_direction(problem, ranks, 31 * seed)
         e = random_direction(problem, ranks, 31 * seed + 1)
 
-        fp, _ = al_value_grad(problem, point_axpy(point, d, h), lam, rho)
-        fm, _ = al_value_grad(problem, point_axpy(point, d, -h), lam, rho)
+        fp, _ = al_value_grad(dp, point_axpy(point, d, h), lam, rho)
+        fm, _ = al_value_grad(dp, point_axpy(point, d, -h), lam, rho)
         slope = (fp - fm) / (2.0 * h)
         exact = point_dot(grad, d)
         worst_g = max(worst_g, abs(slope - exact) / (1.0 + abs(exact)))
 
-        hd = al_hessian_vector(problem, point, lam, rho, d)
-        _, gp = al_value_grad(problem, point_axpy(point, d, h), lam, rho)
-        _, gm = al_value_grad(problem, point_axpy(point, d, -h), lam, rho)
+        hd = al_hessian_vector(dp, point, lam, rho, d)
+        _, gp = al_value_grad(dp, point_axpy(point, d, h), lam, rho)
+        _, gm = al_value_grad(dp, point_axpy(point, d, -h), lam, rho)
         slope_h = (point_dot(gp, e) - point_dot(gm, e)) / (2.0 * h)
         exact_h = point_dot(hd, e)
         worst_h = max(worst_h, abs(slope_h - exact_h) / (1.0 + abs(exact_h)))

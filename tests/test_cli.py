@@ -144,6 +144,28 @@ class TestSolveCommand:
         assert json.loads(out)["final"]["time_ms"] > 0.0
 
 
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{path}", "--rank", "1,2"],
+            ["solve", "{path}", "--rank", ""],
+            ["solve", "{path}", "--max-outer", "0"],
+            ["experiment", "genericity", "--trials", "0"],
+            ["experiment", "licq", "--trials", "0"],
+            ["experiment", "adversarial", "--n", "4", "--p", "4"],
+            ["experiment", "genericity", "--m", "-1"],
+        ],
+        ids=["rank-count", "rank-empty", "max-outer-0", "genericity-trials-0",
+             "licq-trials-0", "adversarial-p-equals-n", "genericity-m-negative"],
+    )
+    def test_bad_flag_exits_one_with_error_line(self, trivial_file, argv):
+        code, out, err = run_cli([a.format(path=trivial_file) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+
 class TestCertifyCommand:
     def test_planted_point_rejected(self, tmp_path):
         built = adversarial_instance(6, 2, 8, seed=1)
@@ -286,7 +308,7 @@ class TestExperimentCommand:
         assert code == 0
         assert [c.seed for c in seen] == [5, 6]
         for c in seen:
-            assert (c.max_outer, c.outer_tol, c.feas_tol) == (1, 1e-6, 1e-6)
+            assert (c.max_outer, c.tol) == (1, 1e-6)
 
     @pytest.mark.parametrize(
         "error, code, prefix",

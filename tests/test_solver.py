@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lrsdp.dense import densify
 from lrsdp.factorization import FactorizedPoint
 from lrsdp.model import BlockStructure
 from lrsdp.solver import (
@@ -33,8 +34,6 @@ from helpers import (
 
 def kink_safe(problem, point, lam, rho, margin=1e-3):
     """Avoid sampling right on a clipped-multiplier switch."""
-    from lrsdp.dense import densify
-
     dp = densify(problem)
     c = apply_reference(problem, *lifted(point)) - dp.b
     shifted = lam - rho * c
@@ -46,7 +45,7 @@ class TestValueGrad:
     def test_unconstrained_unit_column(self):
         prob = make_problem((2,), 1, 0, [np.eye(2)], [], [])
         y = FactorizedPoint((np.array([[1.0], [0.0]]),), (), np.zeros(0))
-        val, grad = al_value_grad(prob, y, np.zeros(0), 0.0)
+        val, grad = al_value_grad(densify(prob), y, np.zeros(0), 0.0)
         assert val == pytest.approx(1.0)
         np.testing.assert_allclose(grad.factors[0], [[2.0], [0.0]])
 
@@ -54,7 +53,7 @@ class TestValueGrad:
         prob = trivial_sdp()
         y = FactorizedPoint((np.array([[1.0], [0.0]]),), (), np.zeros(0))
         lam = np.array([0.3])
-        _, grad = al_value_grad(prob, y, lam, 5.0)
+        _, grad = al_value_grad(densify(prob), y, lam, 5.0)
         # c = 0, so the penalty contributes nothing: grad = 2 (C - lam A) Y
         s = np.eye(2) - lam[0] * np.array([[1.0, 0.0], [0.0, 0.0]])
         np.testing.assert_allclose(grad.factors[0], 2.0 * s @ y.factors[0], atol=1e-14)
@@ -73,11 +72,12 @@ class TestValueGrad:
             if not kink_safe(problem, point, lam, rho):
                 continue
             checked += 1
-            _, grad = al_value_grad(problem, point, lam, rho)
+            dp = densify(problem)
+            _, grad = al_value_grad(dp, point, lam, rho)
             for dseed in range(2):
                 d = random_direction(problem, ranks, 100 * seed + dseed)
-                fp, _ = al_value_grad(problem, point_axpy(point, d, h), lam, rho)
-                fm, _ = al_value_grad(problem, point_axpy(point, d, -h), lam, rho)
+                fp, _ = al_value_grad(dp, point_axpy(point, d, h), lam, rho)
+                fm, _ = al_value_grad(dp, point_axpy(point, d, -h), lam, rho)
                 slope = (fp - fm) / (2.0 * h)
                 exact = point_dot(grad, d)
                 assert abs(slope - exact) <= 1e-6 * (1.0 + abs(exact))
@@ -89,14 +89,14 @@ class TestHessianVector:
         rng = np.random.default_rng(0)
         y = FactorizedPoint((rng.standard_normal((3, 2)),), (), np.zeros(0))
         u = FactorizedPoint((rng.standard_normal((3, 2)),), (), np.zeros(0))
-        hu = al_hessian_vector(prob, y, np.zeros(0), 1.0, u)
+        hu = al_hessian_vector(densify(prob), y, np.zeros(0), 1.0, u)
         np.testing.assert_allclose(hu.factors[0], 2.0 * u.factors[0], atol=1e-14)
 
     def test_zero_direction(self):
         prob = trivial_sdp()
         y = FactorizedPoint((np.eye(2),), (), np.zeros(0))
         u = FactorizedPoint((np.zeros((2, 2)),), (), np.zeros(0))
-        hu = al_hessian_vector(prob, y, np.array([0.5]), 3.0, u)
+        hu = al_hessian_vector(densify(prob), y, np.array([0.5]), 3.0, u)
         assert np.all(hu.factors[0] == 0.0)
 
     def test_matches_gradient_differences(self):
@@ -115,9 +115,10 @@ class TestHessianVector:
             checked += 1
             d = random_direction(problem, ranks, 7 * seed)
             e = random_direction(problem, ranks, 7 * seed + 1)
-            hd = al_hessian_vector(problem, point, lam, rho, d)
-            _, gp = al_value_grad(problem, point_axpy(point, d, h), lam, rho)
-            _, gm = al_value_grad(problem, point_axpy(point, d, -h), lam, rho)
+            dp = densify(problem)
+            hd = al_hessian_vector(dp, point, lam, rho, d)
+            _, gp = al_value_grad(dp, point_axpy(point, d, h), lam, rho)
+            _, gm = al_value_grad(dp, point_axpy(point, d, -h), lam, rho)
             slope = (point_dot(gp, e) - point_dot(gm, e)) / (2.0 * h)
             exact = point_dot(hd, e)
             assert abs(slope - exact) <= 1e-5 * (1.0 + abs(exact))
@@ -133,7 +134,6 @@ def unconstrained_mixed():
 
 
 def eval_at(problem, ranks, seed):
-    from lrsdp.dense import densify
     from lrsdp.solver import _Eval, _Work
 
     rng = np.random.default_rng(seed)
@@ -143,13 +143,12 @@ def eval_at(problem, ranks, seed):
 
 def run_inner(problem, point, lam, rho, max_inner=500):
     """_inner from a point at fixed (lam, rho), with al_solve's first inner tolerance."""
-    from lrsdp.dense import densify
     from lrsdp.solver import _Eval, _Work, _inner, _internal_factors
 
     work = _Work(densify(problem), point.ranks)
     z0 = work.pack(_internal_factors(point), point.free)
     ev0 = _Eval(work, z0, np.asarray(lam, dtype=float), rho)
-    ev, _, _ = _inner(ev0, max(SolverConfig().outer_tol, 0.1 * ev0.infeasibility()), max_inner)
+    ev, _, _ = _inner(ev0, max(SolverConfig().tol, 0.1 * ev0.infeasibility()), max_inner)
     return ev
 
 
@@ -170,8 +169,6 @@ class TestConstraintJacobian:
         assert tails and free and inactive
 
     def test_rows_match_central_differences_of_apply(self):
-        from lrsdp.dense import densify
-
         h = 1e-4
         for seed, (problem, ranks) in enumerate(jacobian_cases()):
             dp = densify(problem)
@@ -346,7 +343,11 @@ class TestOuterLoop:
         assert state.converged
         assert len(trace) <= 10
         assert all(rec["rho"] < cfg.penalty_cap for rec in trace)
-        assert state.infeasibility <= cfg.feas_tol * 2.0
+        assert state.infeasibility <= cfg.tol * 2.0
+
+    def test_config_needs_an_outer_iteration(self):
+        with pytest.raises(ValueError, match="max_outer"):
+            SolverConfig(max_outer=0)
 
     def test_indefinite_cost_with_trace_constraint(self):
         state, _ = al_solve(indefinite_trace_sdp(), [2], SolverConfig(seed=0))

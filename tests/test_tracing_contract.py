@@ -53,3 +53,22 @@ def test_traced_staircase_reports_its_layers(tracing):
     assert metrics["solver.al_solve_calls"] == 1
     # one view for the staircase plus one per local solve
     assert metrics["dense.densify_calls"] == 2
+
+
+def test_traced_line_search_evaluates_on_the_staircase_view(tracing):
+    from lrsdp.apps import generate_random
+    from lrsdp.model import BlockStructure
+
+    # from rank 1: an infeasible restart, then two rank increments whose
+    # escape line searches evaluate the AL
+    prob = generate_random(BlockStructure((6,), 1, 0), 8, "EEEEEIII", 2)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        report = certification.staircase_solve(prob, SolverConfig(seed=0), ranks=[1])
+    metrics = tracer.layer_metrics()
+    assert [s.action for s in report.stages] == [
+        "restart", "rank-increment", "rank-increment", "certified"
+    ]
+    assert metrics["solver.al_value_grad_calls"] > 0
+    assert metrics["dense.densify_calls"] == 1 + metrics["solver.al_solve_calls"]
+    assert metrics["certification.licq_s"] == 0
