@@ -218,21 +218,21 @@ def estimate_multipliers(
     return Multipliers(lam, frozenset(active), "LeastSquares", residual)
 
 
-def kkt_residuals(dp: DenseProblem, point: FactorizedPoint, mult: Multipliers) -> KktResiduals:
-    S, s_free = dp.slack(mult.values)
-    k = len(point.factors)
+def kkt_residuals(dp: DenseProblem, point: FactorizedPoint, mult: Multipliers,
+                  residual=None, slack=None) -> KktResiduals:
+    """KKT residuals; A(X) - b (``residual``) and ``dp.slack(mult.values)`` are formed if not given."""
+    S, s_free = dp.slack(mult.values) if slack is None else slack
     stationarity = 0.0
     for j, y in enumerate(point.factors):
         stationarity = max(stationarity, float(np.linalg.norm(S[j] @ y)))
 
-    X = _lifted_blocks(point)
-    c = dp.apply(X, point.free) - dp.b
+    c = dp.apply(_lifted_blocks(point), point.free) - dp.b if residual is None else residual
     ineq = dp.ineq_mask
     feasibility = float(np.linalg.norm(np.where(ineq, np.minimum(c, 0.0), c)))
 
     comp = float(np.max(np.abs(mult.values * c)[ineq], initial=0.0))
-    for j in range(k, len(X)):
-        comp = max(comp, abs(float(np.tensordot(S[j], X[j]))))
+    for s, t in zip(S[len(point.factors):], point.tail_blocks):
+        comp = max(comp, abs(float(np.tensordot(s, t.to_dense()))))
 
     sign = max(0.0, -float(np.min(mult.values[ineq], initial=0.0)))
     return KktResiduals(
@@ -252,18 +252,23 @@ def certify(
 ) -> Certificate:
     """Slack-matrix certificate at the point.
 
-    The KKT residuals are evaluated once per candidate ``Multipliers``, and
-    the candidate of least stationarity (the earlier one on a tie) is
-    certified and returned as ``Certificate.multipliers``.
+    A(X) - b is evaluated once, the slack and KKT residuals once per
+    candidate ``Multipliers``, and the candidate of least stationarity (the
+    earlier one on a tie) is certified with its slack and returned as
+    ``Certificate.multipliers``.
     GlobalOptimal requires every KKT residual under its tolerance and every
     slack block PSD up to -cert_tol * (1 + ||S_j||_2); a clearly negative
     slack eigenvalue gives Escapable with the offending eigenpair; everything
     else is Indeterminate.  The duality gap is reported as an independent
     numerical witness.
     """
-    scored = [(kkt_residuals(dp, point, mult), mult) for mult in candidates]
-    kkt, mult = min(scored, key=lambda km: km[0].stationarity)
-    S, _ = dp.slack(mult.values)
+    X = _lifted_blocks(point)
+    residual = dp.apply(X, point.free) - dp.b
+    scored = []
+    for cand in candidates:
+        slack = dp.slack(cand.values)
+        scored.append((kkt_residuals(dp, point, cand, residual, slack), cand, slack[0]))
+    kkt, mult, S = min(scored, key=lambda entry: entry[0].stationarity)
     spectra = []
     eigvecs = []
     for sm in S:
@@ -271,7 +276,7 @@ def certify(
         spectra.append(w)
         eigvecs.append(v)
 
-    primal = dp.objective(_lifted_blocks(point), point.free)
+    primal = dp.objective(X, point.free)
     duality_gap = primal - float(dp.b @ mult.values)
 
     stat_scale, feas_scale, lam_scale = kkt_scales(dp, mult.values)
@@ -468,7 +473,7 @@ def staircase_solve(
                 stepped = _escape_line_search(dp, state, trials)
                 if stepped is not None:
                     kernel_left -= 1
-                    warm = (stepped, state.lam, state.rho)
+                    warm = (stepped, state.lam)
                     action = "kernel-escape"
             if stepped is None:
                 blk = esc.block
@@ -481,7 +486,7 @@ def staircase_solve(
                     if stepped is None:
                         stepped = append_column(state.point, blk, esc.vector, 1e-3)
                     cur_ranks[blk] += 1
-                    warm = (stepped, state.lam, state.rho)
+                    warm = (stepped, state.lam)
                     restarts_left = config.restarts
                     kernel_left = 5
                     action = "rank-increment"

@@ -62,6 +62,8 @@ class NumericalFailure(RuntimeError):
 PENALTY_INIT = 10.0
 PENALTY_GROWTH = 10.0
 PENALTY_CAP = 1e12
+# infeasibility at least STALL_RATIO times the best so far is a stall (``al_solve``)
+STALL_RATIO = 0.5
 DUAL_CAP = 1e10
 TR_RADIUS_INIT = 1.0
 # trust-region iterations per outer iteration
@@ -432,30 +434,32 @@ def al_solve(
     problem: ConicSdpProblem,
     ranks,
     config: SolverConfig,
-    warm_start: tuple[FactorizedPoint, np.ndarray, float] | None = None,
+    warm_start: tuple[FactorizedPoint, np.ndarray] | None = None,
 ):
     """Full augmented-Lagrangian solve at the given factor ranks.
 
+    Starts from ``warm_start = (point, lam)`` or a seeded random point with
+    zero multipliers; either way the penalty starts at ``PENALTY_INIT``.
     Stops when infeasibility <= tol * (1 + ||b||_inf) and the AL gradient
     norm <= tol * (1 + ||C|| + ||lam||_inf) (``kkt_scales``);
     the penalty grows only while infeasibility is above its tolerance.
     Returns (final LagrangianState, trace of per-outer-iteration records).
-    Raises InfeasibleError when infeasibility stalls above its tolerance with
-    the penalty at its cap.
+    Raises InfeasibleError after 5 stalls in a row: outer iterations whose
+    infeasibility is above its tolerance and at least ``STALL_RATIO`` of the
+    best so far, or with the penalty at its cap.
     """
     dp = densify(problem)
     work = _Work(dp, ranks)
     rng = np.random.default_rng(config.seed)
 
     if warm_start is not None:
-        point0, lam, rho = warm_start
+        point0, lam = warm_start
         z = work.pack(_internal_factors(point0), point0.free)
         lam = np.array(lam, dtype=float)
-        rho = float(rho)
     else:
         z = _initial_z(work, rng, dp.b)
         lam = np.zeros(dp.m)
-        rho = PENALTY_INIT
+    rho = PENALTY_INIT
 
     feas_tol = config.tol * kkt_scales(dp, lam)[1]
     trace = []
@@ -494,11 +498,11 @@ def al_solve(
 
         if infeas > feas_tol and infeas > best_infeas / 4.0:
             rho = min(rho * PENALTY_GROWTH, PENALTY_CAP)
-        if rho >= PENALTY_CAP and infeas > feas_tol:
+        if infeas > feas_tol and (rho >= PENALTY_CAP or infeas >= STALL_RATIO * best_infeas):
             stall += 1
             if stall >= 5:
                 raise InfeasibleError(
-                    f"infeasibility {infeas:.3e} stalled with penalty at cap"
+                    f"infeasibility {infeas:.3e} stalled (best {best_infeas:.3e}, rho {rho:.0e})"
                 )
         else:
             stall = 0

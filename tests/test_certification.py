@@ -263,7 +263,7 @@ class TestEscapeDirection:
         lam0 = np.array(built.extras["multipliers"])
         state, _ = al_solve(
             built.problem, [2], SolverConfig(seed=0),
-            warm_start=(built.planted_point, lam0, 10.0),
+            warm_start=(built.planted_point, lam0),
         )
         assert abs(state.objective - built.extras["planted_objective"]) < 1e-6
         dp = densify(built.problem)
@@ -343,10 +343,10 @@ class TestStaircase:
             (solver, "densify"),
         ):
             monkeypatch.setattr(module, name, counting(module, name))
-        # infeasible stages at rank 1; five escapes before the certificate
+        # infeasible stages at rank 1, then escapes before the certificate
         problems = [
             build_sensing_psd(4, 2, 5, seed=0).problem,
-            generate_random(BlockStructure((6,), 1, 0), 8, "EEEEEIII", 5),
+            generate_random(BlockStructure((6,), 1, 0), 8, "EEEEEIII", 2),
         ]
         for prob in problems:
             calls.clear()
@@ -359,6 +359,59 @@ class TestStaircase:
             # only other views are one per al_solve, one al_solve per stage
             assert calls["certification.licq_check"] == 0
             assert calls["solver.densify"] == len(report.stages)
+
+    def test_certify_applies_once_and_forms_one_slack_per_candidate(self, monkeypatch):
+        from lrsdp import certification
+        from lrsdp.dense import DenseProblem
+
+        calls = Counter()
+        per_certify = []
+
+        def counting(name):
+            fn = getattr(DenseProblem, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def certify_counted(dp, point, candidates, *args, **kwargs):
+            before = Counter(calls)
+            cert = certify(dp, point, candidates, *args, **kwargs)
+            per_certify.append((calls - before, len(candidates)))
+            return cert
+
+        for name in ("apply", "slack"):
+            monkeypatch.setattr(DenseProblem, name, counting(name))
+        monkeypatch.setattr(certification, "certify", certify_counted)
+        prob = generate_random(BlockStructure((6,), 1, 0), 8, "EEEEEIII", 2)
+        staircase_solve(prob, SolverConfig(seed=0), ranks=[1])
+        assert len(per_certify) >= 2
+        for used, candidates in per_certify:
+            assert used["apply"] == 1
+            assert used["slack"] == candidates == 2
+
+    def test_warm_start_after_rank_increment_converges(self, monkeypatch):
+        # from rank 1 the warm starts after each rank increment used to
+        # inherit the last stage's penalty and run all 50 outer iterations
+        from lrsdp import certification
+
+        states = []
+
+        def spy(*args, **kwargs):
+            state, trace = al_solve(*args, **kwargs)
+            states.append(state)
+            return state, trace
+
+        monkeypatch.setattr(certification, "al_solve", spy)
+        prob = generate_random(BlockStructure((6,), 1, 0), 8, "EEEEEIII", 5)
+        report = staircase_solve(prob, SolverConfig(seed=0), ranks=[1])
+        assert states
+        assert all(state.converged for state in states)
+        assert report.verdict == "GlobalOptimal"
+        target = oracle_solve(prob).objective
+        assert abs(report.objective - target) <= 1e-6 * (1.0 + abs(target))
 
     def test_generic_equality_instances_certify_without_escalation(self):
         good = 0

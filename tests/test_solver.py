@@ -390,6 +390,49 @@ class TestOuterLoop:
         with pytest.raises(InfeasibleError):
             al_solve(prob, [2], SolverConfig(seed=0))
 
+    def test_infeasible_input_raises_within_seven_outer_iterations(self, monkeypatch):
+        # infeasibility that stops halving raises without climbing rho to its cap
+        from lrsdp import solver
+
+        inner = solver._inner
+        inner_calls = [0]
+
+        def counting(*args, **kwargs):
+            inner_calls[0] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_inner", counting)
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        cases = [
+            (make_problem((2,), 1, 0, [np.eye(2)], [],
+                          [([e11], [], 1.0, "E"), ([e11], [], 2.0, "E")]), rank)
+            for rank in (1, 2)
+        ]
+        # generically {Y : A(Y Y^T) = b} is empty when n p - p (p - 1) / 2 < m
+        cases += [
+            (generate_random(BlockStructure((6,), 1, 0), 8, "E" * 8, seed), 1)
+            for seed in range(40)
+        ]
+        for prob, rank in cases:
+            for seed in (0, 1):
+                inner_calls[0] = 0
+                with pytest.raises(InfeasibleError):
+                    al_solve(prob, [rank], SolverConfig(seed=seed))
+                assert inner_calls[0] <= 7
+
+    def test_degenerate_feasible_input_never_stalls(self):
+        # X_11 = 0 leaves no strictly feasible point, so infeasibility falls
+        # slowly as rho grows; the stall rule must not mistake that for
+        # infeasible input
+        unit = [np.diag(np.eye(3)[i]) for i in range(3)]
+        rows = [([unit[0]], [], 0.0, "E"), ([unit[1]], [], 1.0, "E"), ([unit[2]], [], 1.0, "E")]
+        for seed in range(20):
+            g = np.random.default_rng(seed).standard_normal((3, 3))
+            prob = make_problem((3,), 1, 0, [g + g.T], [], rows)
+            for rank in (1, 2, 3):
+                state, _ = al_solve(prob, [rank], SolverConfig(seed=seed))
+                assert state.converged
+
     def test_multi_block_with_free_variables(self):
         for seed in range(3):
             prob = generate_random(BlockStructure((4, 3), 2, 2), 6, "EEEEEI", seed + 40)
