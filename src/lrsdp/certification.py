@@ -218,21 +218,24 @@ def estimate_multipliers(
     return Multipliers(lam, frozenset(active), "LeastSquares", residual)
 
 
-def kkt_residuals(dp: DenseProblem, point: FactorizedPoint, mult: Multipliers,
-                  residual=None, slack=None) -> KktResiduals:
-    """KKT residuals; A(X) - b (``residual``) and ``dp.slack(mult.values)`` are formed if not given."""
-    S, s_free = dp.slack(mult.values) if slack is None else slack
+def kkt_residuals(dp: DenseProblem, point: FactorizedPoint, mult: Multipliers) -> KktResiduals:
+    X = _lifted_blocks(point)
+    return _kkt_residuals(dp, point, mult, X, dp.apply(X, point.free) - dp.b, dp.slack(mult.values))
+
+
+def _kkt_residuals(dp, point, mult, X, c, slack) -> KktResiduals:
+    """KKT residuals from the lifted blocks X, c = A(X) - b and ``dp.slack(mult.values)``."""
+    S, s_free = slack
     stationarity = 0.0
     for j, y in enumerate(point.factors):
         stationarity = max(stationarity, float(np.linalg.norm(S[j] @ y)))
 
-    c = dp.apply(_lifted_blocks(point), point.free) - dp.b if residual is None else residual
     ineq = dp.ineq_mask
     feasibility = float(np.linalg.norm(np.where(ineq, np.minimum(c, 0.0), c)))
 
     comp = float(np.max(np.abs(mult.values * c)[ineq], initial=0.0))
-    for s, t in zip(S[len(point.factors):], point.tail_blocks):
-        comp = max(comp, abs(float(np.tensordot(s, t.to_dense()))))
+    for j in range(len(point.factors), len(X)):
+        comp = max(comp, abs(float(np.tensordot(S[j], X[j]))))
 
     sign = max(0.0, -float(np.min(mult.values[ineq], initial=0.0)))
     return KktResiduals(
@@ -252,10 +255,9 @@ def certify(
 ) -> Certificate:
     """Slack-matrix certificate at the point.
 
-    A(X) - b is evaluated once, the slack and KKT residuals once per
-    candidate ``Multipliers``, and the candidate of least stationarity (the
-    earlier one on a tie) is certified with its slack and returned as
-    ``Certificate.multipliers``.
+    A(X) - b is evaluated once, the slack and KKT residuals once per candidate
+    ``Multipliers``; the candidate of least stationarity (the earlier one on a
+    tie) is certified and returned as ``Certificate.multipliers``.
     GlobalOptimal requires every KKT residual under its tolerance and every
     slack block PSD up to -cert_tol * (1 + ||S_j||_2); a clearly negative
     slack eigenvalue gives Escapable with the offending eigenpair; everything
@@ -263,11 +265,9 @@ def certify(
     numerical witness.
     """
     X = _lifted_blocks(point)
-    residual = dp.apply(X, point.free) - dp.b
-    scored = []
-    for cand in candidates:
-        slack = dp.slack(cand.values)
-        scored.append((kkt_residuals(dp, point, cand, residual, slack), cand, slack[0]))
+    c = dp.apply(X, point.free) - dp.b
+    slacks = [dp.slack(m.values) for m in candidates]
+    scored = [(_kkt_residuals(dp, point, m, X, c, sl), m, sl[0]) for m, sl in zip(candidates, slacks)]
     kkt, mult, S = min(scored, key=lambda entry: entry[0].stationarity)
     spectra = []
     eigvecs = []

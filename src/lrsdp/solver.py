@@ -62,7 +62,6 @@ class NumericalFailure(RuntimeError):
 PENALTY_INIT = 10.0
 PENALTY_GROWTH = 10.0
 PENALTY_CAP = 1e12
-# infeasibility at least STALL_RATIO times the best so far is a stall (``al_solve``)
 STALL_RATIO = 0.5
 DUAL_CAP = 1e10
 TR_RADIUS_INIT = 1.0
@@ -438,15 +437,16 @@ def al_solve(
 ):
     """Full augmented-Lagrangian solve at the given factor ranks.
 
-    Starts from ``warm_start = (point, lam)`` or a seeded random point with
-    zero multipliers; either way the penalty starts at ``PENALTY_INIT``.
+    Starts from ``warm_start = (point, lam)`` or a random point, at penalty ``PENALTY_INIT``.
     Stops when infeasibility <= tol * (1 + ||b||_inf) and the AL gradient
     norm <= tol * (1 + ||C|| + ||lam||_inf) (``kkt_scales``);
     the penalty grows only while infeasibility is above its tolerance.
     Returns (final LagrangianState, trace of per-outer-iteration records).
-    Raises InfeasibleError after 5 stalls in a row: outer iterations whose
-    infeasibility is above its tolerance and at least ``STALL_RATIO`` of the
-    best so far, or with the penalty at its cap.
+    Raises InfeasibleError after 5 stalls in a row: infeasibility above its
+    tolerance with the penalty at its cap, or at least ``STALL_RATIO`` of the
+    best earlier outer iterate's after a multiplier step as large as the
+    multipliers (infeasibility on a face without strictly feasible points
+    falls only once the multipliers are large).
     """
     dp = densify(problem)
     work = _Work(dp, ranks)
@@ -465,12 +465,13 @@ def al_solve(
     trace = []
     ev = _Eval(work, z, lam, rho)
     best_infeas = ev.infeasibility()
+    stall_ref = np.inf  # best outer-iterate infeasibility; a warm start may begin far more feasible
     stall = 0
     state = None
     for outer in range(1, config.max_outer + 1):
         tol_inner = max(config.tol, 0.1 * best_infeas)
         ev, accepted, _ = _inner(ev, tol_inner, MAX_INNER)
-        lam = np.clip(ev.lam_tilde, -DUAL_CAP, DUAL_CAP)
+        lam_prev, lam = lam, np.clip(ev.lam_tilde, -DUAL_CAP, DUAL_CAP)
         infeas = ev.infeasibility()
         stationarity = float(np.linalg.norm(ev.grad))
         trace.append(
@@ -498,15 +499,15 @@ def al_solve(
 
         if infeas > feas_tol and infeas > best_infeas / 4.0:
             rho = min(rho * PENALTY_GROWTH, PENALTY_CAP)
-        if infeas > feas_tol and (rho >= PENALTY_CAP or infeas >= STALL_RATIO * best_infeas):
+        moved = np.max(np.abs(lam - lam_prev), initial=0.0) >= np.max(np.abs(lam_prev), initial=0.0)
+        if infeas > feas_tol and (rho >= PENALTY_CAP or (moved and infeas >= STALL_RATIO * stall_ref)):
             stall += 1
             if stall >= 5:
-                raise InfeasibleError(
-                    f"infeasibility {infeas:.3e} stalled (best {best_infeas:.3e}, rho {rho:.0e})"
-                )
+                raise InfeasibleError(f"infeasibility {infeas:.3e} stalled at rho {rho:.0e}")
         else:
             stall = 0
         best_infeas = min(best_infeas, infeas)
+        stall_ref = min(stall_ref, infeas)
         ev = _Eval(work, ev.z, lam, rho)
 
     return replace(state, converged=False), trace

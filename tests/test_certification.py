@@ -338,7 +338,7 @@ class TestStaircase:
 
         for module, name in (
             (certification, "densify"),
-            (certification, "kkt_residuals"),
+            (certification, "_kkt_residuals"),
             (certification, "licq_check"),
             (solver, "densify"),
         ):
@@ -354,7 +354,7 @@ class TestStaircase:
             certified = sum(s.verdict != "Infeasible" for s in report.stages)
             assert len(report.stages) >= 3
             assert calls["certification.densify"] == 1
-            assert calls["certification.kkt_residuals"] == 2 * certified
+            assert calls["certification._kkt_residuals"] == 2 * certified
             # no LICQ pass, and the escape line search builds no view: the
             # only other views are one per al_solve, one al_solve per stage
             assert calls["certification.licq_check"] == 0
@@ -397,18 +397,23 @@ class TestStaircase:
         # inherit the last stage's penalty and run all 50 outer iterations
         from lrsdp import certification
 
-        states = []
+        calls = []  # (warm-started, converged or None when the solve raised)
 
-        def spy(*args, **kwargs):
-            state, trace = al_solve(*args, **kwargs)
-            states.append(state)
+        def spy(*args, warm_start=None, **kwargs):
+            calls.append((warm_start is not None, None))
+            state, trace = al_solve(*args, warm_start=warm_start, **kwargs)
+            calls[-1] = (warm_start is not None, state.converged)
             return state, trace
 
         monkeypatch.setattr(certification, "al_solve", spy)
         prob = generate_random(BlockStructure((6,), 1, 0), 8, "EEEEEIII", 5)
         report = staircase_solve(prob, SolverConfig(seed=0), ranks=[1])
-        assert states
-        assert all(state.converged for state in states)
+        assert all(converged for warm, converged in calls if converged is not None)
+        assert (True, True) in calls
+        # a warm start abandoned as infeasible would also escalate the rank
+        actions = [s.action for s in report.stages]
+        first = actions.index("rank-increment")
+        assert all(s.verdict != "Infeasible" for s in report.stages[first + 1:])
         assert report.verdict == "GlobalOptimal"
         target = oracle_solve(prob).objective
         assert abs(report.objective - target) <= 1e-6 * (1.0 + abs(target))

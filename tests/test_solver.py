@@ -423,15 +423,27 @@ class TestOuterLoop:
     def test_degenerate_feasible_input_never_stalls(self):
         # X_11 = 0 leaves no strictly feasible point, so infeasibility falls
         # slowly as rho grows; the stall rule must not mistake that for
-        # infeasible input
+        # infeasible input, from a cold start or from a warm start that
+        # carries the large multipliers of a converged solve
         unit = [np.diag(np.eye(3)[i]) for i in range(3)]
         rows = [([unit[0]], [], 0.0, "E"), ([unit[1]], [], 1.0, "E"), ([unit[2]], [], 1.0, "E")]
         for seed in range(20):
             g = np.random.default_rng(seed).standard_normal((3, 3))
             prob = make_problem((3,), 1, 0, [g + g.T], [], rows)
+            rng = np.random.default_rng(100 + seed)
             for rank in (1, 2, 3):
                 state, _ = al_solve(prob, [rank], SolverConfig(seed=seed))
                 assert state.converged
+                # move the converged point off feasibility, at its rank and
+                # by an appended column as after a rank increment
+                y = state.point.factors[0]
+                moved = [(y + 1e-3 * rng.standard_normal(y.shape), rank)]
+                if rank < 3:
+                    moved.append((np.hstack([y, 1e-3 * rng.standard_normal((3, 1))]), rank + 1))
+                for y0, r0 in moved:
+                    point = FactorizedPoint((y0,), (), np.zeros(0))
+                    warm, _ = al_solve(prob, [r0], SolverConfig(seed=seed), warm_start=(point, state.lam))
+                    assert warm.converged
 
     def test_multi_block_with_free_variables(self):
         for seed in range(3):
