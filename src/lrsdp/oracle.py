@@ -413,6 +413,16 @@ def _lp2_value(a: np.ndarray, b: np.ndarray, eq: np.ndarray, c: np.ndarray, tol:
     return best
 
 
+def _rotated(M: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """(r1^T M_i r1, r2^T M_i r2) for every angle and every symmetric 2x2 M_i,
+    with r1 = (cos, sin) and r2 = (-sin, cos); shape (angles, len(M), 2)."""
+    ct, sn = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    a00, a01, a11 = M[:, 0, 0], M[:, 0, 1], M[:, 1, 1]
+    cross = 2.0 * a01 * ct * sn
+    return np.stack([a00 * ct * ct + cross + a11 * sn * sn,
+                     a00 * sn * sn - cross + a11 * ct * ct], axis=-1)
+
+
 def brute_force_2x2(problem: ConicSdpProblem, grid: int = 10000, refine_rounds: int = 4) -> float:
     """Grid-parameterized second oracle for a single 2x2 block, d = 0.
 
@@ -448,20 +458,14 @@ def brute_force_2x2(problem: ConicSdpProblem, grid: int = 10000, refine_rounds: 
                 return np.inf
             return float(np.tensordot(C, x))
 
-    def value(theta: float) -> float:
-        ct, sn = np.cos(theta), np.sin(theta)
-        r1 = np.array([ct, sn])
-        r2 = np.array([-sn, ct])
-        rows = np.empty((m, 2))
-        for i in range(m):
-            rows[i, 0] = r1 @ A[i] @ r1
-            rows[i, 1] = r2 @ A[i] @ r2
-        c = np.array([r1 @ C @ r1, r2 @ C @ r2])
-        return _lp2_value(rows, b, eq, c, tol)
+    def values(thetas: np.ndarray) -> np.ndarray:
+        rows = _rotated(A, thetas)
+        costs = _rotated(C[None], thetas)[:, 0]
+        return np.array([_lp2_value(r, b, eq, c, tol) for r, c in zip(rows, costs)])
 
     lo, hi = 0.0, np.pi / 2
     thetas = np.linspace(lo, hi, grid, endpoint=False)
-    vals = np.array([value(t) for t in thetas])
+    vals = values(thetas)
     if np.any(np.isneginf(vals)):
         return -np.inf
     best_i = int(np.argmin(vals))
@@ -470,7 +474,7 @@ def brute_force_2x2(problem: ConicSdpProblem, grid: int = 10000, refine_rounds: 
     center = thetas[best_i]
     for _ in range(refine_rounds):
         ts = np.linspace(center - span, center + span, 201)
-        vs = np.array([value(t) for t in ts])
+        vs = values(ts)
         if np.any(np.isneginf(vs)):
             return -np.inf
         i = int(np.argmin(vs))

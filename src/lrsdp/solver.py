@@ -5,15 +5,19 @@ treatment of inequality rows, stopped by the scale-relative tolerances of
 ``kkt_scales`` that certification also uses, with one relative tolerance
 (``SolverConfig.tol``) for stationarity and feasibility.  Inner loop:
 trust-region Newton with truncated CG on exact Hessian-vector products, plus
-a dense negative-curvature probe at (near-)stationary points so the method
-settles only at second-order points.
-Both go through the constraint Jacobian J at the point: a Hessian-vector
-product is 2 S_j U_j + J^T (w * J u), and the probe assembles
-blockdiag(2 S_j (x) I_q) + J^T diag(w) J directly, writing 2 S_j into the q
-diagonal sub-blocks of each block, with w the penalty on active rows and 0
-elsewhere.  The probe takes only lambda_min and its eigenvector, by a
-partial LAPACK eigensolve, and at most once per evaluation point: a rejected
-escape step shrinks the radius and reuses the direction.
+a negative-curvature probe at (near-)stationary points so the method settles
+only at second-order points.
+Both go through the constraint Jacobian J at the point: the Hessian is
+H = blockdiag(2 S_j (x) I_q) + J^T diag(w) J, with w the penalty on active
+rows and 0 elsewhere, and a Hessian-vector product is 2 S_j U_j + J^T (w * J u).
+The probe reads the slack matrices S_j first: it settles when their smallest
+eigenvalue bounds lambda_min(H) above the floor, and escapes along a
+Rayleigh-Ritz direction built from their negative eigenvectors when that
+clears the floor.  Only points neither test decides assemble the dense H for
+a partial LAPACK eigensolve of lambda_min (``_probe``), as do points whose
+negative slack eigenspace fills half the variable space or more.  The probe runs at
+most once per evaluation point: a rejected escape step shrinks the radius and
+reuses the direction.
 
 Tail PSD blocks are parameterized internally at full rank (any PSD matrix of
 size n factors at rank n), so one variable layout serves every block; the
@@ -265,11 +269,13 @@ class _Eval:
             raise NumericalFailure("non-finite augmented Lagrangian evaluation")
 
     def hvp(self, u: np.ndarray) -> np.ndarray:
+        """H u, for a vector u or for each column of a (dim, r) matrix u."""
         work = self.work
-        us, _ = work.unpack(u)
-        out = self.J.T @ (self.hvp_weight * (self.J @ u))
-        for off, (n, q), s, uj in zip(work.offsets, work.shapes, self.S[:work.nf], us):
-            out[off:off + n * q] += (2.0 * s @ uj).ravel()
+        # .T puts the row axis last, where the weights broadcast; a no-op on vectors
+        out = self.J.T @ (self.hvp_weight * (self.J @ u).T).T
+        for off, (n, q), s in zip(work.offsets, work.shapes, self.S[:work.nf]):
+            uj = u[off:off + n * q]
+            out[off:off + n * q] += (2.0 * s @ uj.reshape(n, -1)).reshape(uj.shape)
         return out
 
     def dense_hessian(self) -> np.ndarray:
@@ -280,7 +286,54 @@ class _Eval:
 
     @cached_property
     def curvature(self) -> np.ndarray | None:
-        """The probe at this point (``_probe`` of the dense Hessian), computed once."""
+        """The probe at this point, computed once: None when it settles, else
+        a unit direction of negative curvature, by ``_probe``'s settle rule.
+
+        H = D + rho J_a^T J_a, with J_a the active rows of J and
+        D = blockdiag(2 S_j (x) I_q, 0): blocks held as matrices and free
+        variables carry no slack term.  So lambda_min(H) >= 2 min_j
+        lambda_min(S_j) when that is negative, and max diag(H) <= lambda_max(H)
+        <= max(2 max_j lambda_max(S_j), 0) + rho lambda_max(J_a J_a^T).
+
+        1. Settle when the slack bound clears the floor at the scale max diag(H).
+        2. Escape along the Rayleigh-Ritz minimizer of H over span(B, H B),
+           B an orthonormal basis of V (x) R^q with V the slack eigenvectors of
+           negative eigenvalue, when its Ritz value clears the floor at the
+           upper scale and B spans under half the space.  B holds v z^T for
+           every kernel vector z of Y_j, so at a rank-deficient factor the
+           Ritz value is 2 lambda_min(S) = lambda_min(H); H B adds the part of
+           a direction that cancels its constraint term J u, which the
+           penalty makes costly.
+        3. Otherwise assemble the dense Hessian for ``_probe``.
+        """
+        work = self.work
+        eigs = [np.linalg.eigh(s) for s in self.S[:work.nf]]
+        lo = min((float(lam[0]) for lam, _ in eigs), default=0.0)
+        if lo >= 0.0:
+            return None  # H >= 0
+        ja = self.J[self.active]
+        diag = self.rho * np.sum(ja * ja, axis=0)
+        for off, (n, q), s in zip(work.offsets, work.shapes, self.S[:work.nf]):
+            diag[off:off + n * q] += np.repeat(2.0 * np.diag(s), q)
+        if -2.0 * lo <= CURV_FLOOR * max(1.0, float(np.max(diag))):
+            return None
+
+        # orthonormal basis B of V (x) R^q: column (k, i) of block j is vec(v_k e_i^T)
+        negs = [v[:, lam < 0.0] for lam, v in eigs]
+        size = sum(neg.shape[1] * q for neg, q in zip(negs, work.qs))
+        if 2 * size < work.dim:  # else span(B, H B) may be the whole space
+            basis = np.zeros((work.dim, size))
+            col = 0
+            for off, (n, q), neg in zip(work.offsets, work.shapes, negs):
+                k, idx = neg.shape[1], np.arange(q)
+                basis[off:off + n * q, col:col + k * q].reshape(n, q, k, q)[:, idx, :, idx] = neg
+                col += k * q
+            q_mat = np.linalg.qr(np.hstack([basis, self.hvp(basis)]))[0]
+            theta, c = np.linalg.eigh(q_mat.T @ self.hvp(q_mat))
+            top_j = float(np.max(np.linalg.eigvalsh(ja @ ja.T), initial=0.0))
+            hi = max(2.0 * max(float(lam[-1]) for lam, _ in eigs), 0.0) + self.rho * top_j
+            if -float(theta[0]) > CURV_FLOOR * max(1.0, hi):
+                return q_mat @ c[:, 0]
         return _probe(self.dense_hessian())
 
     def infeasibility(self) -> float:

@@ -100,6 +100,25 @@ class TestBruteForce2x2:
             sol = oracle_solve(prob)
             assert abs(grid - sol.objective) <= 1e-5 * (1.0 + abs(sol.objective))
 
+    def test_rotated_rows_match_per_angle_products(self):
+        from lrsdp.oracle import _rotated
+
+        rng = np.random.default_rng(4)
+        mats = rng.standard_normal((3, 2, 2))
+        mats = mats + mats.transpose(0, 2, 1)
+        thetas = np.linspace(0.0, np.pi / 2, 37, endpoint=False)
+        rotated = _rotated(mats, thetas)
+        assert rotated.shape == (37, 3, 2)
+        for t, theta in enumerate(thetas):
+            r1 = np.array([np.cos(theta), np.sin(theta)])
+            r2 = np.array([-np.sin(theta), np.cos(theta)])
+            for i, a in enumerate(mats):
+                # summation order differs from r @ a @ r: a few ulps of |a|
+                scale = 8 * np.finfo(float).eps * np.abs(a).max()
+                assert abs(rotated[t, i, 0] - r1 @ a @ r1) <= scale
+                assert abs(rotated[t, i, 1] - r2 @ a @ r2) <= scale
+        assert _rotated(np.zeros((0, 2, 2)), thetas).shape == (37, 0, 2)
+
     def test_unsupported_shape(self):
         prob = generate_random(BlockStructure((3,), 1, 0), 2, "EE", 0)
         with pytest.raises(ValueError, match="unsupported shape"):

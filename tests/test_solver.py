@@ -133,21 +133,33 @@ def unconstrained_mixed():
     return make_problem((3, 2), 1, 1, [np.eye(3), np.diag([1.0, -1.0])], [0.5], [])
 
 
-def eval_at(problem, ranks, seed):
+def eval_at(problem, ranks, seed, rank_deficient=False):
+    """_Eval at a random point; rank_deficient zeroes every factor's last column (tails too)."""
     from lrsdp.solver import _Eval, _Work
 
     rng = np.random.default_rng(seed)
     work = _Work(densify(problem), ranks)
-    return _Eval(work, rng.standard_normal(work.dim), rng.standard_normal(problem.m), 2.0)
+    z = rng.standard_normal(work.dim)
+    if rank_deficient:
+        for off, (n, q) in zip(work.offsets, work.shapes):
+            z[off:off + n * q].reshape(n, q)[:, -1] = 0.0
+    return _Eval(work, z, rng.standard_normal(problem.m), 2.0)
+
+
+def eval_point(problem, point, lam, rho):
+    """_Eval at a point in al_solve's layout (tail blocks as full-rank factors)."""
+    from lrsdp.solver import _Eval, _Work, _internal_factors
+
+    work = _Work(densify(problem), point.ranks)
+    z0 = work.pack(_internal_factors(point), point.free)
+    return _Eval(work, z0, np.asarray(lam, dtype=float), rho)
 
 
 def run_inner(problem, point, lam, rho, max_inner=500):
     """_inner from a point at fixed (lam, rho), with al_solve's first inner tolerance."""
-    from lrsdp.solver import _Eval, _Work, _inner, _internal_factors
+    from lrsdp.solver import _inner
 
-    work = _Work(densify(problem), point.ranks)
-    z0 = work.pack(_internal_factors(point), point.free)
-    ev0 = _Eval(work, z0, np.asarray(lam, dtype=float), rho)
+    ev0 = eval_point(problem, point, lam, rho)
     ev, _, _ = _inner(ev0, max(SolverConfig().tol, 0.1 * ev0.infeasibility()), max_inner)
     return ev
 
@@ -203,6 +215,9 @@ class TestConstraintJacobian:
             np.testing.assert_array_equal(hess, hess.T)
             cols = np.column_stack([ev.hvp(e) for e in np.eye(ev.work.dim)])
             assert np.linalg.norm(hess - cols) <= 1e-12 * np.linalg.norm(cols)
+            # a matrix of directions gives the product column by column
+            batch = ev.hvp(np.eye(ev.work.dim))
+            assert np.linalg.norm(batch - cols) <= 1e-12 * np.linalg.norm(cols)
 
 
 def full_eigh_settles(h):
@@ -227,22 +242,55 @@ def check_probe(h):
     return direction
 
 
+def check_curvature(ev):
+    """ev.curvature decides as the full-eigh rule on the dense Hessian and
+    escapes along a unit direction that clears the rule's floor."""
+    from lrsdp.solver import CURV_FLOOR
+
+    h = ev.dense_hessian()
+    direction = ev.curvature
+    assert (direction is None) == full_eigh_settles(h)
+    if direction is not None:
+        w = np.linalg.eigvalsh(h)
+        assert abs(np.linalg.norm(direction) - 1.0) <= 1e-12
+        assert float(direction @ h @ direction) < -CURV_FLOOR * max(1.0, w[-1])
+    return direction
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Records one entry per scipy.linalg.eigh call the solver makes."""
+    """Records ("scipy" or "numpy", shape) per eigh call, by the solver or the test."""
     import scipy.linalg
 
     from lrsdp import solver
 
     calls = []
-    eigh = scipy.linalg.eigh
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return eigh(*args, **kwargs)
+    def spy(name, eigh):
+        def counting(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return eigh(a, *args, **kwargs)
+        return counting
 
-    monkeypatch.setattr(solver.scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(solver.scipy.linalg, "eigh", spy("scipy", scipy.linalg.eigh))
+    monkeypatch.setattr(solver.np.linalg, "eigh", spy("numpy", np.linalg.eigh))
     return calls
+
+
+@pytest.fixture
+def dense_probes(monkeypatch):
+    """Records the order of every Hessian the dense fallback ``_probe`` sees."""
+    from lrsdp import solver
+
+    orders = []
+    probe = solver._probe
+
+    def counting(h):
+        orders.append(h.shape[0])
+        return probe(h)
+
+    monkeypatch.setattr(solver, "_probe", counting)
+    return orders
 
 
 class TestCurvatureProbe:
@@ -263,18 +311,85 @@ class TestCurvatureProbe:
                         eigh_calls.clear()
                         escaped = check_probe(0.5 * (h + h.T)) is not None
                         escapes += escaped
-                        if len(eigh_calls) > 1:
+                        if sum(name == "scipy" for name, _ in eigh_calls) > 1:
                             needed_top.add(escaped)
         assert escapes == 24  # every -2e-8 case, no other
         assert needed_top == {False, True}
 
+    @pytest.mark.parametrize("top", [30.0, 1e3])
+    def test_curvature_decides_as_full_eigh_rule_near_the_floor(self, top, dense_probes):
+        # m = 0 and S = top u u^T + w0 v v^T + (top / 100) (the rest), u spread
+        # evenly, so H = 2 S (x) I_2 and max diag(H) < lambda_max(H) / 2: the
+        # slack bound cannot settle, the Ritz value is 2 w0 and the upper
+        # scale 2 top decides against the floor
+        u = np.ones(6) / np.sqrt(6.0)
+        v = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]) / np.sqrt(2.0)
+        rest = np.eye(6) - np.outer(u, u) - np.outer(v, v)
+        for shift, escapes in ((-0.5e-8, False), (-2e-8, True)):
+            cost = top * (np.outer(u, u) + shift * np.outer(v, v) + 0.01 * rest)
+            dense_probes.clear()
+            ev = eval_at(make_problem((6,), 1, 0, [cost], [], []), [2], 0)
+            assert (check_curvature(ev) is not None) == escapes
+            assert dense_probes == ([] if escapes else [12])
+
     def test_agrees_on_dense_hessians(self):
         escapes = 0
         for seed, (problem, ranks) in enumerate(jacobian_cases()):
-            ev = eval_at(problem, ranks, seed)
-            escapes += check_probe(ev.dense_hessian()) is not None
-            np.testing.assert_array_equal(ev.curvature, check_probe(ev.dense_hessian()))
+            escapes += check_curvature(eval_at(problem, ranks, seed)) is not None
         assert escapes  # random points carry negative curvature
+
+    def test_rank_deficient_escape_is_exact(self, dense_probes):
+        # H >= blockdiag(2 S_j (x) I_q, 0) and J (v z^T) = 0 for Y_j z = 0, so
+        # lambda_min(H) = 2 lambda_min(S) and the Ritz step attains it
+        ritz = 0
+        for seed in JACOBIAN_SEEDS:
+            problem, ranks = mixed_instance(seed)
+            st = problem.structure
+            if st.factorized_count == st.num_blocks or not st.free_dim:
+                continue  # keep cases with tail blocks and free variables
+            for point_seed in range(3):
+                ev = eval_at(problem, ranks, 10 * seed + point_seed, rank_deficient=True)
+                before = len(dense_probes)
+                direction = check_curvature(ev)
+                assert direction is not None
+                h = ev.dense_hessian()
+                lo = np.linalg.eigvalsh(h)[0]
+                slack_lo = 2.0 * min(np.linalg.eigvalsh(s)[0] for s in ev.S)
+                assert abs(float(direction @ h @ direction) - lo) <= 1e-10 * abs(lo)
+                assert abs(slack_lo - lo) <= 1e-10 * abs(lo)
+                ritz += len(dense_probes) == before
+        # the rest have V (x) R^q at least half the space and go to the dense probe
+        assert ritz >= 6
+
+    @pytest.mark.parametrize("escapes", [False, True])
+    def test_undecided_full_rank_point_takes_the_dense_fallback(self, escapes, dense_probes):
+        # slack diag(1, -1) or diag(1, 1, -1) at a full-rank Y = e_1 with
+        # A(Y Y^T) = b: the penalty rho |J u|^2 lifts every Ritz value above
+        # zero, so only the dense probe can settle (2x2) or escape (3x3)
+        if escapes:
+            rows = [
+                ([[[-1.0, 0.0, -0.5], [0.0, -2.0, 0.0], [-0.5, 0.0, -2.0]]], [], -1.0, "E"),
+                ([[[2.0, -0.5, 0.5], [-0.5, 0.0, -0.5], [0.5, -0.5, 1.0]]], [], 2.0, "E"),
+            ]
+            prob = make_problem((3,), 1, 0, [np.diag([1.0, 1.0, -1.0])], [], rows)
+            y = np.eye(3)[:, :1]
+        else:
+            rows = [([np.diag([0.0, 1.0])], [], 1.0, "E")]
+            prob = make_problem((2,), 1, 0, [np.diag([1.0, -1.0])], [], rows)
+            y = np.ones((2, 1))
+        ev = eval_point(prob, FactorizedPoint((y,), (), np.zeros(0)), np.zeros(len(rows)), 10.0)
+        assert np.linalg.norm(ev.c) == 0.0 and min(np.linalg.eigvalsh(ev.S[0])) < 0.0
+        assert (check_curvature(ev) is not None) == escapes
+        assert dense_probes == [ev.work.dim]
+
+    def test_slack_settled_point_never_calls_the_dense_probe(self, dense_probes):
+        for n in (6, 10):
+            state, _ = al_solve(maxcut_sdp(n, 0), [3], SolverConfig())
+            dense_probes.clear()
+            ev = eval_point(maxcut_sdp(n, 0), state.point, state.lam, state.rho)
+            assert min(np.linalg.eigvalsh(ev.S[0])) < 0.0  # settled by the floor, not by S >= 0
+            assert check_curvature(ev) is None
+            assert dense_probes == []
 
     def test_slack_hessian_equals_kron(self):
         from lrsdp.solver import _slack_hessian
@@ -300,7 +415,10 @@ class TestCurvatureProbe:
         y0 = FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0))
         ev = run_inner(prob, y0, np.zeros(1), 10.0, max_inner=2)
         np.testing.assert_allclose(np.abs(ev.work.unpack(ev.z)[0][0]), [[0.0], [0.25]])
-        assert len(eigh_calls) == 1
+        solve_calls = list(eigh_calls)
+        eigh_calls.clear()
+        assert eval_point(prob, y0, np.zeros(1), 10.0).curvature is not None
+        assert eigh_calls and solve_calls == eigh_calls  # the eigensolves of one probe
 
 
 class TestInnerMinimize:
