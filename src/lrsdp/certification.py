@@ -235,7 +235,7 @@ def _kkt_residuals(dp, point, mult, X, c, slack) -> KktResiduals:
 
     comp = float(np.max(np.abs(mult.values * c)[ineq], initial=0.0))
     for j in range(len(point.factors), len(X)):
-        comp = max(comp, abs(float(np.tensordot(S[j], X[j]))))
+        comp = max(comp, abs(float(np.vdot(S[j], X[j]))))
 
     sign = max(0.0, -float(np.min(mult.values[ineq], initial=0.0)))
     return KktResiduals(
@@ -475,32 +475,22 @@ def staircase_solve(
                     kernel_left -= 1
                     warm = (stepped, state.lam)
                     action = "kernel-escape"
-            if stepped is None:
-                blk = esc.block
-                can_grow = blk < len(cur_ranks) and cur_ranks[blk] < st.psd_sizes[blk]
-                if can_grow:
-                    trials = []
-                    for alpha in (0.3, 0.1, 0.03, 0.01, 1e-3):
-                        trials.append(append_column(state.point, blk, esc.vector, alpha))
-                    stepped = _escape_line_search(dp, state, trials)
-                    if stepped is None:
-                        stepped = append_column(state.point, blk, esc.vector, 1e-3)
-                    cur_ranks[blk] += 1
-                    warm = (stepped, state.lam)
-                    restarts_left = config.restarts
-                    kernel_left = 5
-                    action = "rank-increment"
-                elif restarts_left > 0:
-                    restarts_left -= 1
-                    cur_seed += 1
-                    warm = None
-                    action = "restart"
-        else:  # Indeterminate
-            if restarts_left > 0:
-                restarts_left -= 1
-                cur_seed += 1
-                warm = None
-                action = "restart"
+            blk = esc.block
+            if stepped is None and blk < len(cur_ranks) and cur_ranks[blk] < st.psd_sizes[blk]:
+                trials = [append_column(state.point, blk, esc.vector, alpha)
+                          for alpha in (0.3, 0.1, 0.03, 0.01, 1e-3)]
+                stepped = _escape_line_search(dp, state, trials)
+                cur_ranks[blk] += 1
+                warm = (stepped if stepped is not None else trials[-1], state.lam)
+                restarts_left = config.restarts
+                kernel_left = 5
+                action = "rank-increment"
+        # Indeterminate, or Escapable with no step taken and no room to grow
+        if action == "stop" and restarts_left > 0:
+            restarts_left -= 1
+            cur_seed += 1
+            warm = None
+            action = "restart"
 
         stages.append(
             StageRecord(

@@ -504,15 +504,25 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lrsdp", description="Certified low-rank SDP solver")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=_positive_float, default=1e-8)
         p.add_argument("--max-outer", type=_int_at_least(1), default=50, dest="max_outer")
-        p.add_argument("--restarts", type=int, default=3)
+        p.add_argument("--restarts", type=_int_at_least(0), default=3)
         p.add_argument("--out", default=None)
 
     ps = sub.add_parser("solve", help="staircase solve + certificate")
@@ -526,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("certify", help="certificate for a given point")
     pc.add_argument("path")
     pc.add_argument("point")
-    pc.add_argument("--cert-tol", type=float, default=CERT_TOL, dest="cert_tol")
+    pc.add_argument("--cert-tol", type=_positive_float, default=CERT_TOL, dest="cert_tol")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_certify)
 

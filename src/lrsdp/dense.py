@@ -83,7 +83,7 @@ class DenseProblem:
         return np.hstack(parts) if parts else np.zeros((r, 0))
 
     def objective(self, blocks: list[np.ndarray], x: np.ndarray) -> float:
-        val = sum(float(np.tensordot(c, xb)) for c, xb in zip(self.C, blocks))
+        val = sum(float(np.vdot(c, xb)) for c, xb in zip(self.C, blocks))
         if self.d:
             val += float(self.c_free @ x)
         return val

@@ -252,9 +252,8 @@ def _ipm(data: _IpmData, tol: float, max_iter: int):
     )
 
 
-def _feasibility_gap(problem: ConicSdpProblem, tol: float = 1e-8) -> float:
+def _feasibility_gap(dp: DenseProblem, tol: float = 1e-8) -> float:
     """Big-M phase: min theta with A(X) - s + theta*v = b; 0 iff feasible."""
-    dp = densify(problem)
     data = _IpmData(dp)
     # strictly feasible start (I, s=1, theta=1) by construction of v
     resid = data.b.copy()
@@ -286,7 +285,7 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
     try:
         X, lam, S, x, it, pobj, dobj = _ipm(data, tol, max_iter)
     except (MaxIterationsError, np.linalg.LinAlgError) as exc:
-        theta = _feasibility_gap(problem)
+        theta = _feasibility_gap(dp)
         if theta > 1e-7 * (1.0 + float(np.linalg.norm(dp.b, np.inf))):
             raise NotStrictlyFeasibleError(
                 f"feasibility phase residual {theta:.3e}"

@@ -13,11 +13,11 @@ rows and 0 elsewhere, and a Hessian-vector product is 2 S_j U_j + J^T (w * J u).
 The probe reads the slack matrices S_j first: it settles when their smallest
 eigenvalue bounds lambda_min(H) above the floor, and escapes along a
 Rayleigh-Ritz direction built from their negative eigenvectors when that
-clears the floor.  Only points neither test decides assemble the dense H for
-a partial LAPACK eigensolve of lambda_min (``_probe``), as do points whose
-negative slack eigenspace fills half the variable space or more.  The probe runs at
-most once per evaluation point: a rejected escape step shrinks the radius and
-reuses the direction.
+clears the floor.  Only points neither test decides, and points whose
+negative slack eigenspace fills half the variable space or more, form H as
+the Hessian-vector product of the identity and decide from its full
+eigendecomposition (``_probe``).  The probe runs at most once per evaluation
+point: a rejected escape step shrinks the radius and reuses the direction.
 
 Tail PSD blocks are parameterized internally at full rank (any PSD matrix of
 size n factors at rank n), so one variable layout serves every block; the
@@ -36,7 +36,6 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
 
 from .dense import DenseProblem, densify
 from .factorization import FactorizedPoint, factor
@@ -85,6 +84,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be at least 0, got {self.restarts}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,25 +133,6 @@ def _internal_factors(point: FactorizedPoint) -> list[np.ndarray]:
     return ys
 
 
-def _slack_hessian(S, qs, dim: int) -> np.ndarray:
-    """blockdiag_j kron(2 S_j, I_q_j), zero-padded to dim.
-
-    This is the Hessian of sum_j <S_j, Y_j Y_j^T> in the row-major
-    (Y_1, ..., x) layout, for the leading len(S) blocks.  Entry (a q + i,
-    b q + k) of block j is 2 S_j[a, b] when i == k, so 2 S_j is written into
-    the q diagonal sub-blocks of the block's (n, q, n, q) view.
-    """
-    h = np.zeros((dim, dim))
-    off = 0
-    for s, q in zip(S, qs):
-        n = s.shape[0]
-        size = n * q
-        diag = np.arange(q)
-        h[off:off + size, off:off + size].reshape(n, q, n, q)[:, diag, :, diag] = 2.0 * s
-        off += size
-    return h
-
-
 # the probe settles when lambda_min >= -CURV_FLOOR * max(|lambda_min|, |lambda_max|, 1)
 CURV_FLOOR = 1e-8
 
@@ -156,25 +140,11 @@ CURV_FLOOR = 1e-8
 def _probe(h: np.ndarray) -> np.ndarray | None:
     """Unit eigenvector of lambda_min(h), or None when h settles.
 
-    Only lambda_min is computed (LAPACK syevr on one index).  lambda_max
-    enters the settle rule through its scale alone, so it is bracketed by
-    max diag(h) <= lambda_max <= max row-sum |h| and computed only when
-    that bracket leaves the decision open.
+    The floor's scale reads max(1, lambda_max): for lambda_min < 0 the
+    |lambda_min| term of the rule never decides.
     """
-    w, v = scipy.linalg.eigh(h, subset_by_index=[0, 0], check_finite=False)
-    lo = float(w[0])
-    if lo >= 0.0:
-        return None
-    # for lo < 0, max(|lo|, |lambda_max|, 1) == max(|lo|, lambda_max, 1)
-    base = max(-lo, 1.0)
-    if -lo <= CURV_FLOOR * max(base, float(np.max(np.diag(h)))):
-        return None
-    if -lo > CURV_FLOOR * max(base, float(np.max(np.sum(np.abs(h), axis=1)))):
-        return v[:, 0]
-    dim = h.shape[0]
-    hi = scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=[dim - 1, dim - 1],
-                           check_finite=False)
-    return None if -lo <= CURV_FLOOR * max(base, float(hi[0])) else v[:, 0]
+    w, v = np.linalg.eigh(h)
+    return None if -w[0] <= CURV_FLOOR * max(1.0, w[-1]) else v[:, 0]
 
 
 class _Work:
@@ -216,9 +186,10 @@ class _Work:
         return ys, z[self.free_off:]
 
     def to_point(self, z) -> FactorizedPoint:
+        """z as a point: tails held as factors are lifted, tails held as matrices kept."""
         ys, x = self.unpack(z)
-        k = self.dp.k
-        tails = tuple(SymmetricMatrix.from_dense(y @ y.T) for y in ys[k:])
+        k, nf = self.dp.k, self.nf
+        tails = tuple(SymmetricMatrix.from_dense(t) for t in [y @ y.T for y in ys[k:nf]] + ys[nf:])
         return FactorizedPoint(tuple(np.array(y) for y in ys[:k]), tails, np.array(x))
 
 
@@ -278,12 +249,6 @@ class _Eval:
             out[off:off + n * q] += (2.0 * s @ uj.reshape(n, -1)).reshape(uj.shape)
         return out
 
-    def dense_hessian(self) -> np.ndarray:
-        work = self.work
-        h = _slack_hessian(self.S[:work.nf], work.qs, work.dim)
-        h += self.J.T @ (self.hvp_weight[:, None] * self.J)
-        return 0.5 * (h + h.T)
-
     @cached_property
     def curvature(self) -> np.ndarray | None:
         """The probe at this point, computed once: None when it settles, else
@@ -304,7 +269,7 @@ class _Eval:
            Ritz value is 2 lambda_min(S) = lambda_min(H); H B adds the part of
            a direction that cancels its constraint term J u, which the
            penalty makes costly.
-        3. Otherwise assemble the dense Hessian for ``_probe``.
+        3. Otherwise decide on the dense H = hvp(I) with ``_probe``.
         """
         work = self.work
         eigs = [np.linalg.eigh(s) for s in self.S[:work.nf]]
@@ -334,7 +299,7 @@ class _Eval:
             hi = max(2.0 * max(float(lam[-1]) for lam, _ in eigs), 0.0) + self.rho * top_j
             if -float(theta[0]) > CURV_FLOOR * max(1.0, hi):
                 return q_mat @ c[:, 0]
-        return _probe(self.dense_hessian())
+        return _probe(self.hvp(np.eye(work.dim)))
 
     def infeasibility(self) -> float:
         viol = np.where(self.work.dp.eq_mask, self.c, np.minimum(self.c, 0.0))
@@ -379,39 +344,26 @@ def _steihaug(g: np.ndarray, hvp, delta: float, max_cg: int):
 
 
 def _inner(ev: _Eval, tol, max_iter):
-    """Trust-region Newton on the AL from ev's point; returns (eval, accepted, stalled)."""
+    """Trust-region Newton on the AL from ev's point; returns (eval, accepted)."""
     work = ev.work
     delta = TR_RADIUS_INIT
     accepted = 0
-
-    it = 0
-    while it < max_iter:
-        it += 1
+    for _ in range(max_iter):
         g = ev.grad
-        gnorm = float(np.linalg.norm(g))
-        step = None
-        if gnorm <= tol:
+        if float(np.linalg.norm(g)) <= tol:
             # gradient is flat: probe the spectrum for escapable curvature
             direction = ev.curvature
             if direction is None:
                 break
-            if float(g @ direction) > 0.0:
-                direction = -direction
-            step = delta * direction
-            model_dec = -(float(g @ step) + 0.5 * float(step @ ev.hvp(step)))
+            step = delta * (-direction if float(g @ direction) > 0.0 else direction)
         else:
             step = _steihaug(g, ev.hvp, delta, max_cg=2 * work.dim)
-            model_dec = -(float(g @ step) + 0.5 * float(step @ ev.hvp(step)))
+        model_dec = -(float(g @ step) + 0.5 * float(step @ ev.hvp(step)))
 
-        if model_dec <= 0.0 or not np.all(np.isfinite(step)):
-            delta *= 0.25
-            if delta < 1e-13 * (1.0 + float(np.linalg.norm(ev.z))):
-                return ev, accepted, True
-            continue
-
-        ev_trial = _Eval(work, ev.z + step, ev.lam, ev.rho)
-        ratio = (ev.value - ev_trial.value) / model_dec
-
+        ratio = -np.inf  # a step the model cannot rank is rejected
+        if 0.0 < model_dec < np.inf:
+            ev_trial = _Eval(work, ev.z + step, ev.lam, ev.rho)
+            ratio = (ev.value - ev_trial.value) / model_dec
         if ratio >= 0.1:
             ev = ev_trial
             accepted += 1
@@ -420,8 +372,8 @@ def _inner(ev: _Eval, tol, max_iter):
         elif ratio < 0.1:
             delta *= 0.25
             if delta < 1e-13 * (1.0 + float(np.linalg.norm(ev.z))):
-                return ev, accepted, True
-    return ev, accepted, it >= max_iter
+                break
+    return ev, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +389,6 @@ def _public_eval(dp: DenseProblem, point: FactorizedPoint, lam, rho) -> _Eval:
     return _Eval(work, z, np.asarray(lam, dtype=float), rho)
 
 
-def _public_point(work: _Work, z: np.ndarray) -> FactorizedPoint:
-    ys, x = work.unpack(z)
-    k = work.dp.k
-    return FactorizedPoint(
-        tuple(ys[:k]), tuple(SymmetricMatrix.from_dense(t) for t in ys[k:]), x
-    )
-
-
 def al_value_grad(dp: DenseProblem, point: FactorizedPoint, lam, rho: float):
     """Augmented-Lagrangian value and gradient on the problem's dense view.
 
@@ -453,7 +397,7 @@ def al_value_grad(dp: DenseProblem, point: FactorizedPoint, lam, rho: float):
     slack for the free variables.
     """
     ev = _public_eval(dp, point, lam, rho)
-    return ev.value, _public_point(ev.work, ev.grad)
+    return ev.value, ev.work.to_point(ev.grad)
 
 
 def al_hessian_vector(
@@ -469,17 +413,14 @@ def al_hessian_vector(
     hu = ev.hvp(ev.work.pack(us, np.asarray(direction.free, dtype=float)))
     if not np.all(np.isfinite(hu)):
         raise NumericalFailure("non-finite Hessian-vector product")
-    return _public_point(ev.work, hu)
+    return ev.work.to_point(hu)
 
 
 def _initial_z(work: _Work, rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
     # i.i.d. normal factors scaled so lifted diagonals start near the rhs scale
     theta = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    ys = []
-    for n, q in work.shapes:
-        ys.append(rng.standard_normal((n, q)) * np.sqrt(theta / q))
-    x = np.zeros(work.dp.d)
-    return work.pack(ys, x)
+    ys = [rng.standard_normal((n, q)) * np.sqrt(theta / q) for n, q in work.shapes]
+    return work.pack(ys, np.zeros(work.dp.d))
 
 
 def al_solve(
@@ -523,7 +464,7 @@ def al_solve(
     state = None
     for outer in range(1, config.max_outer + 1):
         tol_inner = max(config.tol, 0.1 * best_infeas)
-        ev, accepted, _ = _inner(ev, tol_inner, MAX_INNER)
+        ev, accepted = _inner(ev, tol_inner, MAX_INNER)
         lam_prev, lam = lam, np.clip(ev.lam_tilde, -DUAL_CAP, DUAL_CAP)
         infeas = ev.infeasibility()
         stationarity = float(np.linalg.norm(ev.grad))
@@ -544,7 +485,6 @@ def al_solve(
             objective=ev.sdp_objective,
             infeasibility=infeas,
             stationarity=stationarity,
-            converged=True,
         )
         stat_tol = config.tol * kkt_scales(dp, lam)[0]
         if infeas <= feas_tol and stationarity <= stat_tol:

@@ -155,12 +155,25 @@ class TestFlagValidation:
             ["experiment", "licq", "--trials", "0"],
             ["experiment", "adversarial", "--n", "4", "--p", "4"],
             ["experiment", "genericity", "--m", "-1"],
+            ["solve", "{path}", "--tol", "0"],
+            ["solve", "{path}", "--tol", "-1"],
+            ["solve", "{path}", "--tol", "nan"],
+            ["solve", "{path}", "--tol", "inf"],
+            ["solve", "{path}", "--restarts", "-2"],
+            ["experiment", "genericity", "--tol", "0"],
+            ["certify", "{path}", "{point}", "--cert-tol", "0"],
+            ["certify", "{path}", "{point}", "--cert-tol", "nan"],
         ],
         ids=["rank-count", "rank-empty", "max-outer-0", "genericity-trials-0",
-             "licq-trials-0", "adversarial-p-equals-n", "genericity-m-negative"],
+             "licq-trials-0", "adversarial-p-equals-n", "genericity-m-negative",
+             "tol-0", "tol-negative", "tol-nan", "tol-inf", "restarts-negative",
+             "genericity-tol-0", "cert-tol-0", "cert-tol-nan"],
     )
-    def test_bad_flag_exits_one_with_error_line(self, trivial_file, argv):
-        code, out, err = run_cli([a.format(path=trivial_file) for a in argv])
+    def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv):
+        point = os.path.join(tmp_path, "trivial.point")
+        e1 = np.array([[1.0], [0.0]])
+        open(point, "w").write(write_point(FactorizedPoint((e1,), (), np.zeros(0))))
+        code, out, err = run_cli([a.format(path=trivial_file, point=point) for a in argv])
         assert code == 1
         assert out == ""
         assert "error:" in err

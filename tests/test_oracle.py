@@ -63,7 +63,16 @@ class TestInteriorPoint:
             cert = certify(dp, pt, [mult], cert_tol=1e-4)
             assert cert.verdict == "GlobalOptimal"
 
-    def test_infeasible_problem_reports(self):
+    def test_infeasible_problem_reports(self, monkeypatch):
+        from lrsdp import oracle
+
+        calls = []
+
+        def counting(problem):
+            calls.append(problem)
+            return densify(problem)
+
+        monkeypatch.setattr(oracle, "densify", counting)
         e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
         prob = make_problem(
             (2,), 1, 0, [np.eye(2)], [],
@@ -71,6 +80,7 @@ class TestInteriorPoint:
         )
         with pytest.raises((NotStrictlyFeasibleError, MaxIterationsError)):
             oracle_solve(prob)
+        assert len(calls) == 1  # the feasibility phase reuses the solve's view
 
     def test_deterministic(self):
         prob = generate_random(BlockStructure((5, 3), 2, 1), 6, "EEEEEI", 5)
