@@ -221,7 +221,7 @@ def _config_summary(cfg: SolverConfig, rank_override) -> dict:
     }
 
 
-def _report_payload(problem, report, cfg, rank_override, timing: bool, oracle_obj=None) -> dict:
+def _report_payload(problem, report, cfg, rank_override, timing: bool) -> dict:
     trace = [
         {
             "rank": list(st.ranks),
@@ -241,8 +241,6 @@ def _report_payload(problem, report, cfg, rank_override, timing: bool, oracle_ob
         "time_ms": report.time_s * 1e3 if timing else None,
         "seed": report.seed,
     }
-    if oracle_obj is not None:
-        final["oracle_objective"] = oracle_obj
     return {
         "problem": _problem_summary(problem),
         "config": _config_summary(cfg, rank_override),
@@ -254,6 +252,18 @@ def _report_payload(problem, report, cfg, rank_override, timing: bool, oracle_ob
         "trace": trace,
         "final": final,
     }
+
+
+def _oracle_objective(problem: ConicSdpProblem) -> float | None:
+    """The interior-point oracle's optimum, or None with a warning line on
+    stderr when it stalls or finds no strictly feasible point."""
+    from .oracle import MaxIterationsError, NotStrictlyFeasibleError, oracle_solve
+
+    try:
+        return oracle_solve(problem).objective
+    except (MaxIterationsError, NotStrictlyFeasibleError) as exc:
+        print(f"warning: oracle: {exc}", file=sys.stderr)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +286,9 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
     report = staircase_solve(problem, cfg, ranks=ranks)
 
-    oracle_obj = None
+    payload = _report_payload(problem, report, cfg, ranks, args.timing)
     if args.oracle:
-        from .oracle import oracle_solve
-
-        oracle_obj = oracle_solve(problem).objective
-
-    payload = _report_payload(problem, report, cfg, ranks, args.timing, oracle_obj)
+        payload["final"]["oracle_objective"] = _oracle_objective(problem)
     _write_output(format_report(payload), args.out)
     return EXIT_OK if report.verdict == "GlobalOptimal" else EXIT_NOT_CERTIFIED
 
@@ -396,11 +402,11 @@ def cmd_experiment(args) -> int:
                 "certified_first_rank": first_rank,
             }
             if args.oracle:
-                from .oracle import oracle_solve
-
-                obj = oracle_solve(problem).objective
+                obj = _oracle_objective(problem)
                 rec["oracle_objective"] = obj
-                rec["matches_oracle"] = abs(report.objective - obj) <= 1e-5 * (1.0 + abs(obj))
+                rec["matches_oracle"] = obj is not None and (
+                    abs(report.objective - obj) <= 1e-5 * (1.0 + abs(obj))
+                )
             return rec
 
         records = [trial(t) for t in range(args.trials)]
@@ -519,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--tol", type=_positive_float, default=1e-8)
         p.add_argument("--max-outer", type=_int_at_least(1), default=50, dest="max_outer")
         p.add_argument("--restarts", type=_int_at_least(0), default=3)

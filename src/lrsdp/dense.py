@@ -4,8 +4,9 @@ Constraint blocks are stored sparse in the model; the local solver, the
 certification routines and the interior-point oracle all want stacked dense
 arrays.  ``DenseProblem`` is that one conversion, and its ``apply``,
 ``adjoint``, ``slack`` and ``jacobian`` are the one constraint operator: the
-solver and the certifier evaluate A(X), A*(lambda) and C - A*(lambda) through
-the same view.
+solver, the certifier and the interior-point oracle evaluate A(X),
+A*(lambda) and C - A*(lambda) through the same view (the oracle on an
+equality-form copy that holds the inequality slacks as one more block).
 
 Callers build the view and pass it down.  Only these build one:
 ``staircase_solve`` once per solve, for every certificate check and escape

@@ -1,11 +1,12 @@
 """Independent ground-truth solvers for desk-scale problems.
 
 ``oracle_solve`` is a dense primal-dual path-following interior-point method
-(Mehrotra predictor-corrector, HKM direction) on the equality-form problem;
-inequality rows are converted to 1x1 PSD slack blocks, free variables are
-eliminated directly from the Schur system.  It anchors every derived test
-value in the suite, so it is deliberately boring: dense factorizations, no
-randomness, fraction-to-boundary 0.99.
+(Mehrotra predictor-corrector, HKM direction) on the equality-form problem:
+the inequality slacks are one extra diagonal PSD block, and free variables are
+eliminated directly from the Schur system.  Residuals, objective and search
+directions go through the ``DenseProblem`` operator the solver and certifier
+use.  It anchors every derived test value in the suite, so it is deliberately
+boring: dense factorizations, no randomness, fraction-to-boundary 0.99.
 
 ``brute_force_2x2`` is a second, structurally unrelated oracle for single
 2x2-block problems: it sweeps the eigenbasis angle on a fine grid and solves
@@ -14,7 +15,7 @@ the remaining two-variable linear program exactly at each angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -88,67 +89,60 @@ def _pd_inverse(a: np.ndarray) -> np.ndarray:
         return (v / w) @ v.T
 
 
-class _IpmData:
-    """Equality-form instance: original blocks plus 1x1 slack blocks."""
+def _equality_form(dp: DenseProblem) -> DenseProblem:
+    """The view with every row an equality: the s inequality slacks are one
+    extra s x s block, whose data on the k-th inequality row is -e_k e_k^T.
 
-    def __init__(self, dp: DenseProblem):
-        self.dp = dp
-        self.ineq = np.flatnonzero(dp.ineq_mask)
-        self.sizes = list(dp.sizes) + [1] * self.ineq.size
-        self.C = [c.copy() for c in dp.C] + [np.zeros((1, 1)) for _ in self.ineq]
-        self.A = [a.copy() for a in dp.A]
-        for i in self.ineq:
-            slack = np.zeros((dp.m, 1, 1))
-            slack[i, 0, 0] = -1.0
-            self.A.append(slack)
-        self.Af = dp.Af
-        self.c_free = dp.c_free
-        self.b = dp.b
-        self.d = dp.d
-        self.m = dp.m
-        self.nblocks = len(self.sizes)
-        self.ntotal = sum(self.sizes)
-
-
-def _ipm(data: _IpmData, tol: float, max_iter: int):
-    if data.ntotal == 0:
-        raise ValueError("interior-point solve needs at least one PSD block")
-    m, d = data.m, data.d
-    scale_b = 1.0 + float(np.linalg.norm(data.b, np.inf)) if m else 1.0
-    scale_c = 1.0 + max(
-        [float(np.linalg.norm(c)) for c in data.C] + [float(np.linalg.norm(data.c_free))]
+    The block's data and starting point are diagonal, so every HKM update
+    keeps it exactly diagonal.  With no inequality rows the view comes back
+    as it is, so no 0x0 block reaches ``_max_step``.
+    """
+    ineq = np.flatnonzero(dp.ineq_mask)
+    s = ineq.size
+    if s == 0:
+        return dp
+    slack = np.zeros((dp.m, s, s))
+    slack[ineq, np.arange(s), np.arange(s)] = -1.0
+    return replace(
+        dp,
+        sizes=dp.sizes + (s,),
+        C=dp.C + [np.zeros((s, s))],
+        A=dp.A + [slack],
+        eq_mask=np.ones(dp.m, dtype=bool),
     )
 
-    eta_p = max(1.0, float(np.linalg.norm(data.b)) / max(1.0, np.sqrt(max(m, 1))))
+
+def _ipm(dp: DenseProblem, tol: float, max_iter: int):
+    """Path-following solve of an equality-form view (``_equality_form``)."""
+    N = float(sum(dp.sizes))
+    if N == 0:
+        raise ValueError("interior-point solve needs at least one PSD block")
+    m, d = dp.m, dp.d
+    scale_b = 1.0 + float(np.linalg.norm(dp.b, np.inf)) if m else 1.0
+    scale_c = 1.0 + max(
+        [float(np.linalg.norm(c)) for c in dp.C] + [float(np.linalg.norm(dp.c_free))]
+    )
+
+    eta_p = max(1.0, float(np.linalg.norm(dp.b)) / max(1.0, np.sqrt(max(m, 1))))
     eta_d = scale_c
-    X = [eta_p * np.eye(n) for n in data.sizes]
-    S = [eta_d * np.eye(n) for n in data.sizes]
+    X = [eta_p * np.eye(n) for n in dp.sizes]
+    S = [eta_d * np.eye(n) for n in dp.sizes]
     lam = np.zeros(m)
     x = np.zeros(d)
 
-    N = float(data.ntotal)
     it = 0
     best = None
     best_measure = np.inf
     stagnant = 0
     for it in range(1, max_iter + 1):
-        r_p = data.b - np.array(
-            [sum(np.tensordot(data.A[j][i], X[j]) for j in range(data.nblocks)) for i in range(m)]
-        )
-        if d:
-            r_p -= data.Af @ x
-        R_d = [
-            data.C[j] - S[j] - np.einsum("i,iab->ab", lam, data.A[j])
-            for j in range(data.nblocks)
-        ]
-        r_f = data.c_free - data.Af.T @ lam if d else np.zeros(0)
+        r_p = dp.b - dp.apply(X, x)
+        slack, r_f = dp.slack(lam)
+        R_d = [sl - s_ for sl, s_ in zip(slack, S)]
 
-        gap = sum(float(np.tensordot(X[j], S[j])) for j in range(data.nblocks))
+        gap = sum(float(np.vdot(x_, s_)) for x_, s_ in zip(X, S))
         mu = gap / N
-        pobj = sum(float(np.tensordot(data.C[j], X[j])) for j in range(data.nblocks))
-        if d:
-            pobj += float(data.c_free @ x)
-        dobj = float(data.b @ lam)
+        pobj = dp.objective(X, x)
+        dobj = float(dp.b @ lam)
 
         pinf = float(np.linalg.norm(r_p, np.inf)) / scale_b
         dinf = max(
@@ -171,16 +165,17 @@ def _ipm(data: _IpmData, tol: float, max_iter: int):
             if stagnant >= 12:
                 break
 
-        Sinv = [_pd_inverse(S[j]) for j in range(data.nblocks)]
+        Sinv = [_pd_inverse(s_) for s_ in S]
 
-        # Schur complement M[i,l] = sum_j <A_ij, sym(X_j A_lj Sinv_j)>
-        T = []  # per block: (m, n, n) array of sym(X A_l Sinv)
-        for j in range(data.nblocks):
-            t = np.einsum("ab,ibc,cd->iad", X[j], data.A[j], Sinv[j])
-            T.append(0.5 * (t + np.transpose(t, (0, 2, 1))))
+        # Schur complement M[i,l] = sum_j <A_ij, T_lj>, T_lj = sym(X_j A_lj Sinv_j);
+        # explicit shapes: with m = 0 a -1 in a reshape is ambiguous
+        T = []
         M = np.zeros((m, m))
-        for j in range(data.nblocks):
-            M += np.einsum("iab,lab->il", data.A[j], T[j])
+        for a, x_, si, n in zip(dp.A, X, Sinv, dp.sizes):
+            t = x_ @ a @ si
+            t = 0.5 * (t + np.transpose(t, (0, 2, 1)))
+            T.append(t)
+            M += a.reshape(m, n * n) @ t.reshape(m, n * n).T
         M = _sym(M)
 
         try:
@@ -198,31 +193,30 @@ def _ipm(data: _IpmData, tol: float, max_iter: int):
             if d == 0:
                 return msolve(h), np.zeros(0)
             y1 = msolve(h)
-            Y2 = np.column_stack([msolve(data.Af[:, t]) for t in range(d)])
-            small = data.Af.T @ Y2
-            dx = np.linalg.solve(small, data.Af.T @ y1 - rf)
+            Y2 = np.column_stack([msolve(dp.Af[:, t]) for t in range(d)])
+            small = dp.Af.T @ Y2
+            dx = np.linalg.solve(small, dp.Af.T @ y1 - rf)
             return y1 - Y2 @ dx, dx
 
         def directions(K: list[np.ndarray]):
-            W = [
-                _sym(K[j] - X[j] @ R_d[j] @ Sinv[j])
-                for j in range(data.nblocks)
-            ]
-            h = r_p.copy()
-            for j in range(data.nblocks):
-                h -= np.einsum("iab,ab->i", data.A[j], W[j])
-            dlam, dx = solve_kkt(h, r_f)
-            dS = [R_d[j] - np.einsum("i,iab->ab", dlam, data.A[j]) for j in range(data.nblocks)]
-            dX = [W[j] + np.einsum("i,iab->ab", dlam, T[j]) for j in range(data.nblocks)]
+            W = [_sym(k - x_ @ rd @ si) for k, x_, rd, si in zip(K, X, R_d, Sinv)]
+            dlam, dx = solve_kkt(r_p - dp.apply(W, np.zeros(d)), r_f)
+            adj, _ = dp.adjoint(dlam)
+            dS = [rd - a for rd, a in zip(R_d, adj)]
+            dX = [w + np.tensordot(dlam, t, axes=1) for w, t in zip(W, T)]
             return dX, dlam, dS, dx
 
+        def steps(dX, dS):
+            ap = min(1.0, 0.99 * min(_max_step(x_, dx_) for x_, dx_ in zip(X, dX)))
+            ad = min(1.0, 0.99 * min(_max_step(s_, ds_) for s_, ds_ in zip(S, dS)))
+            return ap, ad
+
         # predictor (affine scaling)
-        dX, dlam, dS, dx = directions([-X[j] for j in range(data.nblocks)])
-        ap = min(1.0, 0.99 * min(_max_step(X[j], dX[j]) for j in range(data.nblocks)))
-        ad = min(1.0, 0.99 * min(_max_step(S[j], dS[j]) for j in range(data.nblocks)))
+        dX, dlam, dS, dx = directions([-x_ for x_ in X])
+        ap, ad = steps(dX, dS)
         mu_aff = sum(
-            float(np.tensordot(X[j] + ap * dX[j], S[j] + ad * dS[j]))
-            for j in range(data.nblocks)
+            float(np.vdot(x_ + ap * dx_, s_ + ad * ds_))
+            for x_, dx_, s_, ds_ in zip(X, dX, S, dS)
         ) / N
         sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
         # centering floor: never let complementarity outrun feasibility, or the
@@ -230,17 +224,12 @@ def _ipm(data: _IpmData, tol: float, max_iter: int):
         sigma = max(sigma, min(0.5, 0.1 * max(pinf, dinf) / max(relgap, 1e-300)))
 
         # corrector
-        K = [
-            sigma * mu * Sinv[j] - X[j] - dX[j] @ dS[j] @ Sinv[j]
-            for j in range(data.nblocks)
-        ]
+        K = [sigma * mu * si - x_ - dx_ @ ds_ @ si for si, x_, dx_, ds_ in zip(Sinv, X, dX, dS)]
         dX, dlam, dS, dx = directions(K)
-        ap = min(1.0, 0.99 * min(_max_step(X[j], dX[j]) for j in range(data.nblocks)))
-        ad = min(1.0, 0.99 * min(_max_step(S[j], dS[j]) for j in range(data.nblocks)))
+        ap, ad = steps(dX, dS)
 
-        for j in range(data.nblocks):
-            X[j] = _sym(X[j] + ap * dX[j])
-            S[j] = _sym(S[j] + ad * dS[j])
+        X = [_sym(x_ + ap * dx_) for x_, dx_ in zip(X, dX)]
+        S = [_sym(s_ + ad * ds_) for s_, ds_ in zip(S, dS)]
         lam = lam + ad * dlam
         if d:
             x = x + ap * dx
@@ -252,23 +241,20 @@ def _ipm(data: _IpmData, tol: float, max_iter: int):
     )
 
 
-def _feasibility_gap(dp: DenseProblem, tol: float = 1e-8) -> float:
-    """Big-M phase: min theta with A(X) - s + theta*v = b; 0 iff feasible."""
-    data = _IpmData(dp)
-    # strictly feasible start (I, s=1, theta=1) by construction of v
-    resid = data.b.copy()
-    for j, a in enumerate(data.A):
-        resid -= np.trace(a, axis1=1, axis2=2) * 1.0  # <A_ij, I>
-    theta_col = np.zeros((data.m, 1, 1))
-    theta_col[:, 0, 0] = resid
-    data.sizes.append(1)
-    data.A.append(theta_col)
-    data.C = [0.0 * c for c in data.C] + [np.array([[1.0]])]
-    data.c_free = np.zeros(data.d)
-    data.nblocks += 1
-    data.ntotal += 1
+def _feasibility_gap(eqf: DenseProblem, tol: float = 1e-8) -> float:
+    """Big-M phase on an equality-form view: min theta with
+    A(X) + a.x + theta*v = b; 0 iff feasible."""
+    # strictly feasible start (X = I, x = 0, theta = 1) by construction of v
+    v = eqf.b - eqf.apply([np.eye(n) for n in eqf.sizes], np.zeros(eqf.d))
+    phase = replace(
+        eqf,
+        sizes=eqf.sizes + (1,),
+        C=[np.zeros_like(c) for c in eqf.C] + [np.ones((1, 1))],
+        A=eqf.A + [v.reshape(eqf.m, 1, 1)],
+        c_free=np.zeros(eqf.d),
+    )
     try:
-        X, lam, S, x, it, pobj, dobj = _ipm(data, tol, 200)
+        X, lam, S, x, it, pobj, dobj = _ipm(phase, tol, 200)
     except MaxIterationsError:
         return np.inf
     return float(X[-1][0, 0])
@@ -281,11 +267,11 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
     instance as (near-)infeasible, MaxIterationsError otherwise on stall.
     """
     dp = densify(problem)
-    data = _IpmData(dp)
+    eqf = _equality_form(dp)
     try:
-        X, lam, S, x, it, pobj, dobj = _ipm(data, tol, max_iter)
+        X, lam, S, x, it, pobj, dobj = _ipm(eqf, tol, max_iter)
     except (MaxIterationsError, np.linalg.LinAlgError) as exc:
-        theta = _feasibility_gap(dp)
+        theta = _feasibility_gap(eqf)
         if theta > 1e-7 * (1.0 + float(np.linalg.norm(dp.b, np.inf))):
             raise NotStrictlyFeasibleError(
                 f"feasibility phase residual {theta:.3e}"
@@ -450,12 +436,12 @@ def brute_force_2x2(problem: ConicSdpProblem, grid: int = 10000, refine_rounds: 
             x = np.array([[xv[0], xv[1]], [xv[1], xv[2]]])
             if np.linalg.norm(emat @ xv - b[eq_idx]) > 1e-7 * (1.0 + np.abs(b).max()):
                 return np.inf
-            vals = np.einsum("iab,ab->i", A, x)
+            vals = dp.apply([x], np.zeros(0))
             if np.any(np.abs((vals - b)[eq]) > 1e-7) or np.any((vals - b)[~eq] < -1e-7):
                 return np.inf
             if np.linalg.eigvalsh(x).min() < -1e-9 * (1.0 + abs(x).max()):
                 return np.inf
-            return float(np.tensordot(C, x))
+            return dp.objective([x], np.zeros(0))
 
     def values(thetas: np.ndarray) -> np.ndarray:
         rows = _rotated(A, thetas)

@@ -137,6 +137,21 @@ class TestSolveCommand:
         report = json.loads(out)
         assert report["final"]["oracle_objective"] == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.parametrize("error", ["MaxIterationsError", "NotStrictlyFeasibleError"])
+    def test_oracle_failure_reports_null_with_warning(self, trivial_file, monkeypatch, error):
+        import lrsdp.oracle as oracle
+
+        def failing(problem, *args, **kwargs):
+            raise getattr(oracle, error)("stalled after 26 iterations")
+
+        monkeypatch.setattr(oracle, "oracle_solve", failing)
+        code, out, err = run_cli(["solve", trivial_file, "--oracle"])
+        assert code == 0  # the exit code follows the verdict
+        final = json.loads(out)["final"]
+        assert final["verdict"] == "GlobalOptimal"
+        assert "oracle_objective" in final and final["oracle_objective"] is None
+        assert err == "warning: oracle: stalled after 26 iterations\n"
+
     def test_timing_off_by_default(self, trivial_file):
         _, out, _ = run_cli(["solve", trivial_file])
         assert json.loads(out)["final"]["time_ms"] is None
@@ -163,11 +178,14 @@ class TestFlagValidation:
             ["experiment", "genericity", "--tol", "0"],
             ["certify", "{path}", "{point}", "--cert-tol", "0"],
             ["certify", "{path}", "{point}", "--cert-tol", "nan"],
+            ["solve", "{path}", "--seed", "-1"],
+            ["experiment", "licq", "--seed", "-1"],
         ],
         ids=["rank-count", "rank-empty", "max-outer-0", "genericity-trials-0",
              "licq-trials-0", "adversarial-p-equals-n", "genericity-m-negative",
              "tol-0", "tol-negative", "tol-nan", "tol-inf", "restarts-negative",
-             "genericity-tol-0", "cert-tol-0", "cert-tol-nan"],
+             "genericity-tol-0", "cert-tol-0", "cert-tol-nan", "seed-negative",
+             "licq-seed-negative"],
     )
     def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv):
         point = os.path.join(tmp_path, "trivial.point")
@@ -322,6 +340,22 @@ class TestExperimentCommand:
         assert [c.seed for c in seen] == [5, 6]
         for c in seen:
             assert (c.max_outer, c.tol) == (1, 1e-6)
+
+    def test_genericity_oracle_failure_reports_mismatch(self, monkeypatch):
+        import lrsdp.oracle as oracle
+
+        def failing(problem, *args, **kwargs):
+            raise oracle.MaxIterationsError("stalled")
+
+        monkeypatch.setattr(oracle, "oracle_solve", failing)
+        code, out, err = run_cli(["experiment", "genericity", "--n", "4", "--m", "3", "--p", "2",
+                                  "--trials", "2", "--oracle"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["fraction_matching_oracle"] == 0.0
+        for rec in rep["trials"]:
+            assert rec["oracle_objective"] is None and rec["matches_oracle"] is False
+        assert err == "warning: oracle: stalled\n" * 2
 
     @pytest.mark.parametrize(
         "error, code, prefix",

@@ -90,6 +90,52 @@ class TestInteriorPoint:
         np.testing.assert_array_equal(s1.lam, s2.lam)
 
 
+class TestEqualityForm:
+    def test_no_constraints(self, monkeypatch):
+        from lrsdp import oracle
+
+        real_cho = oracle.sla.cho_factor
+        orders = []
+
+        def spy(a, *args, **kwargs):
+            orders.append(a.shape)
+            return real_cho(a, *args, **kwargs)
+
+        monkeypatch.setattr(oracle.sla, "cho_factor", spy)
+        prob = make_problem((3,), 1, 0, [np.eye(3)], [], [])
+        sol = oracle_solve(prob)
+        assert sol.objective == pytest.approx(0.0, abs=1e-7)
+        assert sol.lam.shape == (0,)
+        # the block's S inverse is 3x3 and the Schur system 0x0
+        assert set(orders) == {(3, 3), (0, 0)}
+
+    def test_one_diagonal_slack_block(self):
+        from lrsdp.oracle import _equality_form
+
+        prob = generate_random(BlockStructure((4, 3), 2, 2), 6, "EIEIIE", 3)
+        dp = densify(prob)
+        eqf = _equality_form(dp)
+        ineq = np.flatnonzero(dp.ineq_mask)
+        assert eqf.sizes == dp.sizes + (ineq.size,)
+        assert len(eqf.A) == len(eqf.C) == len(dp.A) + 1
+        assert eqf.eq_mask.all() and eqf.m == dp.m
+        np.testing.assert_array_equal(eqf.C[-1], np.zeros((3, 3)))
+
+        rng = np.random.default_rng(0)
+        blocks = [(lambda g: g @ g.T)(rng.standard_normal((n, n))) for n in dp.sizes]
+        x = rng.standard_normal(dp.d)
+        s = rng.uniform(0.5, 2.0, ineq.size)
+        want = dp.apply(blocks, x)
+        want[ineq] -= s
+        np.testing.assert_allclose(eqf.apply(blocks + [np.diag(s)], x), want, rtol=1e-13, atol=1e-13)
+
+    def test_equality_only_view_unchanged(self):
+        from lrsdp.oracle import _equality_form
+
+        dp = densify(generate_random(BlockStructure((4,), 1, 0), 3, "EEE", 1))
+        assert _equality_form(dp) is dp
+
+
 class TestBruteForce2x2:
     def test_trivial(self):
         assert brute_force_2x2(trivial_sdp()) == pytest.approx(1.0, abs=1e-5)
