@@ -495,10 +495,6 @@ def _licq_instance(rng: np.random.Generator, n: int, m: int, y0: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t != ""]
-
-
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         value = int(text)
@@ -520,6 +516,10 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
+def _rank_list(text: str) -> list[int]:
+    return [_int_at_least(1)(t) for t in text.split(",") if t != ""]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lrsdp", description="Certified low-rank SDP solver")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="staircase solve + certificate")
     ps.add_argument("path")
-    ps.add_argument("--rank", type=_int_list, default=None)
+    ps.add_argument("--rank", type=_rank_list, default=None)
     ps.add_argument("--oracle", action="store_true")
     ps.add_argument("--timing", action="store_true")
     common(ps)
@@ -549,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bound", help="rank bound report (m', p per block)")
     pb.add_argument("path")
     pb.add_argument("--ranks", default=None, help="tail rank ranges, e.g. '0,1;0,3'")
-    pb.add_argument("--cap", type=int, default=20)
+    pb.add_argument("--cap", type=_int_at_least(0), default=20)
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=cmd_bound)
 

@@ -347,55 +347,42 @@ def active_subset_feasible(problem: ConicSdpProblem, active: tuple[int, ...]) ->
 # ---------------------------------------------------------------------------
 
 
-def _lp2_value(a: np.ndarray, b: np.ndarray, eq: np.ndarray, c: np.ndarray, tol: float) -> float:
-    """Exact min of c.d over {d >= 0, a_i.d = b_i (eq), a_i.d >= b_i (ineq)}.
+def _violated(a: np.ndarray, d: np.ndarray, b, eq: np.ndarray, tol: float) -> np.ndarray:
+    """Whether a_ti.d_tj misses b_i by more than tol (eq) or falls below it
+    (ineq) for some row i; a is (T, m, 2), d (T, J, 2), the result (T, J)."""
+    vals = np.einsum("tik,tjk->tji", a, d) - b
+    return np.where(eq, np.abs(vals) > tol, vals < -tol).any(axis=-1)
+
+
+def _lp2_values(a: np.ndarray, b: np.ndarray, eq: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
+    """Exact min of c_t.d over {d >= 0, a_ti.d = b_i (eq), a_ti.d >= b_i (ineq)}
+    for every angle t, with a of shape (T, m, 2) and c of shape (T, 2).
 
     Vertex enumeration over all pairs of boundary lines (constraints + axes);
-    returns +inf when infeasible, -inf when unbounded.
+    +inf where infeasible, -inf where unbounded.
     """
-    m = b.size
-    rows = np.vstack([a, np.eye(2)])
+    t, m = a.shape[:2]
+    rows = np.concatenate([a, np.broadcast_to(np.eye(2), (t, 2, 2))], axis=1)
     rhs = np.concatenate([b, np.zeros(2)])
-
-    best = np.inf
-    for p, q in combinations(range(m + 2), 2):
-        mat = rows[[p, q]]
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if abs(det) < 1e-12 * (np.abs(mat).max() ** 2 + 1e-30):
-            continue
-        d = np.array(
-            [
-                (rhs[p] * mat[1, 1] - rhs[q] * mat[0, 1]) / det,
-                (mat[0, 0] * rhs[q] - mat[1, 0] * rhs[p]) / det,
-            ]
-        )
-        if d.min() < -tol:
-            continue
-        vals = a @ d - b
-        if m and (np.any(np.abs(vals[eq]) > tol) or np.any(vals[~eq] < -tol)):
-            continue
-        best = min(best, float(c @ d))
-
-    if not np.isfinite(best):
-        return np.inf
+    p, q = np.array(list(combinations(range(m + 2), 2))).T
+    r0, r1 = rows[:, p], rows[:, q]  # (T, pairs, 2)
+    det = r0[..., 0] * r1[..., 1] - r0[..., 1] * r1[..., 0]
+    scale = np.maximum(np.abs(r0).max(axis=-1), np.abs(r1).max(axis=-1)) ** 2 + 1e-30
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.stack([(rhs[p] * r1[..., 1] - rhs[q] * r0[..., 1]) / det,
+                      (r0[..., 0] * rhs[q] - r1[..., 0] * rhs[p]) / det], axis=-1)
+    vertex = (np.abs(det) >= 1e-12 * scale) & (d.min(axis=-1) >= -tol) & ~_violated(a, d, b, eq, tol)
+    best = np.where(vertex, np.einsum("tk,tpk->tp", c, d), np.inf).min(axis=1)
 
     # recession rays: boundary angles of each constraint plus the axes
-    angles = [0.0, np.pi / 2]
-    for i in range(m):
-        ax, ay = a[i]
-        if abs(ax) > 1e-15 or abs(ay) > 1e-15:
-            phi = np.arctan2(-ax, ay)  # a . (cos, sin) = 0
-            for cand in (phi, phi + np.pi):
-                if -1e-12 <= cand <= np.pi / 2 + 1e-12:
-                    angles.append(min(max(cand, 0.0), np.pi / 2))
-    for phi in angles:
-        w = np.array([np.cos(phi), np.sin(phi)])
-        vals = a @ w
-        if m and (np.any(np.abs(vals[eq]) > 1e-9) or np.any(vals[~eq] < -1e-9)):
-            continue
-        if c @ w < -1e-9:
-            return -np.inf
-    return best
+    phi = np.arctan2(-a[..., 0], a[..., 1])  # a . (cos, sin) = 0
+    cand = np.concatenate([phi, phi + np.pi], axis=1)
+    keep = np.tile((np.abs(a) > 1e-15).any(axis=-1), 2) & (cand >= -1e-12) & (cand <= np.pi / 2 + 1e-12)
+    angles = np.concatenate([np.broadcast_to([0.0, np.pi / 2], (t, 2)), np.clip(cand, 0.0, np.pi / 2)], axis=1)
+    keep = np.concatenate([np.ones((t, 2), dtype=bool), keep], axis=1)
+    w = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    ray = keep & ~_violated(a, w, 0.0, eq, 1e-9) & (np.einsum("tk,tjk->tj", c, w) < -1e-9)
+    return np.where(np.isfinite(best), np.where(ray.any(axis=1), -np.inf, best), np.inf)
 
 
 def _rotated(M: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -446,7 +433,9 @@ def brute_force_2x2(problem: ConicSdpProblem, grid: int = 10000, refine_rounds: 
     def values(thetas: np.ndarray) -> np.ndarray:
         rows = _rotated(A, thetas)
         costs = _rotated(C[None], thetas)[:, 0]
-        return np.array([_lp2_value(r, b, eq, c, tol) for r, c in zip(rows, costs)])
+        step = max(1, 2**22 // (m + 2) ** 3)  # (angles, pairs, rows) temporaries under 2**21 floats
+        return np.concatenate([_lp2_values(rows[i:i + step], b, eq, costs[i:i + step], tol)
+                               for i in range(0, thetas.size, step)])
 
     lo, hi = 0.0, np.pi / 2
     thetas = np.linspace(lo, hi, grid, endpoint=False)

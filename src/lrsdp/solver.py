@@ -18,6 +18,10 @@ negative slack eigenspace fills half the variable space or more, form H as
 the Hessian-vector product of the identity and decide from its full
 eigendecomposition (``_probe``).  The probe runs at most once per evaluation
 point: a rejected escape step shrinks the radius and reuses the direction.
+Likewise the truncated-CG path is recorded once per point (``_CgPath``): a
+rejected CG step replays it at the smaller radius with no new Hessian-vector
+product.  A trial point computes only its AL value; its slack, gradient and
+Jacobian are built once it is accepted.
 
 Tail PSD blocks are parameterized internally at full rank (any PSD matrix of
 size n factors at rank n), so one variable layout serves every block; the
@@ -202,6 +206,10 @@ class _Eval:
     and 0 elsewhere.  A tail held as a matrix enters J as the factor I/2, whose
     columns 2 A_i (I/2) = A_i are the derivative of <A_i, X_j>, and it carries
     no S-curvature term.
+
+    The constructor computes only what a trial point needs: the AL value,
+    checked finite.  The slack, gradient (checked finite), J, CG path and
+    probe are computed on first use and kept.
     """
 
     def __init__(self, work: _Work, z: np.ndarray, lam: np.ndarray, rho: float):
@@ -229,15 +237,31 @@ class _Eval:
                 raise NumericalFailure("PHR terms need rho > 0 with inequality rows")
             value += float(np.sum((lam_t[~eq] ** 2 - lam[~eq] ** 2))) / (2.0 * rho)
         self.value = value
-
-        self.S, grad_free = dp.slack(lam_t)
-        grad_blocks = [2.0 * s @ y for s, y in zip(self.S, ys[:nf])] + self.S[nf:]
-        self.grad = work.pack(grad_blocks, grad_free)
-
-        self.J = dp.jacobian(ys[:nf] + [0.5 * np.eye(n) for n in dp.sizes[nf:]])
         self.hvp_weight = np.where(self.active, rho, 0.0)
-        if not np.all(np.isfinite(self.grad)) or not np.isfinite(value):
+        if not np.isfinite(value):
             raise NumericalFailure("non-finite augmented Lagrangian evaluation")
+
+    @cached_property
+    def _slack(self) -> tuple[list[np.ndarray], np.ndarray]:
+        return self.work.dp.slack(self.lam_tilde)
+
+    @property
+    def S(self) -> list[np.ndarray]:
+        """Slack matrices C_j - sum_i lam~_i A_ij, one per PSD block."""
+        return self._slack[0]
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        (S, free), ys, nf = self._slack, self.work.unpack(self.z)[0], self.work.nf
+        grad = self.work.pack([2.0 * s @ y for s, y in zip(S, ys[:nf])] + S[nf:], free)
+        if not np.all(np.isfinite(grad)):
+            raise NumericalFailure("non-finite augmented Lagrangian gradient")
+        return grad
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        ys, nf = self.work.unpack(self.z)[0], self.work.nf
+        return self.work.dp.jacobian(ys[:nf] + [0.5 * np.eye(n) for n in self.work.dp.sizes[nf:]])
 
     def hvp(self, u: np.ndarray) -> np.ndarray:
         """H u, for a vector u or for each column of a (dim, r) matrix u."""
@@ -301,46 +325,70 @@ class _Eval:
                 return q_mat @ c[:, 0]
         return _probe(self.hvp(np.eye(work.dim)))
 
+    @cached_property
+    def cg_path(self) -> _CgPath:
+        return _CgPath(self.grad, 2 * self.work.dim)
+
     def infeasibility(self) -> float:
         viol = np.where(self.work.dp.eq_mask, self.c, np.minimum(self.c, 0.0))
         return float(np.linalg.norm(viol))
 
 
-def _steihaug(g: np.ndarray, hvp, delta: float, max_cg: int):
-    """Truncated-CG trust-region subproblem; stops at the boundary or on
-    negative curvature (which also covers the PHR kink set)."""
-    z = np.zeros_like(g)
-    r = g.copy()
-    d = -r
-    rr = float(r @ r)
-    gnorm = np.sqrt(rr)
-    stop = min(0.5, np.sqrt(gnorm)) * gnorm
+class _CgPath:
+    """Steihaug's truncated CG for the trust-region step at one point.
 
-    def boundary(zv, dv):
-        a = float(dv @ dv)
-        bq = 2.0 * float(zv @ dv)
-        cq = float(zv @ zv) - delta * delta
-        disc = max(bq * bq - 4.0 * a * cq, 0.0)
-        tau = (-bq + np.sqrt(disc)) / (2.0 * a)
-        return zv + tau * dv
+    CG on H s = -g from s = 0 stops at the radius delta, on negative
+    curvature (which also covers the PHR kink set) or at the residual
+    min(0.5, sqrt|g|) |g|.  Until a step leaves the region the iterates do not
+    depend on delta, so the path is recorded once: ``step`` replays it with
+    delta's exit tests and runs CG, one Hessian-vector product per iteration,
+    only past the end of the record.  A smaller radius after a rejected step
+    costs no product, and every step equals a fresh run at its radius.
+    """
 
-    for _ in range(max_cg):
+    def __init__(self, g: np.ndarray, max_cg: int):
+        rr = float(g @ g)
+        gnorm = np.sqrt(rr)
+        self.stop = min(0.5, np.sqrt(gnorm)) * gnorm
+        # (z_k, d_k, |z_{k+1}|^2) per iteration, with inf for negative
+        # curvature; d_k is None once CG has converged or run max_cg iterations
+        self.record = []
+        self._state = (np.zeros_like(g), g, -g, rr, max_cg)  # (z, r, d, r.r, iterations left)
+
+    def step(self, delta: float, hvp) -> np.ndarray:
+        """The truncated-CG step at radius delta.  ``hvp`` is H at the point,
+        passed per call so the path holds no reference cycle through its point."""
+        k = 0
+        while True:
+            if k == len(self.record):
+                self.record.append(self._iterate(hvp))
+            z, d, zz = self.record[k]
+            if d is None:
+                return z
+            if zz >= delta * delta:  # the step from z along d meets the boundary
+                a = float(d @ d)
+                bq = 2.0 * float(z @ d)
+                cq = float(z @ z) - delta * delta
+                disc = max(bq * bq - 4.0 * a * cq, 0.0)
+                return z + ((-bq + np.sqrt(disc)) / (2.0 * a)) * d
+            k += 1
+
+    def _iterate(self, hvp):
+        z, r, d, rr, left = self._state
+        if left == 0:
+            return z, None, None
         hd = hvp(d)
         dhd = float(d @ hd)
         if dhd <= 1e-14 * float(d @ d):
-            return boundary(z, d)
+            self._state = (z, r, d, rr, 0)
+            return z, d, np.inf
         alpha = rr / dhd
         z_next = z + alpha * d
-        if float(z_next @ z_next) >= delta * delta:
-            return boundary(z, d)
-        z = z_next
         r = r + alpha * hd
         rr_next = float(r @ r)
-        if np.sqrt(rr_next) <= stop:
-            return z
-        d = -r + (rr_next / rr) * d
-        rr = rr_next
-    return z
+        left = 0 if np.sqrt(rr_next) <= self.stop else left - 1
+        self._state = (z_next, r, -r + (rr_next / rr) * d, rr_next, left)
+        return z, d, float(z_next @ z_next)
 
 
 def _inner(ev: _Eval, tol, max_iter):
@@ -357,7 +405,7 @@ def _inner(ev: _Eval, tol, max_iter):
                 break
             step = delta * (-direction if float(g @ direction) > 0.0 else direction)
         else:
-            step = _steihaug(g, ev.hvp, delta, max_cg=2 * work.dim)
+            step = ev.cg_path.step(delta, ev.hvp)
         model_dec = -(float(g @ step) + 0.5 * float(step @ ev.hvp(step)))
 
         ratio = -np.inf  # a step the model cannot rank is rejected

@@ -180,12 +180,15 @@ class TestFlagValidation:
             ["certify", "{path}", "{point}", "--cert-tol", "nan"],
             ["solve", "{path}", "--seed", "-1"],
             ["experiment", "licq", "--seed", "-1"],
+            ["solve", "{path}", "--rank", "0"],
+            ["solve", "{path}", "--rank", "-2"],
+            ["bound", "{path}", "--cap", "-1"],
         ],
         ids=["rank-count", "rank-empty", "max-outer-0", "genericity-trials-0",
              "licq-trials-0", "adversarial-p-equals-n", "genericity-m-negative",
              "tol-0", "tol-negative", "tol-nan", "tol-inf", "restarts-negative",
              "genericity-tol-0", "cert-tol-0", "cert-tol-nan", "seed-negative",
-             "licq-seed-negative"],
+             "licq-seed-negative", "rank-zero", "rank-negative", "cap-negative"],
     )
     def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv):
         point = os.path.join(tmp_path, "trivial.point")

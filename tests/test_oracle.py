@@ -1,5 +1,7 @@
 """Interior-point reference solver and the 2x2 grid oracle."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -175,10 +177,82 @@ class TestBruteForce2x2:
                 assert abs(rotated[t, i, 1] - r2 @ a @ r2) <= scale
         assert _rotated(np.zeros((0, 2, 2)), thetas).shape == (37, 0, 2)
 
+    def test_vectorized_lp_matches_per_angle_loop(self):
+        from lrsdp.oracle import _lp2_values, _rotated
+
+        rng = np.random.default_rng(1)
+        outcomes = set()
+        for _ in range(60):
+            rows = []
+            for _ in range(rng.integers(0, 5)):
+                a = rng.standard_normal((2, 2))
+                a = a + a.T
+                if rng.random() < 0.3:
+                    a[0, 1] = a[1, 0] = 0.0  # boundary rays along the axes
+                rows.append(([a], [], float(rng.standard_normal()), "EI"[rng.integers(2)]))
+            cost = rng.standard_normal((2, 2))
+            dp = densify(make_problem((2,), 1, 0, [cost + cost.T], [], rows))
+            thetas = np.append(rng.uniform(0.0, np.pi / 2, 40), 0.0)
+            a, c = _rotated(dp.A[0], thetas), _rotated(dp.C[0][None], thetas)[:, 0]
+            got = _lp2_values(a, dp.b, dp.eq_mask, c, 1e-9)
+            want = [reference_lp2_value(r, dp.b, dp.eq_mask, cr, 1e-9) for r, cr in zip(a, c)]
+            # the same 2x2 solves and 2-term dots, summed in another order
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            outcomes.update("finite" if np.isfinite(w) else str(w) for w in want)
+        assert outcomes == {"finite", "inf", "-inf"}
+
     def test_unsupported_shape(self):
         prob = generate_random(BlockStructure((3,), 1, 0), 2, "EE", 0)
         with pytest.raises(ValueError, match="unsupported shape"):
             brute_force_2x2(prob)
+
+
+def reference_lp2_value(a, b, eq, c, tol):
+    """One angle of the 2x2 brute force, looped over vertex pairs and rays:
+    the oracle's routine before it was vectorized across angles, kept as
+    the reference."""
+    m = b.size
+    rows = np.vstack([a, np.eye(2)])
+    rhs = np.concatenate([b, np.zeros(2)])
+
+    best = np.inf
+    for p, q in combinations(range(m + 2), 2):
+        mat = rows[[p, q]]
+        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+        if abs(det) < 1e-12 * (np.abs(mat).max() ** 2 + 1e-30):
+            continue
+        d = np.array(
+            [
+                (rhs[p] * mat[1, 1] - rhs[q] * mat[0, 1]) / det,
+                (mat[0, 0] * rhs[q] - mat[1, 0] * rhs[p]) / det,
+            ]
+        )
+        if d.min() < -tol:
+            continue
+        vals = a @ d - b
+        if m and (np.any(np.abs(vals[eq]) > tol) or np.any(vals[~eq] < -tol)):
+            continue
+        best = min(best, float(c @ d))
+
+    if not np.isfinite(best):
+        return np.inf
+
+    angles = [0.0, np.pi / 2]
+    for i in range(m):
+        ax, ay = a[i]
+        if abs(ax) > 1e-15 or abs(ay) > 1e-15:
+            phi = np.arctan2(-ax, ay)
+            for cand in (phi, phi + np.pi):
+                if -1e-12 <= cand <= np.pi / 2 + 1e-12:
+                    angles.append(min(max(cand, 0.0), np.pi / 2))
+    for phi in angles:
+        w = np.array([np.cos(phi), np.sin(phi)])
+        vals = a @ w
+        if m and (np.any(np.abs(vals[eq]) > 1e-9) or np.any(vals[~eq] < -1e-9)):
+            continue
+        if c @ w < -1e-9:
+            return -np.inf
+    return best
 
 
 class TestActiveSubsetFeasibility:

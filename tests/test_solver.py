@@ -403,6 +403,119 @@ class TestCurvatureProbe:
         assert eigh_calls and solve_calls == eigh_calls  # the eigensolves of one probe
 
 
+def reference_steihaug(g, hvp, delta, max_cg):
+    """Truncated CG rerun from scratch on every call: the solver's routine
+    before it recorded its path, kept verbatim as the reference."""
+    z = np.zeros_like(g)
+    r = g.copy()
+    d = -r
+    rr = float(r @ r)
+    gnorm = np.sqrt(rr)
+    stop = min(0.5, np.sqrt(gnorm)) * gnorm
+
+    def boundary(zv, dv):
+        a = float(dv @ dv)
+        bq = 2.0 * float(zv @ dv)
+        cq = float(zv @ zv) - delta * delta
+        disc = max(bq * bq - 4.0 * a * cq, 0.0)
+        tau = (-bq + np.sqrt(disc)) / (2.0 * a)
+        return zv + tau * dv
+
+    for _ in range(max_cg):
+        hd = hvp(d)
+        dhd = float(d @ hd)
+        if dhd <= 1e-14 * float(d @ d):
+            return boundary(z, d)
+        alpha = rr / dhd
+        z_next = z + alpha * d
+        if float(z_next @ z_next) >= delta * delta:
+            return boundary(z, d)
+        z = z_next
+        r = r + alpha * hd
+        rr_next = float(r @ r)
+        if np.sqrt(rr_next) <= stop:
+            return z
+        d = -r + (rr_next / rr) * d
+        rr = rr_next
+    return z
+
+
+class TestCgPath:
+    @pytest.mark.parametrize("lowest", [0.05, -0.5])
+    def test_replay_equals_fresh_run_with_no_new_product(self, lowest):
+        from lrsdp.solver import _CgPath
+
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        h = (q * np.append(np.linspace(0.1, 10.0, 11), lowest)) @ q.T
+        g = rng.standard_normal(12)
+        products = [0]
+
+        def hvp(u):
+            products[0] += 1
+            return h @ u
+
+        path = _CgPath(g, 24)
+        for delta in (1.0, 0.25, 1.0 / 16.0, 4.0):
+            before = products[0]
+            step = path.step(delta, hvp)
+            if delta < 1.0:  # a smaller radius only replays the record
+                assert products[0] == before
+            np.testing.assert_array_equal(step, reference_steihaug(g, lambda u: h @ u, delta, 24))
+            assert np.linalg.norm(step) <= delta * (1.0 + 1e-12)
+        if lowest > 0.0:  # the unit radius stops early and radius 4 runs past the record
+            assert products[0] > before
+
+    def test_inner_equals_fresh_cg_on_every_call(self, monkeypatch):
+        from lrsdp import solver
+
+        class FreshCg:
+            def __init__(self, ev):
+                self.ev = ev
+
+            def step(self, delta, hvp):
+                return reference_steihaug(self.ev.grad, hvp, delta, 2 * self.ev.work.dim)
+
+        products = [0]
+        hvp = solver._Eval.hvp
+
+        def counting(self, u):
+            products[0] += 1
+            return hvp(self, u)
+
+        def run():
+            products[0] = 0
+            ev, accepted = solver._inner(eval_at(maxcut_sdp(12, 0), [3], 0), 1e-10, 500)
+            return ev.z, accepted, products[0]
+
+        monkeypatch.setattr(solver._Eval, "hvp", counting)
+        z, accepted, replayed = run()
+        monkeypatch.setattr(solver._Eval, "cg_path", property(FreshCg))
+        z_fresh, accepted_fresh, fresh = run()
+        np.testing.assert_array_equal(z, z_fresh)
+        assert accepted == accepted_fresh
+        assert replayed < fresh  # rejected steps happened and cost no CG products
+
+
+class TestLazyEval:
+    def test_trial_value_builds_no_slack_or_jacobian(self):
+        ev = eval_at(maxcut_sdp(12, 0), [3], 0)
+        assert np.isfinite(ev.value)
+        assert "J" not in ev.__dict__ and "_slack" not in ev.__dict__ and "grad" not in ev.__dict__
+        ev.hvp(np.ones(ev.work.dim))
+        assert "J" in ev.__dict__ and "_slack" in ev.__dict__
+
+    def test_non_finite_gradient_raises_on_first_access(self):
+        from lrsdp.solver import NumericalFailure
+
+        # X_11 = 1 holds exactly, so the value is finite, but 2 S Y overflows
+        y = FactorizedPoint((np.array([[1.0], [0.0]]),), (), np.zeros(0))
+        ev = eval_point(trivial_sdp(), y, [1e308], 10.0)
+        assert ev.value == 1.0
+        with pytest.raises(NumericalFailure), np.errstate(over="ignore"):
+            ev.grad
+
+
 class TestInnerMinimize:
     def test_stationary_start_returns_same_point(self):
         prob = trivial_sdp()
