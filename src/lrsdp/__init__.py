@@ -61,6 +61,7 @@ from .certification import (
 )
 from .oracle import (
     MaxIterationsError,
+    NoPsdBlockError,
     NotStrictlyFeasibleError,
     OracleSolution,
     brute_force_2x2,

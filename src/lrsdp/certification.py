@@ -3,18 +3,20 @@
 A point is certified globally optimal when some multiplier vector makes the
 slack matrix S(lambda) = C - A*(lambda) vanish against the point (stationarity
 and complementarity) while staying PSD on every block.  A negative slack
-eigenvalue instead yields an explicit escape: either a descent direction at
-the same rank (when the factor has a kernel) or one appended column.  The
-staircase alternates local solves with certification until a certificate, a
-full-rank stop, or the retry budget ends the run.
+eigenvalue with eigenvector v instead yields an explicit escape: the staircase
+appends the column a v, lifting X to X + a^2 v v^T.  At a rank-deficient
+factor that is also the lift of the same-rank move Y + a v z^T, z in ker Y
+(``escape_direction`` reports which kind applies), a direction the local
+solve's curvature probe already covers.  The staircase alternates local
+solves with certification until a certificate, a full-rank stop, or the
+retry budget ends the run.
 
 The certificate's building blocks take the problem's dense view
 (``DenseProblem``) rather than the problem, and none of them builds it:
 ``staircase_solve`` calls ``densify`` once per solve and passes the view to
-every check and to the escape line search, and each CLI command builds its
-own once.  ``al_solve`` still takes the problem and builds its own view once
-per local solve.  ``licq_check`` reports constraint qualification for the
-CLI; the certificate itself does not need it.
+every local solve, check and escape line search, and each CLI command builds
+its own once.  ``licq_check`` reports constraint qualification for the CLI;
+the certificate itself does not need it.
 """
 
 from __future__ import annotations
@@ -366,16 +368,6 @@ def licq_check(dp: DenseProblem, point: FactorizedPoint) -> LicqResult:
 # ---------------------------------------------------------------------------
 
 
-def _escape_line_search(dp: DenseProblem, state: LagrangianState, trial_points) -> FactorizedPoint | None:
-    base, _ = al_value_grad(dp, state.point, state.lam, state.rho)
-    thresh = base - 1e-12 * (1.0 + abs(base))
-    for cand in trial_points:
-        val, _ = al_value_grad(dp, cand, state.lam, state.rho)
-        if val < thresh:
-            return cand
-    return None
-
-
 def staircase_solve(
     problem: ConicSdpProblem,
     config: SolverConfig,
@@ -386,11 +378,12 @@ def staircase_solve(
     Starts at the rank bound (or the override), solving with the augmented
     Lagrangian, recovering multipliers both from the solver and by least
     squares, and certifying with the more stationary of the two.  The dense
-    view is built once here and shared by every stage's checks and escape
-    line searches.  Escapable certificates trigger a kernel descent at the
-    same rank or a one-column rank increment; Indeterminate ones burn a
-    fresh-seed restart.  Terminates on GlobalOptimal, on full rank, or when
-    the per-rank restart budget is exhausted.
+    view is built once here and shared by every stage's local solve, checks
+    and escape line searches.  An Escapable certificate appends the slack
+    eigenvector as one column to its block, with a line search on its scale;
+    when that block is at full rank, and on an Indeterminate certificate, the
+    stage burns a fresh-seed restart.  Terminates on GlobalOptimal, on full
+    rank, or when the per-rank restart budget is exhausted.
     """
     t0 = time.perf_counter()
     st = problem.structure
@@ -406,7 +399,6 @@ def staircase_solve(
     warm = None
     cur_seed = config.seed
     restarts_left = config.restarts
-    kernel_left = 5
     infeasible_retry_left = 1
     state = None
     cert = None
@@ -415,7 +407,7 @@ def staircase_solve(
         ranks_at_solve = tuple(cur_ranks)
         stage_cfg = replace(config, seed=cur_seed)
         try:
-            state, _ = al_solve(problem, cur_ranks, stage_cfg, warm_start=warm)
+            state, _ = al_solve(dp, cur_ranks, stage_cfg, warm_start=warm)
         except InfeasibleError:
             # infeasibility at a restricted rank may be the rank constraint
             # biting, not the problem: retry once, then escalate while any
@@ -431,7 +423,6 @@ def staircase_solve(
                 for j in growable:
                     cur_ranks[j] += 1
                 restarts_left = config.restarts
-                kernel_left = 5
                 infeasible_retry_left = 1
                 action = "rank-increment"
             stages.append(
@@ -460,32 +451,20 @@ def staircase_solve(
         if cert.verdict == "GlobalOptimal":
             action = "certified"
         elif cert.verdict == "Escapable":
-            esc = escape_direction(state.point, cert)
-            stepped = None
-            if esc.kind == "kernel" and esc.block < len(state.point.factors) and kernel_left > 0:
-                trials = []
-                for alpha in (1.0, 0.3, 0.1, 0.03, 0.01, 1e-3):
-                    factors = list(state.point.factors)
-                    factors[esc.block] = factors[esc.block] + alpha * esc.matrix
-                    trials.append(
-                        FactorizedPoint(tuple(factors), state.point.tail_blocks, state.point.free)
-                    )
-                stepped = _escape_line_search(dp, state, trials)
-                if stepped is not None:
-                    kernel_left -= 1
-                    warm = (stepped, state.lam)
-                    action = "kernel-escape"
-            blk = esc.block
-            if stepped is None and blk < len(cur_ranks) and cur_ranks[blk] < st.psd_sizes[blk]:
-                trials = [append_column(state.point, blk, esc.vector, alpha)
+            blk = cert.escape_block
+            if blk < len(cur_ranks) and cur_ranks[blk] < st.psd_sizes[blk]:
+                # line search on the column's scale: the first trial that
+                # lowers the AL, else the smallest
+                trials = [append_column(state.point, blk, cert.escape_vector, alpha)
                           for alpha in (0.3, 0.1, 0.03, 0.01, 1e-3)]
-                stepped = _escape_line_search(dp, state, trials)
+                base = al_value_grad(dp, state.point, state.lam, state.rho)[0]
+                thresh = base - 1e-12 * (1.0 + abs(base))
+                lower = (t for t in trials if al_value_grad(dp, t, state.lam, state.rho)[0] < thresh)
+                warm = (next(lower, trials[-1]), state.lam)
                 cur_ranks[blk] += 1
-                warm = (stepped if stepped is not None else trials[-1], state.lam)
                 restarts_left = config.restarts
-                kernel_left = 5
                 action = "rank-increment"
-        # Indeterminate, or Escapable with no step taken and no room to grow
+        # Indeterminate, or Escapable with no room to grow
         if action == "stop" and restarts_left > 0:
             restarts_left -= 1
             cur_seed += 1

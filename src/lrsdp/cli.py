@@ -256,12 +256,12 @@ def _report_payload(problem, report, cfg, rank_override, timing: bool) -> dict:
 
 def _oracle_objective(problem: ConicSdpProblem) -> float | None:
     """The interior-point oracle's optimum, or None with a warning line on
-    stderr when it stalls or finds no strictly feasible point."""
-    from .oracle import MaxIterationsError, NotStrictlyFeasibleError, oracle_solve
+    stderr when it stalls, finds no strictly feasible point or no PSD block."""
+    from .oracle import MaxIterationsError, NoPsdBlockError, NotStrictlyFeasibleError, oracle_solve
 
     try:
         return oracle_solve(problem).objective
-    except (MaxIterationsError, NotStrictlyFeasibleError) as exc:
+    except (MaxIterationsError, NotStrictlyFeasibleError, NoPsdBlockError) as exc:
         print(f"warning: oracle: {exc}", file=sys.stderr)
         return None
 
@@ -356,7 +356,9 @@ def cmd_bound(args) -> int:
 
     st = problem.structure
     try:
-        if st.num_blocks == 1 and st.free_dim == 0:
+        if st.num_blocks == 1 and st.free_dim == 0 and st.factorized_count == 1:
+            if args.ranks:
+                raise ValueError("--ranks sets tail rank ranges, and this problem has no tail block")
             report = m_prime_inequality(problem, cap=args.cap)
         else:
             if args.ranks:
@@ -422,6 +424,9 @@ def cmd_experiment(args) -> int:
     elif args.kind == "adversarial":
         if p >= n:
             print(f"error: adversarial needs --p below --n, got p = {p}, n = {n}", file=sys.stderr)
+            return EXIT_USAGE
+        if m < 1:
+            print(f"error: adversarial needs --m of at least 1 (the trace row), got {m}", file=sys.stderr)
             return EXIT_USAGE
 
         def trial(t: int):

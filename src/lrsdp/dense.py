@@ -9,10 +9,10 @@ A*(lambda) and C - A*(lambda) through the same view (the oracle on an
 equality-form copy that holds the inequality slacks as one more block).
 
 Callers build the view and pass it down.  Only these build one:
-``staircase_solve`` once per solve, for every certificate check and escape
-line search; ``al_solve`` once per local solve; each oracle entry point once
-per call; and each CLI command once.  ``al_value_grad`` and
-``al_hessian_vector`` take the view from their caller.
+``staircase_solve`` once per solve, for every local solve, certificate check
+and escape line search; each oracle entry point once per call; and each CLI
+command once.  ``al_solve``, ``al_value_grad`` and ``al_hessian_vector`` take
+the view from their caller.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConicSdpProblem, ConstraintKind
+from .model import BlockStructure, ConicSdpProblem, ConstraintKind
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +36,10 @@ class DenseProblem:
     b: np.ndarray                # (m,)
     eq_mask: np.ndarray          # (m,) bool
     name: str = ""
+
+    @property
+    def structure(self) -> BlockStructure:
+        return BlockStructure(self.sizes, self.k, self.d)
 
     @property
     def m(self) -> int:

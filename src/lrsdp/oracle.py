@@ -36,6 +36,7 @@ __all__ = [
     "OracleSolution",
     "NotStrictlyFeasibleError",
     "MaxIterationsError",
+    "NoPsdBlockError",
     "oracle_solve",
     "brute_force_2x2",
     "active_subset_feasible",
@@ -48,6 +49,10 @@ class NotStrictlyFeasibleError(RuntimeError):
 
 
 class MaxIterationsError(RuntimeError):
+    pass
+
+
+class NoPsdBlockError(ValueError):
     pass
 
 
@@ -116,7 +121,7 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
     """Path-following solve of an equality-form view (``_equality_form``)."""
     N = float(sum(dp.sizes))
     if N == 0:
-        raise ValueError("interior-point solve needs at least one PSD block")
+        raise NoPsdBlockError("interior-point solve needs at least one PSD block")
     m, d = dp.m, dp.d
     scale_b = 1.0 + float(np.linalg.norm(dp.b, np.inf)) if m else 1.0
     scale_c = 1.0 + max(
@@ -264,7 +269,8 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
     """Solve to (relative) tolerance `tol` with the dense interior-point method.
 
     Raises NotStrictlyFeasibleError when a feasibility phase certifies the
-    instance as (near-)infeasible, MaxIterationsError otherwise on stall.
+    instance as (near-)infeasible, MaxIterationsError otherwise on stall, and
+    NoPsdBlockError with neither a PSD block nor an inequality row.
     """
     dp = densify(problem)
     eqf = _equality_form(dp)

@@ -28,9 +28,9 @@ size n factors at rank n), so one variable layout serves every block; the
 factorized/tail distinction matters again only for rank bounds and for
 certification reporting.
 
-``al_solve`` takes the problem and builds its dense view once per solve; the
-public evaluators ``al_value_grad`` and ``al_hessian_vector`` take a view
-(``densify``) from their caller and build none.
+``al_solve`` and the public evaluators ``al_value_grad`` and
+``al_hessian_vector`` take the problem's dense view (``densify``) from their
+caller and build none.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dense import DenseProblem, densify
+# densify is unused here; it stays importable for tools that wrap solver.densify
+from .dense import DenseProblem, densify  # noqa: F401
 from .factorization import FactorizedPoint, factor
-from .model import ConicSdpProblem, PrimalPoint, SymmetricMatrix
+from .model import PrimalPoint, SymmetricMatrix
 
 __all__ = [
     "SolverConfig",
@@ -472,12 +473,12 @@ def _initial_z(work: _Work, rng: np.random.Generator, b: np.ndarray) -> np.ndarr
 
 
 def al_solve(
-    problem: ConicSdpProblem,
+    problem: DenseProblem,
     ranks,
     config: SolverConfig,
     warm_start: tuple[FactorizedPoint, np.ndarray] | None = None,
 ):
-    """Full augmented-Lagrangian solve at the given factor ranks.
+    """Full augmented-Lagrangian solve on a dense view at the given factor ranks.
 
     Starts from ``warm_start = (point, lam)`` or a random point, at penalty ``PENALTY_INIT``.
     Stops when infeasibility <= tol * (1 + ||b||_inf) and the AL gradient
@@ -490,8 +491,7 @@ def al_solve(
     multipliers (infeasibility on a face without strictly feasible points
     falls only once the multipliers are large).
     """
-    dp = densify(problem)
-    work = _Work(dp, ranks)
+    work = _Work(problem, ranks)
     rng = np.random.default_rng(config.seed)
 
     if warm_start is not None:
@@ -499,11 +499,11 @@ def al_solve(
         z = work.pack(_internal_factors(point0), point0.free)
         lam = np.array(lam, dtype=float)
     else:
-        z = _initial_z(work, rng, dp.b)
-        lam = np.zeros(dp.m)
+        z = _initial_z(work, rng, problem.b)
+        lam = np.zeros(problem.m)
     rho = PENALTY_INIT
 
-    feas_tol = config.tol * kkt_scales(dp, lam)[1]
+    feas_tol = config.tol * kkt_scales(problem, lam)[1]
     trace = []
     ev = _Eval(work, z, lam, rho)
     best_infeas = ev.infeasibility()
@@ -534,7 +534,7 @@ def al_solve(
             infeasibility=infeas,
             stationarity=stationarity,
         )
-        stat_tol = config.tol * kkt_scales(dp, lam)[0]
+        stat_tol = config.tol * kkt_scales(problem, lam)[0]
         if infeas <= feas_tol and stationarity <= stat_tol:
             return state, trace
 

@@ -7,6 +7,7 @@ runtime budget where one is specified.
 
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -350,7 +351,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     t0 = time.perf_counter()
     problem = generate_random(BlockStructure((6,), 1, 0), 5, "EEEEI", 42)
     path = str(tmp_path / "det.sdp")
-    open(path, "w").write(write_problem(problem))
+    Path(path).write_text(write_problem(problem))
 
     code1, solve1, _ = _run_cli(["solve", path, "--seed", "3"])
     code2, solve2, _ = _run_cli(["solve", path, "--seed", "3"])

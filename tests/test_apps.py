@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,8 +226,8 @@ def test_write_fixture_roundtrip(tmp_path):
     built = build_sensing_psd(4, 1, 5, seed=2)
     path = os.path.join(tmp_path, "fixture.sdp")
     write_fixture(built, path)
-    again = read_problem(open(path).read())
+    again = read_problem(Path(path).read_text())
     assert write_problem(again) == write_problem(built.problem)
-    side = json.load(open(path + ".json"))
+    side = json.loads(Path(path + ".json").read_text())
     assert side["rank_bound"]["p_per_block"] == list(built.rank_bound.p_per_block)
     assert "nuclear_norm" in side["extras"]

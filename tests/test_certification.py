@@ -77,7 +77,7 @@ class TestEstimateMultipliers:
     def test_solver_and_least_squares_agree(self):
         for seed in range(4):
             prob = generate_random(BlockStructure((5,), 1, 0), 5, "EEEEE", seed + 70)
-            state, _ = al_solve(prob, [3], SolverConfig(seed=seed))
+            state, _ = al_solve(densify(prob), [3], SolverConfig(seed=seed))
             ls = estimate_multipliers(densify(prob), state.point)
             norm_c = max(sm.norm() for sm in prob.cost_blocks)
             assert ls.residual <= 1e-6 * (1.0 + norm_c)
@@ -85,7 +85,7 @@ class TestEstimateMultipliers:
 
     def test_active_inequality_multipliers_nonnegative(self):
         built = build_integer_quadratic(iqm_cost(1.0, -0.8, 0.16))
-        state, _ = al_solve(built.problem, [2], SolverConfig(seed=0))
+        state, _ = al_solve(densify(built.problem), [2], SolverConfig(seed=0))
         mult = estimate_multipliers(densify(built.problem), state.point)
         for i in built.problem.inequality_indices():
             assert mult.values[i] >= -1e-10
@@ -140,7 +140,7 @@ class TestKktResiduals:
 class TestSecondOrder:
     def test_solver_output_passes_on_generic_instance(self):
         prob = generate_random(BlockStructure((6,), 1, 0), 4, "EEEE", 31)
-        state, _ = al_solve(prob, [3], SolverConfig(seed=31))
+        state, _ = al_solve(densify(prob), [3], SolverConfig(seed=31))
         dp = densify(prob)
         # a global certificate implies the second-order condition
         cert = certify(dp, state.point, [estimate_multipliers(dp, state.point)])
@@ -185,7 +185,7 @@ class TestCertify:
     def test_duality_gap_bounded_by_residuals(self):
         for seed in range(4):
             prob = generate_random(BlockStructure((5,), 1, 0), 6, "EEEEII", seed + 130)
-            state, _ = al_solve(prob, [3], SolverConfig(seed=seed))
+            state, _ = al_solve(densify(prob), [3], SolverConfig(seed=seed))
             dp = densify(prob)
             mult = estimate_multipliers(dp, state.point)
             kk = kkt_residuals(dp, state.point, mult)
@@ -262,7 +262,7 @@ class TestEscapeDirection:
         built = adversarial_instance(6, 2, 8, seed=3)
         lam0 = np.array(built.extras["multipliers"])
         state, _ = al_solve(
-            built.problem, [2], SolverConfig(seed=0),
+            densify(built.problem), [2], SolverConfig(seed=0),
             warm_start=(built.planted_point, lam0),
         )
         assert abs(state.objective - built.extras["planted_objective"]) < 1e-6
@@ -321,6 +321,20 @@ class TestStaircase:
         assert max(seq) >= 2
         assert abs(report.objective - target) <= 1e-5 * (1.0 + abs(target))
 
+    def test_escapable_stage_at_full_rank_restarts(self):
+        # one outer iteration leaves every solve unconverged; at rank 4 = n the
+        # factor cannot take another column, so the Escapable stage restarts
+        prob = generate_random(BlockStructure((4,), 1, 0), 3, "EEE", 6)
+        report = staircase_solve(prob, SolverConfig(seed=6, tol=1e-6, max_outer=1), ranks=[2])
+        stages = [(s.ranks, s.verdict, s.action) for s in report.stages]
+        assert stages[:3] == [
+            ((2,), "Escapable", "rank-increment"),
+            ((3,), "Escapable", "rank-increment"),
+            ((4,), "Escapable", "restart"),
+        ]
+        assert all(s.action in ("restart", "stop") for s in report.stages[2:])
+        assert report.verdict == "Indeterminate"
+
     def test_one_dense_view_and_two_residual_evaluations_per_stage(self, monkeypatch):
         from lrsdp import certification, solver
 
@@ -355,10 +369,10 @@ class TestStaircase:
             assert len(report.stages) >= 3
             assert calls["certification.densify"] == 1
             assert calls["certification._kkt_residuals"] == 2 * certified
-            # no LICQ pass, and the escape line search builds no view: the
-            # only other views are one per al_solve, one al_solve per stage
+            # no LICQ pass, and neither the local solves nor the escape
+            # line search build a view
             assert calls["certification.licq_check"] == 0
-            assert calls["solver.densify"] == len(report.stages)
+            assert calls["solver.densify"] == 0
 
     def test_certify_applies_once_and_forms_one_slack_per_candidate(self, monkeypatch):
         from lrsdp import certification

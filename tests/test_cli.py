@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def run_cli(argv):
 @pytest.fixture
 def trivial_file(tmp_path):
     path = os.path.join(tmp_path, "trivial.sdp")
-    open(path, "w").write(write_problem(trivial_sdp()))
+    Path(path).write_text(write_problem(trivial_sdp()))
     return path
 
 
@@ -93,7 +94,7 @@ class TestSolveCommand:
 
     def test_malformed_file_exit_one(self, tmp_path):
         path = os.path.join(tmp_path, "bad.sdp")
-        open(path, "w").write("1\n1 0 1\n2\nE\n1\n1 1 zzz 1 1\n")
+        Path(path).write_text("1\n1 0 1\n2\nE\n1\n1 1 zzz 1 1\n")
         code, _, err = run_cli(["solve", path])
         assert code == 1
         assert "line 6" in err
@@ -101,7 +102,7 @@ class TestSolveCommand:
     def test_rank_override_shows_escalation(self, tmp_path):
         built = build_sensing_psd(4, 2, 5, seed=0)
         path = os.path.join(tmp_path, "sensing.sdp")
-        open(path, "w").write(write_problem(built.problem))
+        Path(path).write_text(write_problem(built.problem))
         code, out, _ = run_cli(["solve", path, "--rank", "1"])
         assert code == 0
         report = json.loads(out)
@@ -115,7 +116,7 @@ class TestSolveCommand:
             [([e11], [], 1.0, "E"), ([e11], [], 2.0, "E")],
         )
         path = os.path.join(tmp_path, "infeasible.sdp")
-        open(path, "w").write(write_problem(prob))
+        Path(path).write_text(write_problem(prob))
         code, _, err = run_cli(["solve", path])
         assert code == 3
 
@@ -152,6 +153,19 @@ class TestSolveCommand:
         assert "oracle_objective" in final and final["oracle_objective"] is None
         assert err == "warning: oracle: stalled after 26 iterations\n"
 
+    def test_oracle_without_psd_block_reports_null_with_warning(self, tmp_path):
+        # free variables and equality rows only: nothing for the interior-point method
+        prob = make_problem((), 0, 2, [], [1.0, 1.0],
+                            [([], [1.0, 0.0], 1.0, "E"), ([], [0.0, 1.0], 2.0, "E")])
+        path = os.path.join(tmp_path, "free.sdp")
+        Path(path).write_text(write_problem(prob))
+        code, out, err = run_cli(["solve", path, "--oracle"])
+        final = json.loads(out)["final"]
+        assert final["verdict"] == "GlobalOptimal"
+        assert code == 0  # the exit code follows the verdict
+        assert "oracle_objective" in final and final["oracle_objective"] is None
+        assert err == "warning: oracle: interior-point solve needs at least one PSD block\n"
+
     def test_timing_off_by_default(self, trivial_file):
         _, out, _ = run_cli(["solve", trivial_file])
         assert json.loads(out)["final"]["time_ms"] is None
@@ -183,17 +197,20 @@ class TestFlagValidation:
             ["solve", "{path}", "--rank", "0"],
             ["solve", "{path}", "--rank", "-2"],
             ["bound", "{path}", "--cap", "-1"],
+            ["bound", "{path}", "--ranks", "0"],
+            ["experiment", "adversarial", "--n", "4", "--p", "2", "--m", "0"],
         ],
         ids=["rank-count", "rank-empty", "max-outer-0", "genericity-trials-0",
              "licq-trials-0", "adversarial-p-equals-n", "genericity-m-negative",
              "tol-0", "tol-negative", "tol-nan", "tol-inf", "restarts-negative",
              "genericity-tol-0", "cert-tol-0", "cert-tol-nan", "seed-negative",
-             "licq-seed-negative", "rank-zero", "rank-negative", "cap-negative"],
+             "licq-seed-negative", "rank-zero", "rank-negative", "cap-negative",
+             "bound-ranks-without-tails", "adversarial-m-0"],
     )
     def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv):
         point = os.path.join(tmp_path, "trivial.point")
         e1 = np.array([[1.0], [0.0]])
-        open(point, "w").write(write_point(FactorizedPoint((e1,), (), np.zeros(0))))
+        Path(point).write_text(write_point(FactorizedPoint((e1,), (), np.zeros(0))))
         code, out, err = run_cli([a.format(path=trivial_file, point=point) for a in argv])
         assert code == 1
         assert out == ""
@@ -204,9 +221,9 @@ class TestCertifyCommand:
     def test_planted_point_rejected(self, tmp_path):
         built = adversarial_instance(6, 2, 8, seed=1)
         ppath = os.path.join(tmp_path, "adv.sdp")
-        open(ppath, "w").write(write_problem(built.problem))
+        Path(ppath).write_text(write_problem(built.problem))
         tpath = os.path.join(tmp_path, "adv.point")
-        open(tpath, "w").write(write_point(built.planted_point))
+        Path(tpath).write_text(write_point(built.planted_point))
         code, out, _ = run_cli(["certify", ppath, tpath])
         assert code == 2
         report = json.loads(out)
@@ -220,9 +237,9 @@ class TestCertifyCommand:
         nrank = int(np.sum(w > 1e-7 * w[-1]))
         pt = factor(sol.X, [nrank], psd_tol=1e-6)
         ppath = os.path.join(tmp_path, "gen.sdp")
-        open(ppath, "w").write(write_problem(prob))
+        Path(ppath).write_text(write_problem(prob))
         tpath = os.path.join(tmp_path, "gen.point")
-        open(tpath, "w").write(write_point(pt))
+        Path(tpath).write_text(write_point(pt))
         code, out, _ = run_cli(["certify", ppath, tpath, "--cert-tol", "1e-4"])
         assert code == 0
         assert json.loads(out)["verdict"] == "GlobalOptimal"
@@ -231,23 +248,23 @@ class TestCertifyCommand:
         e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
         prob = make_problem((2,), 1, 0, [np.eye(2)], [], [([e11], [], -1.0, "I")])
         ppath = os.path.join(tmp_path, "zero.sdp")
-        open(ppath, "w").write(write_problem(prob))
+        Path(ppath).write_text(write_problem(prob))
         tpath = os.path.join(tmp_path, "zero.point")
-        open(tpath, "w").write(write_point(FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0))))
+        Path(tpath).write_text(write_point(FactorizedPoint((np.zeros((2, 1)),), (), np.zeros(0))))
         code, out, _ = run_cli(["certify", ppath, tpath])
         report = json.loads(out)
         assert "kkt" in report and report["kkt"]["feasibility"] == 0.0
 
     def test_shape_mismatch_exit_one(self, tmp_path, trivial_file):
         tpath = os.path.join(tmp_path, "wrong.point")
-        open(tpath, "w").write(write_point(FactorizedPoint((np.zeros((3, 1)),), (), np.zeros(0))))
+        Path(tpath).write_text(write_point(FactorizedPoint((np.zeros((3, 1)),), (), np.zeros(0))))
         code, _, err = run_cli(["certify", trivial_file, tpath])
         assert code == 1 and "factor 0" in err
 
     @pytest.mark.parametrize("header", ["factor 2", "factor 2 1 1", "tail", "free 1 2"])
     def test_malformed_section_header_exit_one(self, tmp_path, trivial_file, header):
         tpath = os.path.join(tmp_path, "bad.point")
-        open(tpath, "w").write(header + "\n1\n0\n")
+        Path(tpath).write_text(header + "\n1\n0\n")
         code, out, err = run_cli(["certify", trivial_file, tpath])
         assert code == 1 and out == ""
         assert err.startswith("error: point section header")
@@ -269,7 +286,7 @@ class TestBoundCommand:
     def test_equality_stack_rank(self, tmp_path):
         prob = generate_random(BlockStructure((5,), 1, 0), 4, "EEEE", 2)
         path = os.path.join(tmp_path, "eq.sdp")
-        open(path, "w").write(write_problem(prob))
+        Path(path).write_text(write_problem(prob))
         code, out, _ = run_cli(["bound", path])
         rep = json.loads(out)
         assert code == 0
@@ -281,7 +298,7 @@ class TestBoundCommand:
         g = rng.standard_normal((6, 6))
         built = build_integer_quadratic(g @ g.T)  # 5 integer variables
         path = os.path.join(tmp_path, "iqm.sdp")
-        open(path, "w").write(write_problem(built.problem))
+        Path(path).write_text(write_problem(built.problem))
         code, out, _ = run_cli(["bound", path])
         rep = json.loads(out)
         assert rep["m_prime"] == 6
@@ -290,16 +307,34 @@ class TestBoundCommand:
     def test_cap_exceeded_reports_fallback(self, tmp_path):
         prob = generate_random(BlockStructure((3,), 1, 0), 5, "EEIII", 3)
         path = os.path.join(tmp_path, "capped.sdp")
-        open(path, "w").write(write_problem(prob))
+        Path(path).write_text(write_problem(prob))
         code, out, _ = run_cli(["bound", path, "--cap", "2"])
         assert json.loads(out)["method"] == "RankUpperBound"
 
     def test_scalar_tail_ranks_count_active_rows(self, tmp_path):
         prob = generate_random(BlockStructure((3, 1, 1), 1, 0), 4, "EEEE", 1)
         path = os.path.join(tmp_path, "tail.sdp")
-        open(path, "w").write(write_problem(prob))
+        Path(path).write_text(write_problem(prob))
         code, out, _ = run_cli(["bound", path, "--ranks", "0;1"])
         assert json.loads(out)["m_prime"] == 3  # one inactive scalar block
+
+
+    def test_unfactorized_block_takes_conic_formula(self, tmp_path):
+        # one block that the solver keeps whole (k = 0): no m' enumeration,
+        # no factor rank, and --ranks is checked against the block's size
+        prob = make_problem((3,), 0, 0, [np.diag([1.0, 2.0, 3.0])], [],
+                            [([np.eye(3)], [], 1.0, "E")])
+        path = os.path.join(tmp_path, "whole.sdp")
+        Path(path).write_text(write_problem(prob))
+        code, out, _ = run_cli(["bound", path])
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["method"] == "ConicFormula"
+        assert rep["p_per_block"] == []
+        code, out, err = run_cli(["bound", path, "--ranks", "7"])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
 
 
 class TestExperimentCommand:
@@ -383,7 +418,7 @@ class TestDeterminism:
     def test_solve_reruns_byte_identical(self, tmp_path):
         built = build_sensing_psd(5, 1, 5, seed=4)
         path = os.path.join(tmp_path, "det.sdp")
-        open(path, "w").write(write_problem(built.problem))
+        Path(path).write_text(write_problem(built.problem))
         _, out1, _ = run_cli(["solve", path, "--seed", "7"])
         _, out2, _ = run_cli(["solve", path, "--seed", "7"])
         assert out1 == out2

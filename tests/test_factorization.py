@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lrsdp.dense import densify
 from lrsdp.factorization import (
     FactorizedPoint,
     NotPsdError,
@@ -212,7 +213,7 @@ def test_low_rank_layer_attains_convex_optimum():
         target = oracle_solve(prob).objective
         best = np.inf
         for start in range(3):
-            state, _ = al_solve(prob, [3], SolverConfig(seed=start))
+            state, _ = al_solve(densify(prob), [3], SolverConfig(seed=start))
             best = min(best, state.objective)
         assert abs(best - target) <= 1e-5 * (1.0 + abs(target))
 

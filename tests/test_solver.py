@@ -382,7 +382,7 @@ class TestCurvatureProbe:
 
     def test_slack_settled_point_never_calls_the_dense_probe(self, dense_probes):
         for n in (6, 10):
-            state, _ = al_solve(maxcut_sdp(n, 0), [3], SolverConfig())
+            state, _ = al_solve(densify(maxcut_sdp(n, 0)), [3], SolverConfig())
             dense_probes.clear()
             ev = eval_point(maxcut_sdp(n, 0), state.point, state.lam, state.rho)
             assert min(np.linalg.eigvalsh(ev.S[0])) < 0.0  # settled by the floor, not by S >= 0
@@ -541,7 +541,7 @@ class TestInnerMinimize:
 
 class TestOuterLoop:
     def test_trivial_sdp(self):
-        state, trace = al_solve(trivial_sdp(), [2], SolverConfig(seed=0))
+        state, trace = al_solve(densify(trivial_sdp()), [2], SolverConfig(seed=0))
         assert state.objective == pytest.approx(1.0, abs=1e-6)
         np.testing.assert_allclose(state.lam, [1.0], atol=1e-6)
         assert state.infeasibility <= 1e-8
@@ -552,7 +552,7 @@ class TestOuterLoop:
         # raising rho to its cap while infeasibility sat at roundoff
         prob = maxcut_sdp(24, 10)
         cfg = SolverConfig(seed=0)
-        state, trace = al_solve(prob, [7], cfg)
+        state, trace = al_solve(densify(prob), [7], cfg)
         assert state.converged
         assert len(trace) <= 10
         assert all(rec["rho"] < cfg.penalty_cap for rec in trace)
@@ -572,34 +572,34 @@ class TestOuterLoop:
             SolverConfig(**{field: value})
 
     def test_indefinite_cost_with_trace_constraint(self):
-        state, _ = al_solve(indefinite_trace_sdp(), [2], SolverConfig(seed=0))
+        state, _ = al_solve(densify(indefinite_trace_sdp()), [2], SolverConfig(seed=0))
         assert state.objective == pytest.approx(-1.0, abs=1e-6)
 
     def test_iqm_matches_oracle(self):
         built = build_integer_quadratic(iqm_cost(1.0, -0.8, 0.16))
         target = oracle_solve(built.problem).objective
-        state, _ = al_solve(built.problem, [2], SolverConfig(seed=0))
+        state, _ = al_solve(densify(built.problem), [2], SolverConfig(seed=0))
         assert abs(state.objective - target) <= 1e-5 * (1.0 + abs(target))
 
     def test_inequality_multipliers_stay_nonnegative(self):
         for seed in range(5):
             prob = generate_random(BlockStructure((4,), 1, 0), 5, "EEIII", seed)
-            state, _ = al_solve(prob, [3], SolverConfig(seed=seed))
+            state, _ = al_solve(densify(prob), [3], SolverConfig(seed=seed))
             ineq = prob.inequality_indices()
             assert np.all(state.lam[ineq] >= 0.0)
 
     def test_complementarity_at_convergence(self):
         for seed in range(5):
             prob = generate_random(BlockStructure((4,), 1, 0), 6, "EEEIII", seed + 20)
-            state, _ = al_solve(prob, [3], SolverConfig(seed=seed))
+            state, _ = al_solve(densify(prob), [3], SolverConfig(seed=seed))
             c = apply_reference(prob, *lifted(state.point)) - prob.b
             for i in prob.inequality_indices():
                 assert abs(state.lam[i] * c[i]) <= 1e-6 * (1.0 + abs(state.lam[i]))
 
     def test_determinism(self):
         prob = generate_random(BlockStructure((5,), 1, 0), 4, "EEEE", 3)
-        s1, t1 = al_solve(prob, [3], SolverConfig(seed=5))
-        s2, t2 = al_solve(prob, [3], SolverConfig(seed=5))
+        s1, t1 = al_solve(densify(prob), [3], SolverConfig(seed=5))
+        s2, t2 = al_solve(densify(prob), [3], SolverConfig(seed=5))
         np.testing.assert_array_equal(s1.point.factors[0], s2.point.factors[0])
         assert t1 == t2
 
@@ -610,7 +610,7 @@ class TestOuterLoop:
             [([e11], [], 1.0, "E"), ([e11], [], 2.0, "E")],
         )
         with pytest.raises(InfeasibleError):
-            al_solve(prob, [2], SolverConfig(seed=0))
+            al_solve(densify(prob), [2], SolverConfig(seed=0))
 
     def test_infeasible_input_raises_within_seven_outer_iterations(self, monkeypatch):
         # infeasibility that stops halving raises without climbing rho to its cap
@@ -639,7 +639,7 @@ class TestOuterLoop:
             for seed in (0, 1):
                 inner_calls[0] = 0
                 with pytest.raises(InfeasibleError):
-                    al_solve(prob, [rank], SolverConfig(seed=seed))
+                    al_solve(densify(prob), [rank], SolverConfig(seed=seed))
                 assert inner_calls[0] <= 7
 
     def test_degenerate_feasible_input_never_stalls(self):
@@ -654,7 +654,7 @@ class TestOuterLoop:
             prob = make_problem((3,), 1, 0, [g + g.T], [], rows)
             rng = np.random.default_rng(100 + seed)
             for rank in (1, 2, 3):
-                state, _ = al_solve(prob, [rank], SolverConfig(seed=seed))
+                state, _ = al_solve(densify(prob), [rank], SolverConfig(seed=seed))
                 assert state.converged
                 # move the converged point off feasibility, at its rank and
                 # by an appended column as after a rank increment
@@ -664,12 +664,12 @@ class TestOuterLoop:
                     moved.append((np.hstack([y, 1e-3 * rng.standard_normal((3, 1))]), rank + 1))
                 for y0, r0 in moved:
                     point = FactorizedPoint((y0,), (), np.zeros(0))
-                    warm, _ = al_solve(prob, [r0], SolverConfig(seed=seed), warm_start=(point, state.lam))
+                    warm, _ = al_solve(densify(prob), [r0], SolverConfig(seed=seed), warm_start=(point, state.lam))
                     assert warm.converged
 
     def test_multi_block_with_free_variables(self):
         for seed in range(3):
             prob = generate_random(BlockStructure((4, 3), 2, 2), 6, "EEEEEI", seed + 40)
-            state, _ = al_solve(prob, [3, 3], SolverConfig(seed=seed))
+            state, _ = al_solve(densify(prob), [3, 3], SolverConfig(seed=seed))
             target = oracle_solve(prob).objective
             assert abs(state.objective - target) <= 1e-4 * (1.0 + abs(target))

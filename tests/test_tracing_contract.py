@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lrsdp import certification
+from lrsdp.dense import densify
 from lrsdp.solver import SolverConfig
 
 from helpers import trivial_sdp
@@ -32,8 +33,8 @@ def test_every_patched_attribute_is_callable(tracing):
 
 
 def test_al_solve_binds_the_arguments_its_counter_reads(tracing):
-    problem, ranks, config = trivial_sdp(), [1], SolverConfig(seed=0)
-    # the staircase's call: problem, ranks and config positional
+    problem, ranks, config = densify(trivial_sdp()), [1], SolverConfig(seed=0)
+    # the staircase's call: its dense view, ranks and config positional
     bound = inspect.signature(certification.al_solve).bind(problem, ranks, config, warm_start=None)
     assert {"problem", "ranks", "config"} <= set(bound.arguments)
     counts = Counter()
@@ -51,8 +52,8 @@ def test_traced_staircase_reports_its_layers(tracing):
     assert report.verdict == "GlobalOptimal"
     assert metrics["certification.stages"] == len(report.stages) == 1
     assert metrics["solver.al_solve_calls"] == 1
-    # one view for the staircase plus one per local solve
-    assert metrics["dense.densify_calls"] == 2
+    # one view for the staircase, shared by its local solve
+    assert metrics["dense.densify_calls"] == 1
 
 
 def test_traced_line_search_evaluates_on_the_staircase_view(tracing):
@@ -70,5 +71,5 @@ def test_traced_line_search_evaluates_on_the_staircase_view(tracing):
         "restart", "rank-increment", "rank-increment", "certified"
     ]
     assert metrics["solver.al_value_grad_calls"] > 0
-    assert metrics["dense.densify_calls"] == 1 + metrics["solver.al_solve_calls"]
+    assert metrics["dense.densify_calls"] == 1
     assert metrics["certification.licq_s"] == 0
