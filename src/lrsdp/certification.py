@@ -9,7 +9,8 @@ factor that is also the lift of the same-rank move Y + a v z^T, z in ker Y
 (``escape_direction`` reports which kind applies), a direction the local
 solve's curvature probe already covers.  The staircase alternates local
 solves with certification until a certificate, a full-rank stop, or the
-retry budget ends the run.
+restart budget ends the run; a local solve that stalls as infeasible grows
+the rank at once, and at full rank its ``InfeasibleError`` propagates.
 
 The certificate's building blocks take the problem's dense view
 (``DenseProblem``) rather than the problem, and none of them builds it:
@@ -382,8 +383,14 @@ def staircase_solve(
     and escape line searches.  An Escapable certificate appends the slack
     eigenvector as one column to its block, with a line search on its scale;
     when that block is at full rank, and on an Indeterminate certificate, the
-    stage burns a fresh-seed restart.  Terminates on GlobalOptimal, on full
-    rank, or when the per-rank restart budget is exhausted.
+    stage burns a fresh-seed restart.  A local solve that raises
+    ``InfeasibleError`` grows every block below full rank by one column and
+    continues from a fresh seed with a fresh restart budget; there is no
+    same-rank retry, since below the rank bound the rank-p matrices can miss
+    the feasible set altogether.  When no block can grow the error
+    propagates.  Terminates on GlobalOptimal, on full rank, or when the
+    per-rank restart budget (``SolverConfig.restarts``, the only budget) is
+    exhausted.
     """
     t0 = time.perf_counter()
     st = problem.structure
@@ -399,7 +406,6 @@ def staircase_solve(
     warm = None
     cur_seed = config.seed
     restarts_left = config.restarts
-    infeasible_retry_left = 1
     state = None
     cert = None
 
@@ -409,22 +415,15 @@ def staircase_solve(
         try:
             state, _ = al_solve(dp, cur_ranks, stage_cfg, warm_start=warm)
         except InfeasibleError:
-            # infeasibility at a restricted rank may be the rank constraint
-            # biting, not the problem: retry once, then escalate while any
-            # block can grow
-            if warm is None and infeasible_retry_left > 0:
-                infeasible_retry_left -= 1
-                cur_seed += 1
-                action = "restart"
-            else:
-                growable = [j for j, r in enumerate(cur_ranks) if r < st.psd_sizes[j]]
-                if not growable:
-                    raise
-                for j in growable:
-                    cur_ranks[j] += 1
-                restarts_left = config.restarts
-                infeasible_retry_left = 1
-                action = "rank-increment"
+            # below full rank the rank constraint itself can exclude every
+            # feasible point, so grow every block that can, from a fresh seed
+            growable = [j for j, r in enumerate(cur_ranks) if r < st.psd_sizes[j]]
+            if not growable:
+                raise
+            for j in growable:
+                cur_ranks[j] += 1
+            restarts_left = config.restarts
+            cur_seed += 1
             stages.append(
                 StageRecord(
                     stage=stage,
@@ -434,7 +433,7 @@ def staircase_solve(
                     kkt=KktResiduals(np.inf, np.inf, np.inf, 0.0, 0.0),
                     slack_min_eig=0.0,
                     verdict="Infeasible",
-                    action=action,
+                    action="rank-increment",
                     duality_gap=float("nan"),
                 )
             )

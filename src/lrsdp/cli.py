@@ -284,6 +284,10 @@ def cmd_solve(args) -> int:
     if ranks is not None and len(ranks) != k:
         print(f"error: --rank needs {k} comma-separated ranks, got {len(ranks)}", file=sys.stderr)
         return EXIT_USAGE
+    for j, (r, n) in enumerate(zip(ranks or (), problem.structure.psd_sizes)):
+        if r > n:
+            print(f"error: --rank {r} for block {j} exceeds its size {n}", file=sys.stderr)
+            return EXIT_USAGE
     report = staircase_solve(problem, cfg, ranks=ranks)
 
     payload = _report_payload(problem, report, cfg, ranks, args.timing)
@@ -385,6 +389,10 @@ def cmd_experiment(args) -> int:
     scale_tol = 1e-6
 
     if args.kind == "genericity":
+        if p > n:
+            print(f"error: genericity needs --p of at most --n, got p = {p}, n = {n}", file=sys.stderr)
+            return EXIT_USAGE
+
         def trial(t: int):
             problem = generate_random(BlockStructure((n,), 1, 0), m, "E" * m, args.seed + t)
             report = staircase_solve(problem, replace(cfg, seed=args.seed + t), ranks=[p])

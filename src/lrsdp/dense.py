@@ -35,7 +35,6 @@ class DenseProblem:
     c_free: np.ndarray           # (d,)
     b: np.ndarray                # (m,)
     eq_mask: np.ndarray          # (m,) bool
-    name: str = ""
 
     @property
     def structure(self) -> BlockStructure:
@@ -119,5 +118,4 @@ def densify(problem: ConicSdpProblem) -> DenseProblem:
         c_free=np.array(problem.cost_free, dtype=float),
         b=b,
         eq_mask=eq,
-        name=problem.name,
     )

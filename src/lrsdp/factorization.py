@@ -226,7 +226,8 @@ def m_prime_conic(problem: ConicSdpProblem, rank_ranges) -> RankBoundReport:
 
     `rank_ranges` supplies, per tail block, the set of ranks the block can take
     at solutions; the formula's maximum is attained at the smallest rank in
-    each range.
+    each range.  A count of independent active constraints is never negative,
+    so m' is clamped at 0.
     """
     st = problem.structure
     tail = st.tail_sizes
@@ -238,7 +239,7 @@ def m_prime_conic(problem: ConicSdpProblem, rank_ranges) -> RankBoundReport:
             raise ValueError(f"empty rank range for tail block {j}")
         if rr[0] < 0 or rr[-1] > nj:
             raise ValueError(f"rank range for tail block {j} outside [0, {nj}]")
-    mp = problem.m - st.free_dim - sum(triangular(rr[0]) for rr in ranges)
+    mp = max(0, problem.m - st.free_dim - sum(triangular(rr[0]) for rr in ranges))
     p = tuple(
         _min_rank_for(mp, st.psd_sizes[j]) for j in range(st.factorized_count)
     )
@@ -250,7 +251,7 @@ def initial_rank_bound(problem: ConicSdpProblem) -> RankBoundReport:
 
     Single block, equality-only: exact (rank of the stack).  Single block with
     inequalities: min(m, rank A) upper bound.  Multi-block or free variables:
-    the conic formula with unconstrained tail ranks, i.e. m' = m - d.
+    the conic formula with unconstrained tail ranks, i.e. m' = max(0, m - d).
     """
     st = problem.structure
     if st.num_blocks == 1 and st.free_dim == 0 and st.factorized_count == 1:
@@ -258,6 +259,4 @@ def initial_rank_bound(problem: ConicSdpProblem) -> RankBoundReport:
             return m_prime_inequality(problem)
         mp = min(problem.m, _numerical_rank(_stack_rows(problem, range(problem.m))))
         return RankBoundReport(mp, (_min_rank_for(mp, st.psd_sizes[0]),), "RankUpperBound")
-    mp = max(0, problem.m - st.free_dim)
-    p = tuple(_min_rank_for(mp, st.psd_sizes[j]) for j in range(st.factorized_count))
-    return RankBoundReport(mp, p, "ConicFormula")
+    return m_prime_conic(problem, [range(n + 1) for n in st.tail_sizes])

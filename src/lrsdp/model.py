@@ -128,12 +128,6 @@ class SymmetricMatrix:
         w = _inner_weights(self.dim)
         return float(np.sqrt(np.dot(w * self.packed, self.packed)))
 
-    def __add__(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        return SymmetricMatrix(self.dim, self.packed + other.packed)
-
-    def __sub__(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        return SymmetricMatrix(self.dim, self.packed - other.packed)
-
     def scaled(self, t: float) -> "SymmetricMatrix":
         return SymmetricMatrix(self.dim, t * self.packed)
 
@@ -167,13 +161,14 @@ class CooSymmetric:
         return cls(n, rows, cols, vals)
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, tol: float = 0.0) -> "CooSymmetric":
+    def from_dense(cls, a: np.ndarray) -> "CooSymmetric":
+        """Upper-triangle entries of (a + a^T) / 2, exact zeros dropped."""
         a = np.asarray(a, dtype=float)
         n = a.shape[0]
         sym = 0.5 * (a + a.T)
         r, c = _triu_rows_cols(n)
         v = sym[r, c]
-        keep = np.abs(v) > tol
+        keep = np.abs(v) > 0.0
         return cls(n, r[keep].copy(), c[keep].copy(), v[keep].copy())
 
     def to_dense(self) -> np.ndarray:

@@ -357,16 +357,17 @@ class TestStaircase:
             (solver, "densify"),
         ):
             monkeypatch.setattr(module, name, counting(module, name))
-        # infeasible stages at rank 1, then escapes before the certificate
+        # an infeasible stage at rank 1, then any escapes, before the certificate
         problems = [
-            build_sensing_psd(4, 2, 5, seed=0).problem,
-            generate_random(BlockStructure((6,), 1, 0), 8, "EEEEEIII", 2),
+            (build_sensing_psd(4, 2, 5, seed=0).problem, ["rank-increment", "certified"]),
+            (generate_random(BlockStructure((6,), 1, 0), 8, "EEEEEIII", 2),
+             ["rank-increment", "rank-increment", "certified"]),
         ]
-        for prob in problems:
+        for prob, actions in problems:
             calls.clear()
             report = staircase_solve(prob, SolverConfig(seed=0), ranks=[1])
             certified = sum(s.verdict != "Infeasible" for s in report.stages)
-            assert len(report.stages) >= 3
+            assert [s.action for s in report.stages] == actions
             assert calls["certification.densify"] == 1
             assert calls["certification._kkt_residuals"] == 2 * certified
             # no LICQ pass, and neither the local solves nor the escape
@@ -441,7 +442,8 @@ class TestStaircase:
                 good += 1
         assert good >= 9
 
-    def test_infeasible_at_full_rank_propagates(self):
+    def test_infeasible_at_full_rank_propagates(self, monkeypatch):
+        from lrsdp import certification
         from lrsdp.solver import InfeasibleError
 
         e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -449,8 +451,36 @@ class TestStaircase:
             (2,), 1, 0, [np.eye(2)], [],
             [([e11], [], 1.0, "E"), ([e11], [], 2.0, "E")],
         )
+        calls = []
+
+        def spy(dp, cur_ranks, *args, **kwargs):
+            calls.append(list(cur_ranks))
+            return al_solve(dp, cur_ranks, *args, **kwargs)
+
+        monkeypatch.setattr(certification, "al_solve", spy)
         with pytest.raises(InfeasibleError):
             staircase_solve(prob, SolverConfig(seed=0))
+        # one local solve at full rank, and no same-rank retry
+        assert calls == [[2]]
+
+    def test_infeasible_stage_escalates_without_a_same_rank_retry(self, monkeypatch):
+        # rank 1 gives 4 dimensions of PSD matrices against 5 generic rows
+        from lrsdp import certification
+
+        ranks = []
+
+        def spy(dp, cur_ranks, *args, **kwargs):
+            ranks.append(cur_ranks[0])
+            return al_solve(dp, cur_ranks, *args, **kwargs)
+
+        monkeypatch.setattr(certification, "al_solve", spy)
+        prob = build_sensing_psd(4, 2, 5, seed=0).problem
+        report = staircase_solve(prob, SolverConfig(seed=0), ranks=[1])
+        assert ranks.count(1) == 1
+        assert [(s.ranks, s.verdict, s.action, s.seed) for s in report.stages] == [
+            ((1,), "Infeasible", "rank-increment", 0),
+            ((2,), "GlobalOptimal", "certified", 1),
+        ]
 
     def test_report_is_deterministic(self):
         prob = generate_random(BlockStructure((6,), 1, 0), 5, "EEEEI", 17)

@@ -199,13 +199,16 @@ class TestFlagValidation:
             ["bound", "{path}", "--cap", "-1"],
             ["bound", "{path}", "--ranks", "0"],
             ["experiment", "adversarial", "--n", "4", "--p", "2", "--m", "0"],
+            ["solve", "{path}", "--rank", "3"],
+            ["experiment", "genericity", "--n", "4", "--p", "9"],
         ],
         ids=["rank-count", "rank-empty", "max-outer-0", "genericity-trials-0",
              "licq-trials-0", "adversarial-p-equals-n", "genericity-m-negative",
              "tol-0", "tol-negative", "tol-nan", "tol-inf", "restarts-negative",
              "genericity-tol-0", "cert-tol-0", "cert-tol-nan", "seed-negative",
              "licq-seed-negative", "rank-zero", "rank-negative", "cap-negative",
-             "bound-ranks-without-tails", "adversarial-m-0"],
+             "bound-ranks-without-tails", "adversarial-m-0", "rank-above-block-size",
+             "genericity-p-above-n"],
     )
     def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv):
         point = os.path.join(tmp_path, "trivial.point")
@@ -335,6 +338,14 @@ class TestBoundCommand:
         assert code == 1
         assert out == ""
         assert "error:" in err
+
+    def test_more_free_variables_than_rows_clamps_m_prime_at_zero(self, tmp_path):
+        prob = generate_random(BlockStructure((3,), 1, 2), 1, "E", 0)
+        path = os.path.join(tmp_path, "free.sdp")
+        Path(path).write_text(write_problem(prob))
+        code, out, _ = run_cli(["bound", path])
+        assert code == 0
+        assert json.loads(out) == {"m_prime": 0, "p_per_block": [1], "method": "ConicFormula"}
 
 
 class TestExperimentCommand:

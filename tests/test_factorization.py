@@ -225,3 +225,15 @@ def test_initial_rank_bound_shapes():
     rep = initial_rank_bound(prob)
     assert rep.method == "ConicFormula"
     assert rep.m_prime == 4  # m - d
+
+
+def test_initial_rank_bound_is_the_conic_formula_at_free_tail_ranks():
+    fixtures = [
+        generate_random(BlockStructure((4, 3), 1, 2), 5, "EEEEI", 0),  # free and tail
+        generate_random(BlockStructure((4, 3), 2, 1), 5, "EEEEE", 0),  # two factors
+        generate_random(BlockStructure((4,), 1, 2), 1, "E", 0),        # d > m
+    ]
+    for prob in fixtures:
+        free_tails = [range(n + 1) for n in prob.structure.tail_sizes]
+        assert initial_rank_bound(prob) == m_prime_conic(prob, free_tails)
+    assert initial_rank_bound(fixtures[-1]).m_prime == 0

@@ -2,6 +2,7 @@
 binds their arguments by name; these tests keep those names in place."""
 
 import inspect
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -60,16 +61,24 @@ def test_traced_line_search_evaluates_on_the_staircase_view(tracing):
     from lrsdp.apps import generate_random
     from lrsdp.model import BlockStructure
 
-    # from rank 1: an infeasible restart, then two rank increments whose
-    # escape line searches evaluate the AL
+    # from rank 1: an infeasible stage grows the rank, then a rank increment
+    # whose escape line search evaluates the AL
     prob = generate_random(BlockStructure((6,), 1, 0), 8, "EEEEEIII", 2)
     tracer = tracing.Tracer()
     with tracer.installed():
         report = certification.staircase_solve(prob, SolverConfig(seed=0), ranks=[1])
     metrics = tracer.layer_metrics()
-    assert [s.action for s in report.stages] == [
-        "restart", "rank-increment", "rank-increment", "certified"
-    ]
+    assert [s.action for s in report.stages] == ["rank-increment", "rank-increment", "certified"]
     assert metrics["solver.al_value_grad_calls"] > 0
     assert metrics["dense.densify_calls"] == 1
     assert metrics["certification.licq_s"] == 0
+
+
+def test_benchmark_selftest_passes():
+    # every workload's tiny instances, traced twice, repeat their counters
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "selftest.py")],
+        cwd=BENCHMARKS.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [line.split()[1] for line in proc.stdout.splitlines()] == ["ok"] * 3
