@@ -8,6 +8,14 @@ directions go through the ``DenseProblem`` operator the solver and certifier
 use.  It anchors every derived test value in the suite, so it is deliberately
 boring: dense factorizations, no randomness, fraction-to-boundary 0.99.
 
+One phase I (``_min_violation``) answers every feasibility question: the
+least uniform violation t of a set of rows forced active, solved by the same
+interior-point method on a view built from the same ``DenseProblem``.  The
+m' enumeration (``active_subset_feasible``) forces an active subset;
+``oracle_solve`` forces none to diagnose a stall, and its
+NotStrictlyFeasibleError reports that t.  Both decide with one rule,
+``_feasible``.
+
 ``brute_force_2x2`` is a second, structurally unrelated oracle for single
 2x2-block problems: it sweeps the eigenbasis angle on a fine grid and solves
 the remaining two-variable linear program exactly at each angle.
@@ -22,15 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .dense import DenseProblem, densify
-from .model import (
-    BlockStructure,
-    ConicSdpProblem,
-    Constraint,
-    ConstraintKind,
-    CooSymmetric,
-    PrimalPoint,
-    SymmetricMatrix,
-)
+from .model import ConicSdpProblem, PrimalPoint, SymmetricMatrix
 
 __all__ = [
     "OracleSolution",
@@ -246,42 +246,67 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
     )
 
 
-def _feasibility_gap(eqf: DenseProblem, tol: float = 1e-8) -> float:
-    """Big-M phase on an equality-form view: min theta with
-    A(X) + a.x + theta*v = b; 0 iff feasible."""
-    # strictly feasible start (X = I, x = 0, theta = 1) by construction of v
-    v = eqf.b - eqf.apply([np.eye(n) for n in eqf.sizes], np.zeros(eqf.d))
+def _feasible(t: float, b: np.ndarray) -> bool:
+    """The one feasibility rule: a least uniform violation t (``_min_violation``)
+    counts as feasible up to 1e-7 * (1 + ||b||_inf)."""
+    return t <= 1e-7 * (1.0 + (float(np.abs(b).max()) if b.size else 0.0))
+
+
+def _min_violation(dp: DenseProblem, active) -> float:
+    """Phase I: the least uniform violation t over PSD X_j and free x.
+
+    Solves  min t + eps * sum_j tr X_j  with |r_i| <= t on the forced rows
+    (``active`` and every equality) and r_i >= -t on the other inequality
+    rows, r = A(X) + a.x - b.  The view holds one more 1x1 block for t and
+    every row as an inequality, a forced row twice with its negation right
+    after it.  It is strictly feasible on both sides: X = I, x = 0 and a
+    large t in the primal, lambda = 0 in the dual thanks to eps * I.
+    """
+    forced = dp.eq_mask.copy()
+    forced[list(active)] = True
+    rows = np.repeat(np.arange(dp.m), np.where(forced, 2, 1))
+    neg = np.zeros(rows.size, dtype=bool)
+    neg[1:] = rows[1:] == rows[:-1]
+
+    def signed(a: np.ndarray) -> np.ndarray:
+        a = a[rows]
+        a[neg] = 0.0 - a[neg]  # 0.0 - a: no -0.0 enters the data
+        return a
+
+    eps = 1e-10
     phase = replace(
-        eqf,
-        sizes=eqf.sizes + (1,),
-        C=[np.zeros_like(c) for c in eqf.C] + [np.ones((1, 1))],
-        A=eqf.A + [v.reshape(eqf.m, 1, 1)],
-        c_free=np.zeros(eqf.d),
+        dp,
+        sizes=dp.sizes + (1,),
+        C=[eps * np.eye(n) for n in dp.sizes] + [np.ones((1, 1))],
+        A=[signed(a) for a in dp.A] + [np.ones((rows.size, 1, 1))],
+        Af=signed(dp.Af),
+        c_free=np.zeros(dp.d),
+        b=signed(dp.b),
+        eq_mask=np.zeros(rows.size, dtype=bool),
     )
-    try:
-        X, lam, S, x, it, pobj, dobj = _ipm(phase, tol, 200)
-    except MaxIterationsError:
-        return np.inf
-    return float(X[-1][0, 0])
+    X = _ipm(_equality_form(phase), 1e-9, 200)[0]
+    return float(X[len(dp.sizes)][0, 0])
 
 
 def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 100) -> OracleSolution:
     """Solve to (relative) tolerance `tol` with the dense interior-point method.
 
-    Raises NotStrictlyFeasibleError when a feasibility phase certifies the
-    instance as (near-)infeasible, MaxIterationsError otherwise on stall, and
-    NoPsdBlockError with neither a PSD block nor an inequality row.
+    On a stall the phase I (``_min_violation``, no rows forced beyond the
+    equalities) diagnoses it: NotStrictlyFeasibleError when its least uniform
+    violation fails ``_feasible``, MaxIterationsError otherwise or when the
+    phase I fails too.  NoPsdBlockError with neither a PSD block nor an
+    inequality row.
     """
     dp = densify(problem)
-    eqf = _equality_form(dp)
     try:
-        X, lam, S, x, it, pobj, dobj = _ipm(eqf, tol, max_iter)
+        X, lam, S, x, it, pobj, dobj = _ipm(_equality_form(dp), tol, max_iter)
     except (MaxIterationsError, np.linalg.LinAlgError) as exc:
-        theta = _feasibility_gap(eqf)
-        if theta > 1e-7 * (1.0 + float(np.linalg.norm(dp.b, np.inf))):
-            raise NotStrictlyFeasibleError(
-                f"feasibility phase residual {theta:.3e}"
-            ) from exc
+        try:
+            t = _min_violation(dp, ())
+        except (MaxIterationsError, np.linalg.LinAlgError):
+            raise MaxIterationsError(str(exc)) from exc
+        if not _feasible(t, dp.b):
+            raise NotStrictlyFeasibleError(f"least uniform violation {t:.3e}") from exc
         raise MaxIterationsError(str(exc)) from exc
 
     nb_orig = len(dp.sizes)
@@ -305,47 +330,13 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
 
 
 def min_active_violation(problem: ConicSdpProblem, active: tuple[int, ...]) -> float:
-    """Least uniform violation t over X >= 0 with the given rows forced active.
-
-    Builds  min t + eps*tr(X)  s.t.  |<A_i,X> - b_i| <= t on forced rows,
-    <A_j,X> - b_j >= -t on the remaining inequality rows; always strictly
-    feasible, so the interior-point solve is routine.
-    """
-    st = problem.structure
-    if st.num_blocks != 1 or st.free_dim != 0:
-        raise ValueError("active-subset feasibility supports one PSD block, d = 0")
-    n = st.psd_sizes[0]
-    forced = set(int(i) for i in active) | set(int(i) for i in problem.equality_indices())
-    eps = 1e-10
-
-    t_one = CooSymmetric.from_entries(1, [(0, 0, 1.0)])
-    t_zero = CooSymmetric.empty(1)
-    rows = []
-    for i, con in enumerate(problem.constraints):
-        a = con.blocks[0]
-        if i in forced:
-            neg = CooSymmetric(a.dim, a.rows, a.cols, -a.vals)
-            rows.append(Constraint((a, t_one), np.zeros(0), con.rhs, ConstraintKind.INEQUALITY))
-            rows.append(Constraint((neg, t_one), np.zeros(0), -con.rhs, ConstraintKind.INEQUALITY))
-        else:
-            rows.append(Constraint((a, t_one), np.zeros(0), con.rhs, ConstraintKind.INEQUALITY))
-
-    cost0 = SymmetricMatrix.from_dense(eps * np.eye(n))
-    cost_t = SymmetricMatrix.from_dense(np.array([[1.0]]))
-    aux = ConicSdpProblem.normalized(
-        structure=BlockStructure((n, 1), 0, 0),
-        cost_blocks=(cost0, cost_t),
-        cost_free=np.zeros(0),
-        constraints=rows,
-        name="active-subset-feasibility",
-    )
-    sol = oracle_solve(aux, tol=1e-9, max_iter=200)
-    return float(sol.X.psd_blocks[1].packed[0])
+    """Least uniform violation t with the given rows forced active
+    (``_min_violation`` on the problem's dense view)."""
+    return _min_violation(densify(problem), active)
 
 
 def active_subset_feasible(problem: ConicSdpProblem, active: tuple[int, ...]) -> bool:
-    scale = 1.0 + float(np.max(np.abs(problem.b))) if problem.m else 1.0
-    return min_active_violation(problem, active) <= 1e-7 * scale
+    return _feasible(min_active_violation(problem, active), problem.b)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,19 @@ import pytest
 from lrsdp.certification import Multipliers, active_set, certify
 from lrsdp.dense import densify
 from lrsdp.factorization import factor
-from lrsdp.model import BlockStructure
+from lrsdp.model import (
+    BlockStructure,
+    ConicSdpProblem,
+    Constraint,
+    ConstraintKind,
+    CooSymmetric,
+    SymmetricMatrix,
+)
 from lrsdp.oracle import (
     MaxIterationsError,
     NotStrictlyFeasibleError,
     brute_force_2x2,
+    active_subset_feasible,
     min_active_violation,
     oracle_solve,
 )
@@ -80,9 +88,19 @@ class TestInteriorPoint:
             (2,), 1, 0, [np.eye(2)], [],
             [([e11], [], 1.0, "E"), ([e11], [], 2.0, "E")],
         )
-        with pytest.raises((NotStrictlyFeasibleError, MaxIterationsError)):
+        # the least uniform violation of X11 = 1, X11 = 2 is 0.5
+        with pytest.raises(NotStrictlyFeasibleError, match="violation 5.000e-01"):
             oracle_solve(prob)
         assert len(calls) == 1  # the feasibility phase reuses the solve's view
+
+    def test_free_variable_in_no_row_reports_stall(self):
+        # the free variable's Schur block Af^T M^-1 Af is singular, in the
+        # solve and in its phase I alike
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        prob = make_problem((2,), 1, 1, [np.eye(2)], [0.0], [([e11], [0.0], 1.0, "E")])
+        with pytest.raises(MaxIterationsError) as info:
+            oracle_solve(prob)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_deterministic(self):
         prob = generate_random(BlockStructure((5, 3), 2, 1), 6, "EEEEEI", 5)
@@ -271,3 +289,73 @@ class TestActiveSubsetFeasibility:
         # forcing the inequality active contradicts the equality by 2
         v = min_active_violation(prob, (1,))
         assert v >= 0.9
+
+    def test_matches_model_level_reference_bitwise(self):
+        e11, e22 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+        e12 = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        zero_rhs = make_problem(
+            (3,), 1, 0, [np.eye(3)], [],
+            [([np.eye(3)], [], 1.0, "E"), ([e11 - e22], [], 0.0, "I"),
+             ([e12], [], 0.0, "I"), ([np.diag([0.0, 0.0, 1.0])], [], 0.2, "I")],
+        )
+        problems = [zero_rhs] + [
+            generate_random(BlockStructure((n,), 1, 0), len(kinds), kinds, seed)
+            for n, kinds, seed in ((3, "EII", 5), (4, "EEIII", 6), (2, "III", 7))
+        ]
+        for prob in problems:
+            iq = list(prob.inequality_indices())
+            for r in range(len(iq) + 1):
+                for combo in combinations(iq, r):
+                    got = min_active_violation(prob, combo)
+                    want = reference_min_active_violation(prob, combo)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_two_blocks_with_free_variables(self):
+        prob = generate_random(BlockStructure((3, 2), 1, 2), 5, "EEIII", 9)
+        for combo in ((), (2,), (3, 4)):
+            assert abs(min_active_violation(prob, combo)) <= 1e-7
+        assert active_subset_feasible(prob, ())
+
+        # two equalities on the same combination of both blocks and x
+        # disagree by 2, so the least uniform violation is 1
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        row = [e11, np.eye(3)]
+        conflict = make_problem(
+            (2, 3), 1, 2, [np.eye(2), np.eye(3)], [0.0, 0.0],
+            [(row, [1.0, -1.0], 1.0, "E"), (row, [1.0, -1.0], 3.0, "E"),
+             ([e11, np.zeros((3, 3))], [0.0, 1.0], 0.5, "I")],
+        )
+        assert min_active_violation(conflict, ()) == pytest.approx(1.0, abs=1e-6)
+        assert not active_subset_feasible(conflict, ())
+
+
+# the tolerance of the phase-I interior-point solve
+PHASE_TOL = 1e-9
+
+
+def reference_min_active_violation(problem, active):
+    """The phase I built as a model-level problem, one block, d = 0: the
+    oracle's routine before it was posed on the dense view, kept as the
+    reference."""
+    n = problem.structure.psd_sizes[0]
+    forced = set(int(i) for i in active) | set(int(i) for i in problem.equality_indices())
+    eps = 1e-10
+
+    t_one = CooSymmetric.from_entries(1, [(0, 0, 1.0)])
+    rows = []
+    for i, con in enumerate(problem.constraints):
+        a = con.blocks[0]
+        rows.append(Constraint((a, t_one), np.zeros(0), con.rhs, ConstraintKind.INEQUALITY))
+        if i in forced:
+            neg = CooSymmetric(a.dim, a.rows, a.cols, -a.vals)
+            rows.append(Constraint((neg, t_one), np.zeros(0), -con.rhs, ConstraintKind.INEQUALITY))
+
+    aux = ConicSdpProblem.normalized(
+        structure=BlockStructure((n, 1), 0, 0),
+        cost_blocks=(SymmetricMatrix.from_dense(eps * np.eye(n)), SymmetricMatrix.from_dense(np.ones((1, 1)))),
+        cost_free=np.zeros(0),
+        constraints=rows,
+        name="active-subset-feasibility",
+    )
+    sol = oracle_solve(aux, tol=PHASE_TOL, max_iter=200)
+    return float(sol.X.psd_blocks[1].packed[0])
