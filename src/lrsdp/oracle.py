@@ -284,7 +284,7 @@ def _min_violation(dp: DenseProblem, active) -> float:
         b=signed(dp.b),
         eq_mask=np.zeros(rows.size, dtype=bool),
     )
-    X = _ipm(_equality_form(phase), 1e-9, 200)[0]
+    X = _ipm(_equality_form(phase), 1e-8, 200)[0]
     return float(X[len(dp.sizes)][0, 0])
 
 

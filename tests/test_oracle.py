@@ -330,7 +330,7 @@ class TestActiveSubsetFeasibility:
 
 
 # the tolerance of the phase-I interior-point solve
-PHASE_TOL = 1e-9
+PHASE_TOL = 1e-8
 
 
 def reference_min_active_violation(problem, active):
