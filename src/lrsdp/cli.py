@@ -28,6 +28,8 @@ from .certification import (
 from .dense import densify
 from .factorization import (
     FactorizedPoint,
+    NotPsdError,
+    factor,
     lift,
     m_prime_conic,
     m_prime_inequality,
@@ -35,6 +37,7 @@ from .factorization import (
 from .model import (
     BlockStructure,
     ConicSdpProblem,
+    PrimalPoint,
     ProblemFormatError,
     SymmetricMatrix,
     read_problem,
@@ -153,6 +156,8 @@ def read_point(text: str) -> FactorizedPoint:
             vals = [float(t) for t in lines[pos].split()]
             if len(vals) != width:
                 raise ValueError(f"expected {width} values per row, got {len(vals)}")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"non-finite value in point file line {lines[pos]!r}")
             rows.append(vals)
             pos += 1
         return np.array(rows)
@@ -322,6 +327,11 @@ def cmd_certify(args) -> int:
     if point.free.shape != (st.free_dim,):
         print("error: free part length mismatch", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        factor(PrimalPoint(point.tail_blocks, point.free), [sm.dim for sm in point.tail_blocks])
+    except NotPsdError as exc:
+        print(f"error: tail {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     dp = densify(problem)
     licq = licq_check(dp, point)
@@ -459,6 +469,10 @@ def cmd_experiment(args) -> int:
         }
 
     elif args.kind == "licq":
+        if p > n:
+            print(f"error: licq needs --p of at most --n, got p = {p}, n = {n}", file=sys.stderr)
+            return EXIT_USAGE
+
         def trial(t: int):
             rng = np.random.default_rng(args.seed + t)
             y0 = rng.standard_normal((n, p))

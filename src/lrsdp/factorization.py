@@ -249,14 +249,12 @@ def m_prime_conic(problem: ConicSdpProblem, rank_ranges) -> RankBoundReport:
 def initial_rank_bound(problem: ConicSdpProblem) -> RankBoundReport:
     """Cheap rank bound used to seed the staircase (no active-set enumeration).
 
-    Single block, equality-only: exact (rank of the stack).  Single block with
-    inequalities: min(m, rank A) upper bound.  Multi-block or free variables:
-    the conic formula with unconstrained tail ranks, i.e. m' = max(0, m - d).
+    Single block: ``m_prime_inequality`` with no enumeration (cap 0), i.e.
+    the rank of the stack when equality-only, else the min(m, rank A) upper
+    bound.  Multi-block or free variables: the conic formula with
+    unconstrained tail ranks, i.e. m' = max(0, m - d).
     """
     st = problem.structure
     if st.num_blocks == 1 and st.free_dim == 0 and st.factorized_count == 1:
-        if problem.m_ineq == 0:
-            return m_prime_inequality(problem)
-        mp = min(problem.m, _numerical_rank(_stack_rows(problem, range(problem.m))))
-        return RankBoundReport(mp, (_min_rank_for(mp, st.psd_sizes[0]),), "RankUpperBound")
+        return m_prime_inequality(problem, cap=0)
     return m_prime_conic(problem, [range(n + 1) for n in st.tail_sizes])

@@ -201,6 +201,7 @@ class TestFlagValidation:
             ["experiment", "adversarial", "--n", "4", "--p", "2", "--m", "0"],
             ["solve", "{path}", "--rank", "3"],
             ["experiment", "genericity", "--n", "4", "--p", "9"],
+            ["experiment", "licq", "--n", "4", "--p", "9", "--m", "3", "--trials", "2"],
         ],
         ids=["rank-count", "rank-empty", "max-outer-0", "genericity-trials-0",
              "licq-trials-0", "adversarial-p-equals-n", "genericity-m-negative",
@@ -208,13 +209,31 @@ class TestFlagValidation:
              "genericity-tol-0", "cert-tol-0", "cert-tol-nan", "seed-negative",
              "licq-seed-negative", "rank-zero", "rank-negative", "cap-negative",
              "bound-ranks-without-tails", "adversarial-m-0", "rank-above-block-size",
-             "genericity-p-above-n"],
+             "genericity-p-above-n", "licq-p-above-n"],
     )
     def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv):
         point = os.path.join(tmp_path, "trivial.point")
         e1 = np.array([[1.0], [0.0]])
         Path(point).write_text(write_point(FactorizedPoint((e1,), (), np.zeros(0))))
         code, out, err = run_cli([a.format(path=trivial_file, point=point) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+
+    @pytest.mark.parametrize(
+        "factor_rows,tail_rows",
+        [(["nan", "0"], ["1 0", "0 0"]), (["1", "0"], ["-1 0", "0 0"])],
+        ids=["nan-in-factor", "indefinite-tail"],
+    )
+    def test_malformed_point_exits_one_with_error_line(self, tmp_path, factor_rows, tail_rows):
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        prob = make_problem((2, 2), 1, 0, [np.eye(2), np.eye(2)], [], [([e11, e11], [], 1.0, "E")])
+        ppath = os.path.join(tmp_path, "tail.sdp")
+        Path(ppath).write_text(write_problem(prob))
+        tpath = os.path.join(tmp_path, "bad.point")
+        Path(tpath).write_text("\n".join(["factor 2 1", *factor_rows, "tail 2", *tail_rows]) + "\n")
+        code, out, err = run_cli(["certify", ppath, tpath])
         assert code == 1
         assert out == ""
         assert "error:" in err

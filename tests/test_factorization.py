@@ -7,6 +7,7 @@ from lrsdp.dense import densify
 from lrsdp.factorization import (
     FactorizedPoint,
     NotPsdError,
+    RankBoundReport,
     RankTooSmallError,
     append_column,
     factor,
@@ -19,9 +20,16 @@ from lrsdp.factorization import (
 from lrsdp.model import BlockStructure, PrimalPoint, SymmetricMatrix
 from lrsdp.oracle import oracle_solve
 from lrsdp.solver import SolverConfig, al_solve
-from lrsdp.apps import generate_random
+from lrsdp.apps import build_integer_quadratic, generate_random
 
-from helpers import make_problem, trivial_sdp
+from helpers import (
+    correlation_sdp,
+    indefinite_trace_sdp,
+    iqm_cost,
+    make_problem,
+    maxcut_sdp,
+    trivial_sdp,
+)
 
 
 @pytest.mark.parametrize("k,expected", [(0, 0), (1, 1), (2, 3), (3, 6), (4, 10), (10, 55)])
@@ -225,6 +233,32 @@ def test_initial_rank_bound_shapes():
     rep = initial_rank_bound(prob)
     assert rep.method == "ConicFormula"
     assert rep.m_prime == 4  # m - d
+
+
+def test_initial_rank_bound_single_block_is_the_unenumerated_m_prime():
+    from lrsdp.factorization import _min_rank_for, _numerical_rank, _stack_rows
+
+    def reference(problem):
+        """The single-block branch before it called m_prime_inequality."""
+        if problem.m_ineq == 0:
+            return m_prime_inequality(problem)
+        mp = min(problem.m, _numerical_rank(_stack_rows(problem, range(problem.m))))
+        return RankBoundReport(mp, (_min_rank_for(mp, problem.structure.psd_sizes[0]),), "RankUpperBound")
+
+    fixtures = [
+        trivial_sdp(), indefinite_trace_sdp(), correlation_sdp(), maxcut_sdp(6, 0),
+        build_integer_quadratic(iqm_cost(1.0, -0.8, 0.16)).problem,
+        make_problem((3,), 1, 0, [np.eye(3)], [], []),
+    ] + [
+        generate_random(BlockStructure((n,), 1, 0), len(kinds), kinds, seed)
+        for n, kinds, seed in ((4, "EEEII", 400), (6, "EEEEE", 11), (5, "IIII", 3), (3, "EIIIII", 8))
+    ]
+    methods = set()
+    for prob in fixtures:
+        rep = initial_rank_bound(prob)
+        assert rep == reference(prob)
+        methods.add(rep.method)
+    assert methods == {"ExactEnumeration", "RankUpperBound"}
 
 
 def test_initial_rank_bound_is_the_conic_formula_at_free_tail_ranks():
