@@ -398,11 +398,11 @@ def cmd_experiment(args) -> int:
     n, m, p = args.n, args.m, args.p
     scale_tol = 1e-6
 
-    if args.kind == "genericity":
-        if p > n:
-            print(f"error: genericity needs --p of at most --n, got p = {p}, n = {n}", file=sys.stderr)
-            return EXIT_USAGE
+    if args.kind in ("genericity", "licq") and p > n:
+        print(f"error: {args.kind} needs --p of at most --n, got p = {p}, n = {n}", file=sys.stderr)
+        return EXIT_USAGE
 
+    if args.kind == "genericity":
         def trial(t: int):
             problem = generate_random(BlockStructure((n,), 1, 0), m, "E" * m, args.seed + t)
             report = staircase_solve(problem, replace(cfg, seed=args.seed + t), ranks=[p])
@@ -469,10 +469,6 @@ def cmd_experiment(args) -> int:
         }
 
     elif args.kind == "licq":
-        if p > n:
-            print(f"error: licq needs --p of at most --n, got p = {p}, n = {n}", file=sys.stderr)
-            return EXIT_USAGE
-
         def trial(t: int):
             rng = np.random.default_rng(args.seed + t)
             y0 = rng.standard_normal((n, p))

@@ -8,13 +8,11 @@ directions go through the ``DenseProblem`` operator the solver and certifier
 use.  It anchors every derived test value in the suite, so it is deliberately
 boring: dense factorizations, no randomness, fraction-to-boundary 0.99.
 
-One phase I (``_min_violation``) answers every feasibility question: the
-least uniform violation t of a set of rows forced active, solved by the same
-interior-point method on a view built from the same ``DenseProblem``.  The
-m' enumeration (``active_subset_feasible``) forces an active subset;
-``oracle_solve`` forces none to diagnose a stall, and its
-NotStrictlyFeasibleError reports that t.  Both decide with one rule,
-``_feasible``.
+One phase I (``_min_violation``: the least uniform violation of the rows,
+some forced active) answers every feasibility question on a view of the same
+``DenseProblem``.  The m' enumeration forces each candidate active set;
+``oracle_solve`` forces none to diagnose a stall.  Both decide with the one
+rule ``_feasible``.
 
 ``brute_force_2x2`` is a second, structurally unrelated oracle for single
 2x2-block problems: it sweeps the eigenbasis angle on a fine grid and solves
@@ -249,18 +247,17 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
 def _feasible(t: float, b: np.ndarray) -> bool:
     """The one feasibility rule: a least uniform violation t (``_min_violation``)
     counts as feasible up to 1e-7 * (1 + ||b||_inf)."""
-    return t <= 1e-7 * (1.0 + (float(np.abs(b).max()) if b.size else 0.0))
+    return t <= 1e-7 * (1.0 + float(np.linalg.norm(b, np.inf)))
 
 
 def _min_violation(dp: DenseProblem, active) -> float:
-    """Phase I: the least uniform violation t over PSD X_j and free x.
+    """Phase I: min t + eps * sum_j tr X_j over PSD X_j, free x and t, with
+    |r_i| <= t on the forced rows (``active`` and every equality) and
+    r_i >= -t on the other inequality rows, r = A(X) + a.x - b.
 
-    Solves  min t + eps * sum_j tr X_j  with |r_i| <= t on the forced rows
-    (``active`` and every equality) and r_i >= -t on the other inequality
-    rows, r = A(X) + a.x - b.  The view holds one more 1x1 block for t and
-    every row as an inequality, a forced row twice with its negation right
-    after it.  It is strictly feasible on both sides: X = I, x = 0 and a
-    large t in the primal, lambda = 0 in the dual thanks to eps * I.
+    The view adds a 1x1 block for t and holds every row as an inequality, a
+    forced row twice with its negation right after it.  Strictly feasible on
+    both sides: X = I, x = 0 and a large t; lambda = 0 thanks to eps * I.
     """
     forced = dp.eq_mask.copy()
     forced[list(active)] = True
@@ -291,11 +288,10 @@ def _min_violation(dp: DenseProblem, active) -> float:
 def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 100) -> OracleSolution:
     """Solve to (relative) tolerance `tol` with the dense interior-point method.
 
-    On a stall the phase I (``_min_violation``, no rows forced beyond the
-    equalities) diagnoses it: NotStrictlyFeasibleError when its least uniform
-    violation fails ``_feasible``, MaxIterationsError otherwise or when the
-    phase I fails too.  NoPsdBlockError with neither a PSD block nor an
-    inequality row.
+    On a stall, NotStrictlyFeasibleError when the phase I (``_min_violation``
+    with no active rows forced) fails ``_feasible``, else MaxIterationsError,
+    also when the phase I fails; NoPsdBlockError with neither a PSD block nor
+    an inequality row.
     """
     dp = densify(problem)
     try:
