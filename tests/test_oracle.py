@@ -19,8 +19,8 @@ from lrsdp.model import (
 from lrsdp.oracle import (
     MaxIterationsError,
     NotStrictlyFeasibleError,
-    brute_force_2x2,
     active_subset_feasible,
+    brute_force_2x2,
     min_active_violation,
     oracle_solve,
 )
