@@ -134,7 +134,6 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
     x = np.zeros(d)
 
     it = 0
-    best = None
     best_measure = np.inf
     stagnant = 0
     for it in range(1, max_iter + 1):
@@ -153,15 +152,15 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
             float(np.linalg.norm(r_f, np.inf)) if d else 0.0,
         ) / scale_c
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-        if pinf <= tol and dinf <= tol and relgap <= tol:
+        # |relgap|: an S that lost PSD can make <X, S> negative
+        measure = max(pinf, dinf, abs(relgap))
+        if measure <= tol:
             return X, lam, S, x, it - 1, pobj, dobj
 
-        # near the float64 floor the iteration can degrade; keep the best
-        # iterate and stop once progress stalls
-        measure = max(pinf, dinf, abs(relgap))
+        # near the float64 floor the iteration can degrade; stop once the
+        # measure stops falling
         if measure < 0.9 * best_measure:
             best_measure = measure
-            best = ([x_.copy() for x_ in X], lam.copy(), [s_.copy() for s_ in S], x.copy(), it - 1, pobj, dobj)
             stagnant = 0
         else:
             stagnant += 1
@@ -237,8 +236,6 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
         if d:
             x = x + ap * dx
 
-    if best is not None and best_measure <= tol:
-        return best
     raise MaxIterationsError(
         f"stalled after {it} iterations (best residual measure {best_measure:.3e})"
     )

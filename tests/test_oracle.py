@@ -102,6 +102,14 @@ class TestInteriorPoint:
             oracle_solve(prob)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
+    def test_negative_complementarity_is_not_converged(self):
+        # min -2 X_12 s.t. X_11 = 0 has no dual Slater point (optimum 0): the
+        # path lets S lose PSD with <X, S> < 0, which passes a signed gap test
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        prob = make_problem((2,), 1, 0, [[[0.0, -1.0], [-1.0, 0.0]]], [], [([e11], [], 0.0, "E")])
+        with pytest.raises(MaxIterationsError):
+            oracle_solve(prob)
+
     def test_deterministic(self):
         prob = generate_random(BlockStructure((5, 3), 2, 1), 6, "EEEEEI", 5)
         s1 = oracle_solve(prob)
