@@ -6,7 +6,8 @@ the inequality slacks are one extra diagonal PSD block, and free variables are
 eliminated directly from the Schur system.  Residuals, objective and search
 directions go through the ``DenseProblem`` operator the solver and certifier
 use.  It anchors every derived test value in the suite, so it is deliberately
-boring: dense factorizations, no randomness, fraction-to-boundary 0.99.
+boring: one eigendecomposition of each block of X and S per iterate, one
+convergence measure, no randomness, fraction-to-boundary 0.99.
 
 One phase I (``_min_violation``: the least uniform violation of the rows,
 some forced active) answers every feasibility question on a view of the same
@@ -68,28 +69,20 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx still PSD (x PD up to roundoff)."""
-    w, v = np.linalg.eigh(_sym(x))
+def _inv_sqrt(a: np.ndarray) -> np.ndarray:
+    """F = V diag(w)^(-1/2) from a = V diag(w) V^T, a PD up to roundoff, with
+    w floored at 1e-14 * w_max: F^T a F = I and F F^T = a^-1."""
+    w, v = np.linalg.eigh(a)
     floor = max(float(w[-1]), 1e-300) * 1e-14
-    w = np.clip(w, floor, None)
-    inv_sqrt = v / np.sqrt(w)
-    lam_min = float(np.linalg.eigvalsh(_sym(inv_sqrt.T @ dx @ inv_sqrt)).min())
+    return v / np.sqrt(np.clip(w, floor, None))
+
+
+def _max_step(f: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x + alpha*dx still PSD, given f = _inv_sqrt(x)."""
+    lam_min = float(np.linalg.eigvalsh(_sym(f.T @ dx @ f)).min())
     if lam_min >= -1e-14:
         return np.inf
     return -1.0 / lam_min
-
-
-def _pd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a PD matrix, eigenvalue-floored against roundoff."""
-    try:
-        cf = sla.cho_factor(a, lower=True)
-        return sla.cho_solve(cf, np.eye(a.shape[0]))
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(_sym(a))
-        floor = max(float(w[-1]), 1e-300) * 1e-14
-        w = np.clip(w, floor, None)
-        return (v / w) @ v.T
 
 
 def _equality_form(dp: DenseProblem) -> DenseProblem:
@@ -98,7 +91,7 @@ def _equality_form(dp: DenseProblem) -> DenseProblem:
 
     The block's data and starting point are diagonal, so every HKM update
     keeps it exactly diagonal.  With no inequality rows the view comes back
-    as it is, so no 0x0 block reaches ``_max_step``.
+    as it is, so no 0x0 block reaches ``_inv_sqrt``.
     """
     ineq = np.flatnonzero(dp.ineq_mask)
     s = ineq.size
@@ -167,7 +160,10 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
             if stagnant >= 12:
                 break
 
-        Sinv = [_pd_inverse(s_) for s_ in S]
+        # S^-1 for the HKM direction, X^-1/2 and S^-1/2 for the step lengths
+        FX = [_inv_sqrt(x_) for x_ in X]
+        FS = [_inv_sqrt(s_) for s_ in S]
+        Sinv = [f @ f.T for f in FS]
 
         # Schur complement M[i,l] = sum_j <A_ij, T_lj>, T_lj = sym(X_j A_lj Sinv_j);
         # explicit shapes: with m = 0 a -1 in a reshape is ambiguous
@@ -209,8 +205,8 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
             return dX, dlam, dS, dx
 
         def steps(dX, dS):
-            ap = min(1.0, 0.99 * min(_max_step(x_, dx_) for x_, dx_ in zip(X, dX)))
-            ad = min(1.0, 0.99 * min(_max_step(s_, ds_) for s_, ds_ in zip(S, dS)))
+            ap = min(1.0, 0.99 * min(_max_step(f, dx_) for f, dx_ in zip(FX, dX)))
+            ad = min(1.0, 0.99 * min(_max_step(f, ds_) for f, ds_ in zip(FS, dS)))
             return ap, ad
 
         # predictor (affine scaling)

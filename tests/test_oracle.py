@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lrsdp.certification import Multipliers, active_set, certify
 from lrsdp.dense import densify
@@ -110,6 +111,25 @@ class TestInteriorPoint:
         with pytest.raises(MaxIterationsError):
             oracle_solve(prob)
 
+    def test_max_step_from_inverse_square_root(self):
+        from lrsdp.oracle import _inv_sqrt, _max_step
+
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 6):
+            g = rng.standard_normal((n, n))
+            x = g @ g.T + 0.1 * np.eye(n)
+            f = _inv_sqrt(x)
+            np.testing.assert_allclose(f.T @ x @ f, np.eye(n), atol=1e-10)
+            h = rng.standard_normal((n, n))
+            for dx in (h + h.T, -(h + h.T)):
+                # x + alpha dx is singular at alpha = -1 / lambda_min of the pencil
+                lam_min = scipy.linalg.eigh(dx, x, eigvals_only=True)[0]
+                assert lam_min < 0
+                assert _max_step(f, dx) == pytest.approx(-1.0 / lam_min, rel=1e-9)
+            v = rng.standard_normal((n, 1))
+            for psd in (h @ h.T, v @ v.T, np.zeros((n, n))):
+                assert _max_step(f, psd) == np.inf
+
     def test_deterministic(self):
         prob = generate_random(BlockStructure((5, 3), 2, 1), 6, "EEEEEI", 5)
         s1 = oracle_solve(prob)
@@ -134,8 +154,9 @@ class TestEqualityForm:
         sol = oracle_solve(prob)
         assert sol.objective == pytest.approx(0.0, abs=1e-7)
         assert sol.lam.shape == (0,)
-        # the block's S inverse is 3x3 and the Schur system 0x0
-        assert set(orders) == {(3, 3), (0, 0)}
+        # only the 0x0 Schur system is factored: the 3x3 block's S inverse
+        # comes from its eigendecomposition
+        assert set(orders) == {(0, 0)}
 
     def test_one_diagonal_slack_block(self):
         from lrsdp.oracle import _equality_form
