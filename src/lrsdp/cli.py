@@ -5,8 +5,9 @@ identical flags and seeds reproduce identical bytes.  Wall-clock timing is
 only emitted under --timing, since it would break that reproducibility.
 
 Exit codes: 0 certified globally optimal, 1 usage/parse errors, 2 not
-certified (indeterminate or escapable), 3 infeasible, 4 numerical failure;
-``main`` maps the last two for every subcommand.
+certified (indeterminate or escapable), 3 infeasible, 4 numerical failure
+(a non-finite local evaluation or an interior-point stall); ``main`` maps the
+last two for every subcommand.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import oracle
 from .apps import adversarial_instance, generate_random
 from .certification import (
     CERT_TOL,
@@ -262,11 +264,9 @@ def _report_payload(problem, report, cfg, rank_override, timing: bool) -> dict:
 def _oracle_objective(problem: ConicSdpProblem) -> float | None:
     """The interior-point oracle's optimum, or None with a warning line on
     stderr when it stalls, finds no strictly feasible point or no PSD block."""
-    from .oracle import MaxIterationsError, NoPsdBlockError, NotStrictlyFeasibleError, oracle_solve
-
     try:
-        return oracle_solve(problem).objective
-    except (MaxIterationsError, NotStrictlyFeasibleError, NoPsdBlockError) as exc:
+        return oracle.oracle_solve(problem).objective
+    except (oracle.MaxIterationsError, oracle.NotStrictlyFeasibleError, oracle.NoPsdBlockError) as exc:
         print(f"warning: oracle: {exc}", file=sys.stderr)
         return None
 
@@ -600,7 +600,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except NumericalFailure as exc:
+    except (NumericalFailure, oracle.MaxIterationsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -366,6 +366,17 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(out) == {"m_prime": 0, "p_per_block": [1], "method": "ConicFormula"}
 
+    def test_stalled_feasibility_solve_exits_four(self, tmp_path):
+        # the m' enumeration's phase I stalls on the active subset (3, 4, 5)
+        prob = generate_random(BlockStructure((4,), 1, 0), 7, "EEEIIII", 35)
+        path = os.path.join(tmp_path, "stall.sdp")
+        Path(path).write_text(write_problem(prob))
+        code, out, err = run_cli(["bound", path])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure: stalled after")
+        assert "Traceback" not in err
+
 
 class TestExperimentCommand:
     def test_adversarial_rejection(self):
