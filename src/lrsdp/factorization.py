@@ -102,15 +102,15 @@ def factor(point: PrimalPoint, p: list[int], psd_tol: float = 1e-9) -> Factorize
         scale = max(1.0, float(w[-1]))
         if w[0] < -psd_tol * scale:
             raise NotPsdError(f"block {j}: eigenvalue {w[0]:.3e} below -{psd_tol:.0e}")
-        w = np.clip(w, 0.0, None)
-        rank_thr = RANK_TOL * max(w[-1], 0.0)
-        rank = int(np.sum(w > rank_thr))
+        # descending order, as the numerical-rank rule reads it
+        w = np.clip(w, 0.0, None)[::-1]
+        rank = _rank_from_singular_values(w)
         if p[j] < rank:
             raise RankTooSmallError(f"block {j}: numerical rank {rank} exceeds p = {p[j]}")
-        # descending order, keep the p leading eigenpairs
-        w = w[::-1][: p[j]]
+        # keep the p leading eigenpairs, zero beyond the rank
+        w = w[: p[j]]
         v = v[:, ::-1][:, : p[j]]
-        w[w <= rank_thr] = 0.0
+        w[rank:] = 0.0
         y = np.zeros((n, p[j]))
         y[:, : v.shape[1]] = v * np.sqrt(w)
         factors.append(y)
