@@ -86,10 +86,10 @@ def lift(point: FactorizedPoint) -> PrimalPoint:
 def factor(point: PrimalPoint, p: list[int], psd_tol: float = 1e-9) -> FactorizedPoint:
     """Factor the first len(p) blocks of a PSD point at the requested ranks.
 
-    Uses symmetric eigendecomposition; eigenvalues in [-tol, 0] are clamped to
-    zero, anything below -tol raises NotPsdError.  Columns beyond the numerical
-    rank are zero.  Raises RankTooSmallError when p_j is below the numerical
-    rank of block j.
+    Uses symmetric eigendecomposition: eigenvalues down to -psd_tol * max(1,
+    lambda_max) are clamped to zero, and one below raises NotPsdError.  Columns
+    beyond the numerical rank are zero.  Raises RankTooSmallError when p_j is
+    below the numerical rank of block j.
     """
     k = len(p)
     if k > len(point.psd_blocks):

@@ -10,18 +10,16 @@ only at second-order points.
 Both go through the constraint Jacobian J at the point: the Hessian is
 H = blockdiag(2 S_j (x) I_q) + J^T diag(w) J, with w the penalty on active
 rows and 0 elsewhere, and a Hessian-vector product is 2 S_j U_j + J^T (w * J u).
-The probe reads the slack matrices S_j first: it settles when their smallest
-eigenvalue bounds lambda_min(H) above the floor, and escapes along a
-Rayleigh-Ritz direction built from their negative eigenvectors when that
-clears the floor.  Only points neither test decides, and points whose
-negative slack eigenspace fills half the variable space or more, form H as
-the Hessian-vector product of the identity and decide from its full
-eigendecomposition (``_probe``).  The probe runs at most once per evaluation
-point: a rejected escape step shrinks the radius and reuses the direction.
-Likewise the truncated-CG path is recorded once per point (``_CgPath``): a
-rejected CG step replays it at the smaller radius with no new Hessian-vector
-product.  A trial point computes only its AL value; its slack, gradient and
-Jacobian are built once it is accepted.
+The probe rotates the active rows of J into the slack eigenbasis, where
+H = diag(d) + rho Jq^T Jq, and decides H + tau I >= 0 at the settle floor tau
+from a Schur complement of order k q (k negative slack eigenvalues) through a
+factor of order m_a (active rows), so it forms no matrix of order dim.
+The probe runs at most once per evaluation point: a rejected escape step
+shrinks the radius and reuses the direction.  Likewise the truncated-CG path
+is recorded once per point (``_CgPath``): a rejected CG step replays it at the
+smaller radius with no new Hessian-vector product.  A trial point computes
+only its AL value; its slack, gradient and Jacobian are built once it is
+accepted.
 
 Tail PSD blocks are parameterized internally at full rank (any PSD matrix of
 size n factors at rank n), so one variable layout serves every block; the
@@ -138,18 +136,55 @@ def _internal_factors(point: FactorizedPoint) -> list[np.ndarray]:
     return ys
 
 
-# the probe settles when lambda_min >= -CURV_FLOOR * max(|lambda_min|, |lambda_max|, 1)
+# the probe settles when lambda_min(H) >= -CURV_FLOOR * max(1, lambda_max(H))
 CURV_FLOOR = 1e-8
 
 
-def _probe(h: np.ndarray) -> np.ndarray | None:
-    """Unit eigenvector of lambda_min(h), or None when h settles.
+def _schur_escape(d: np.ndarray, jq: np.ndarray, rho: float, tau: float) -> np.ndarray | None:
+    """u with u^T (H + tau I) u < 0, H = diag(d) + rho jq^T jq, or None if H + tau I >= 0.
 
-    The floor's scale reads max(1, lambda_max): for lambda_min < 0 the
-    |lambda_min| term of the rule never decides.
+    H + tau I is positive definite on P = {d + tau > 0}, so (Haynsworth) it is
+    PSD iff its Schur complement on the rest, N, is: by Woodbury
+    C = diag(d_N + tau) + jq_N^T K^-1 jq_N, K = I/rho + jq_P diag(d_P + tau)^-1 jq_P^T.
+    C's bottom eigenvector w, with -diag(d_P + tau)^-1 jq_P^T K^-1 jq_N w on P,
+    gives u^T (H + tau I) u = w^T C w (rho, tau > 0).
     """
-    w, v = np.linalg.eigh(h)
-    return None if -w[0] <= CURV_FLOOR * max(1.0, w[-1]) else v[:, 0]
+    neg = d + tau <= 0.0
+    if not np.any(neg):
+        return None
+    e = d[~neg] + tau
+    jp, jn = jq[:, ~neg], jq[:, neg]
+    kappa, vk = np.linalg.eigh((jp / e) @ jp.T)
+    kappa = np.maximum(kappa, 0.0) + 1.0 / rho  # the eigenvalues of K, held at >= 1/rho
+    g = vk.T @ jn
+    mu, w = np.linalg.eigh(np.diag(d[neg] + tau) + (g.T / kappa) @ g)
+    if mu[0] >= 0.0:
+        return None
+    u = np.empty_like(d)
+    u[neg] = w[:, 0]
+    u[~neg] = -(jp.T @ (vk @ (g @ w[:, 0] / kappa))) / e
+    return u
+
+
+def _lambda_max(d: np.ndarray, jq: np.ndarray, rho: float) -> float:
+    """lambda_max(diag(d) + rho jq^T jq), rho > 0, by Newton's method from below.
+
+    Start at the largest diagonal entry t <= lambda_max: a zero column of jq is
+    an eigenvector of eigenvalue d <= t, and over the others, whose d lie below
+    t, f(t) = lambda_min(I/rho - jq diag(t - d)^-1 jq^T) is increasing and
+    concave, so Newton's iterates rise to its root, lambda_max, unless f(t) >= 0.
+    """
+    t = float(np.max(d + rho * np.sum(jq * jq, axis=0)))
+    d = np.where(np.any(jq != 0.0, axis=0), d, -np.inf)  # zero columns drop out of f
+    step = np.inf
+    while step > 1e-15 * max(1.0, abs(t)):
+        w = 1.0 / (t - d)
+        f, v = np.linalg.eigh(np.eye(len(jq)) / rho - (jq * w) @ jq.T)
+        if f[0] >= 0.0:
+            break
+        step = -float(f[0]) / float((v[:, 0] @ jq) ** 2 @ (w * w))
+        t += step
+    return t
 
 
 class _Work:
@@ -166,8 +201,7 @@ class _Work:
             raise ValueError(f"need {dp.k} factor ranks, got {len(ranks)}")
         self.dp = dp
         self.nf = dp.k if tail_matrices else len(dp.sizes)  # blocks held as factors
-        self.qs = [int(q) for q in ranks] + [n for n in dp.sizes[dp.k:]]
-        self.shapes = [(n, q) for n, q in zip(dp.sizes, self.qs)]
+        self.shapes = list(zip(dp.sizes, [int(q) for q in ranks] + list(dp.sizes[dp.k:])))
         self.offsets = []
         off = 0
         for n, q in self.shapes:
@@ -265,66 +299,43 @@ class _Eval:
         return self.work.dp.jacobian(ys[:nf] + [0.5 * np.eye(n) for n in self.work.dp.sizes[nf:]])
 
     def hvp(self, u: np.ndarray) -> np.ndarray:
-        """H u, for a vector u or for each column of a (dim, r) matrix u."""
-        work = self.work
-        # .T puts the row axis last, where the weights broadcast; a no-op on vectors
-        out = self.J.T @ (self.hvp_weight * (self.J @ u).T).T
-        for off, (n, q), s in zip(work.offsets, work.shapes, self.S[:work.nf]):
-            uj = u[off:off + n * q]
-            out[off:off + n * q] += (2.0 * s @ uj.reshape(n, -1)).reshape(uj.shape)
+        """H u."""
+        out = self.J.T @ (self.hvp_weight * (self.J @ u))
+        for off, (n, q), s in zip(self.work.offsets, self.work.shapes, self.S[:self.work.nf]):
+            out[off:off + n * q] += (2.0 * s @ u[off:off + n * q].reshape(n, q)).ravel()
         return out
 
     @cached_property
     def curvature(self) -> np.ndarray | None:
-        """The probe at this point, computed once: None when it settles, else
-        a unit direction of negative curvature, by ``_probe``'s settle rule.
+        """The probe at this point, computed once: None when lambda_min(H) >=
+        -CURV_FLOOR * max(1, lambda_max(H)), else a unit u with u^T H u below it.
 
-        H = D + rho J_a^T J_a, with J_a the active rows of J and
-        D = blockdiag(2 S_j (x) I_q, 0): blocks held as matrices and free
-        variables carry no slack term.  So lambda_min(H) >= 2 min_j
-        lambda_min(S_j) when that is negative, and max diag(H) <= lambda_max(H)
-        <= max(2 max_j lambda_max(S_j), 0) + rho lambda_max(J_a J_a^T).
-
-        1. Settle when the slack bound clears the floor at the scale max diag(H).
-        2. Escape along the Rayleigh-Ritz minimizer of H over span(B, H B),
-           B an orthonormal basis of V (x) R^q with V the slack eigenvectors of
-           negative eigenvalue, when its Ritz value clears the floor at the
-           upper scale and B spans under half the space.  B holds v z^T for
-           every kernel vector z of Y_j, so at a rank-deficient factor the
-           Ritz value is 2 lambda_min(S) = lambda_min(H); H B adds the part of
-           a direction that cancels its constraint term J u, which the
-           penalty makes costly.
-        3. Otherwise decide on the dense H = hvp(I) with ``_probe``.
+        With S_j = V_j diag(lam_j) V_j^T and Q = blockdiag(V_j (x) I_q, I),
+        Q^T H Q = diag(d) + rho Jq^T Jq for Jq = J_a Q, J_a the active rows of
+        J, and d = 2 lam_j repeated q times (0 on blocks held as matrices and
+        free variables).  lambda_max(H) lies between its largest diagonal
+        entry lo and hi = max d + rho lambda_max(Jq Jq^T): escape when
+        ``_schur_escape`` fails at the floor of hi, settle when it passes at
+        that of lo (at once when no d is below it), else use the exact one.
         """
-        work = self.work
+        work, rho = self.work, self.rho
         eigs = [np.linalg.eigh(s) for s in self.S[:work.nf]]
-        lo = min((float(lam[0]) for lam, _ in eigs), default=0.0)
-        if lo >= 0.0:
-            return None  # H >= 0
-        ja = self.J[self.active]
-        diag = self.rho * np.sum(ja * ja, axis=0)
-        for off, (n, q), s in zip(work.offsets, work.shapes, self.S[:work.nf]):
-            diag[off:off + n * q] += np.repeat(2.0 * np.diag(s), q)
-        if -2.0 * lo <= CURV_FLOOR * max(1.0, float(np.max(diag))):
+        jq = self.J[self.active]
+        d = np.zeros(work.dim)
+        for off, (n, q), (lam, v) in zip(work.offsets, work.shapes, eigs):
+            cols = jq[:, off:off + n * q]
+            cols[:] = (v.T @ cols.reshape(-1, n, q)).reshape(cols.shape)
+            d[off:off + n * q] = np.repeat(2.0 * lam, q)
+        lo = float(np.max(d + rho * np.sum(jq * jq, axis=0)))
+        hi = float(np.max(d)) + rho * float(np.max(np.linalg.eigvalsh(jq @ jq.T), initial=0.0))
+        u = _schur_escape(d, jq, rho, CURV_FLOOR * max(1.0, hi))
+        if u is None and _schur_escape(d, jq, rho, CURV_FLOOR * max(1.0, lo)) is not None:
+            u = _schur_escape(d, jq, rho, CURV_FLOOR * max(1.0, _lambda_max(d, jq, rho)))
+        if u is None:
             return None
-
-        # orthonormal basis B of V (x) R^q: column (k, i) of block j is vec(v_k e_i^T)
-        negs = [v[:, lam < 0.0] for lam, v in eigs]
-        size = sum(neg.shape[1] * q for neg, q in zip(negs, work.qs))
-        if 2 * size < work.dim:  # else span(B, H B) may be the whole space
-            basis = np.zeros((work.dim, size))
-            col = 0
-            for off, (n, q), neg in zip(work.offsets, work.shapes, negs):
-                k, idx = neg.shape[1], np.arange(q)
-                basis[off:off + n * q, col:col + k * q].reshape(n, q, k, q)[:, idx, :, idx] = neg
-                col += k * q
-            q_mat = np.linalg.qr(np.hstack([basis, self.hvp(basis)]))[0]
-            theta, c = np.linalg.eigh(q_mat.T @ self.hvp(q_mat))
-            top_j = float(np.max(np.linalg.eigvalsh(ja @ ja.T), initial=0.0))
-            hi = max(2.0 * max(float(lam[-1]) for lam, _ in eigs), 0.0) + self.rho * top_j
-            if -float(theta[0]) > CURV_FLOOR * max(1.0, hi):
-                return q_mat @ c[:, 0]
-        return _probe(self.hvp(np.eye(work.dim)))
+        for off, (n, q), (_, v) in zip(work.offsets, work.shapes, eigs):
+            u[off:off + n * q] = (v @ u[off:off + n * q].reshape(n, q)).ravel()
+        return u / np.linalg.norm(u)
 
     @cached_property
     def cg_path(self) -> _CgPath:

@@ -214,9 +214,6 @@ class TestConstraintJacobian:
             hess = reference_hessian(ev)
             cols = np.column_stack([ev.hvp(e) for e in np.eye(ev.work.dim)])
             assert np.linalg.norm(hess - cols) <= 1e-12 * np.linalg.norm(cols)
-            # a matrix of directions gives the product column by column
-            batch = ev.hvp(np.eye(ev.work.dim))
-            assert np.linalg.norm(batch - cols) <= 1e-12 * np.linalg.norm(cols)
 
 
 def reference_hessian(ev):
@@ -236,20 +233,6 @@ def full_eigh_settles(h):
     return bool(w[0] >= -CURV_FLOOR * max(abs(w[0]), abs(w[-1]), 1.0))
 
 
-def check_probe(h):
-    """_probe(h) decides as the full-eigh rule and returns a lambda_min unit vector."""
-    from lrsdp.solver import _probe
-
-    direction = _probe(h)
-    assert (direction is None) == full_eigh_settles(h)
-    if direction is not None:
-        w = np.linalg.eigh(h)[0]
-        assert abs(np.linalg.norm(direction) - 1.0) <= 1e-12
-        rayleigh = float(direction @ h @ direction)
-        assert abs(rayleigh - w[0]) <= 1e-10 * max(abs(w[0]), abs(w[-1]))
-    return direction
-
-
 def check_curvature(ev):
     """ev.curvature decides as the full-eigh rule on the dense Hessian and
     escapes along a unit direction that clears the rule's floor."""
@@ -267,68 +250,85 @@ def check_curvature(ev):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Records the shape of every numpy eigh call, by the solver or the test."""
+    """Records (name, shape) of every numpy eigh and eigvalsh call, by the
+    solver or the test."""
     from lrsdp import solver
 
     calls = []
-    eigh = np.linalg.eigh
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _solve(a, *args, **kwargs)
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(solver.np.linalg, "eigh", counting)
+        monkeypatch.setattr(solver.np.linalg, name, counting)
     return calls
 
 
-@pytest.fixture
-def dense_probes(monkeypatch):
-    """Records the order of every Hessian the dense fallback ``_probe`` sees."""
-    from lrsdp import solver
+def probe_with_calls(ev, calls):
+    """ev.curvature, and the number of eigensolves of order dim or more it
+    ran beyond those of the slack matrices (which are of order dim when a
+    single block is held at rank 1)."""
+    calls.clear()
+    direction = ev.curvature
+    dim = ev.work.dim
+    slack = sum(s.shape[0] >= dim for s in ev.S[:ev.work.nf])
+    return direction, sum(shape[-1] >= dim for _, shape in calls) - slack
 
-    orders = []
-    probe = solver._probe
 
-    def counting(h):
-        orders.append(h.shape[0])
-        return probe(h)
-
-    monkeypatch.setattr(solver, "_probe", counting)
-    return orders
+def near_floor_cases():
+    """(d, jq, rho) with lambda_min(diag(d) + rho jq^T jq) = shift * max(1, top)
+    and lambda_max = top, no rows or n / 2 of them, plus the shift."""
+    rng = np.random.default_rng(0)
+    for n in (4, 20, 60):
+        for top in (1e-3, 1.0, 30.0, 1e3):
+            # a spread spectrum, and one spike over a small bulk
+            for bulk in (1.0, 0.01):
+                d0 = np.sort(rng.uniform(-bulk, bulk, n))
+                d0[-1] = 1.0
+                for rows in (0, n // 2):
+                    j0 = rng.standard_normal((rows, n)) * np.sqrt(bulk / n)
+                    w0 = np.linalg.eigvalsh(np.diag(d0) + j0.T @ j0)
+                    for shift in (0.0, -0.5e-8, -2e-8):
+                        low = shift * max(top, 1.0)
+                        alpha = (top - low) / (w0[-1] - w0[0])
+                        for rho in (1.0, 1e4, 1e8, 1e12) if rows else (1.0,):
+                            d = alpha * (d0 - w0[-1]) + top
+                            yield d, np.sqrt(alpha / rho) * j0, rho, shift
 
 
 class TestCurvatureProbe:
     def test_decision_matches_full_eigh_rule_near_the_floor(self):
-        rng = np.random.default_rng(0)
-        escapes = 0
-        for n in (4, 20, 60):
-            for top in (1e-3, 1.0, 30.0, 1e3):
-                # a spread spectrum, and one spike over a small bulk
-                for bulk in (1.0, 0.01):
-                    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-                    w = np.sort(rng.uniform(0.0, bulk * top, n))
-                    w[-1] = top
-                    for shift in (0.0, -0.5e-8, -2e-8):
-                        w[0] = shift * max(top, 1.0)
-                        h = (q * w) @ q.T
-                        escapes += check_probe(0.5 * (h + h.T)) is not None
-        assert escapes == 24  # every -2e-8 case, no other
+        from lrsdp.solver import CURV_FLOOR, _lambda_max, _schur_escape
+
+        escapes = cases = 0
+        for d, jq, rho, shift in near_floor_cases():
+            h = np.diag(d) + rho * jq.T @ jq
+            w = np.linalg.eigvalsh(h)
+            if len(jq):
+                assert abs(_lambda_max(d, jq, rho) - w[-1]) <= 1e-12 * max(1.0, abs(w[-1]))
+            tau = CURV_FLOOR * max(1.0, w[-1])
+            u = _schur_escape(d, jq, rho, tau)
+            assert (u is None) == (w[0] >= -tau) == (shift > -1e-8)
+            if u is not None:
+                assert float(u @ h @ u) < -tau * float(u @ u)
+            escapes += u is not None
+            cases += 1
+        assert (cases, escapes) == (360, 120)  # every -2e-8 case, no other
 
     @pytest.mark.parametrize("top", [30.0, 1e3])
-    def test_curvature_decides_as_full_eigh_rule_near_the_floor(self, top, dense_probes):
+    def test_curvature_decides_as_full_eigh_rule_near_the_floor(self, top, eigh_calls):
         # m = 0 and S = top u u^T + w0 v v^T + (top / 100) (the rest), u spread
-        # evenly, so H = 2 S (x) I_2 and max diag(H) < lambda_max(H) / 2: the
-        # slack bound cannot settle, the Ritz value is 2 w0 and the upper
-        # scale 2 top decides against the floor
+        # evenly, so H = 2 S (x) I_2 has max diag(H) < lambda_max(H) / 2, and
+        # in the slack eigenbasis it is diagonal with lambda_max(H) = 2 top
         u = np.ones(6) / np.sqrt(6.0)
         v = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]) / np.sqrt(2.0)
         rest = np.eye(6) - np.outer(u, u) - np.outer(v, v)
         for shift, escapes in ((-0.5e-8, False), (-2e-8, True)):
             cost = top * (np.outer(u, u) + shift * np.outer(v, v) + 0.01 * rest)
-            dense_probes.clear()
             ev = eval_at(make_problem((6,), 1, 0, [cost], [], []), [2], 0)
+            _, dense = probe_with_calls(ev, eigh_calls)
             assert (check_curvature(ev) is not None) == escapes
-            assert dense_probes == ([] if escapes else [12])
+            assert dense == 0
 
     def test_agrees_on_dense_hessians(self):
         escapes = 0
@@ -336,10 +336,11 @@ class TestCurvatureProbe:
             escapes += check_curvature(eval_at(problem, ranks, seed)) is not None
         assert escapes  # random points carry negative curvature
 
-    def test_rank_deficient_escape_is_exact(self, dense_probes):
+    def test_rank_deficient_escape_is_exact(self, eigh_calls):
         # H >= blockdiag(2 S_j (x) I_q, 0) and J (v z^T) = 0 for Y_j z = 0, so
-        # lambda_min(H) = 2 lambda_min(S) and the Ritz step attains it
-        ritz = 0
+        # lambda_min(H) = 2 lambda_min(S), and the Schur complement's bottom
+        # eigenvector is such a v z^T, with no part on the other coordinates
+        probes = 0
         for seed in JACOBIAN_SEEDS:
             problem, ranks = mixed_instance(seed)
             st = problem.structure
@@ -347,23 +348,23 @@ class TestCurvatureProbe:
                 continue  # keep cases with tail blocks and free variables
             for point_seed in range(3):
                 ev = eval_at(problem, ranks, 10 * seed + point_seed, rank_deficient=True)
-                before = len(dense_probes)
-                direction = check_curvature(ev)
-                assert direction is not None
+                direction, dense = probe_with_calls(ev, eigh_calls)
+                assert dense == 0
+                assert direction is not None and check_curvature(ev) is direction
                 h = reference_hessian(ev)
                 lo = np.linalg.eigvalsh(h)[0]
                 slack_lo = 2.0 * min(np.linalg.eigvalsh(s)[0] for s in ev.S)
                 assert abs(float(direction @ h @ direction) - lo) <= 1e-10 * abs(lo)
                 assert abs(slack_lo - lo) <= 1e-10 * abs(lo)
-                ritz += len(dense_probes) == before
-        # the rest have V (x) R^q at least half the space and go to the dense probe
-        assert ritz >= 6
+                probes += 1
+        assert probes >= 6
 
     @pytest.mark.parametrize("escapes", [False, True])
-    def test_undecided_full_rank_point_takes_the_dense_fallback(self, escapes, dense_probes):
+    def test_undecided_full_rank_point_runs_no_order_dim_eigensolve(self, escapes, eigh_calls):
         # slack diag(1, -1) or diag(1, 1, -1) at a full-rank Y = e_1 with
-        # A(Y Y^T) = b: the penalty rho |J u|^2 lifts every Ritz value above
-        # zero, so only the dense probe can settle (2x2) or escape (3x3)
+        # A(Y Y^T) = b: the penalty rho |J u|^2 on the active rows lifts the
+        # negative slack direction, so the Schur complement decides a settle
+        # (2x2) or an escape (3x3)
         if escapes:
             rows = [
                 ([[[-1.0, 0.0, -0.5], [0.0, -2.0, 0.0], [-0.5, 0.0, -2.0]]], [], -1.0, "E"),
@@ -377,17 +378,47 @@ class TestCurvatureProbe:
             y = np.ones((2, 1))
         ev = eval_point(prob, FactorizedPoint((y,), (), np.zeros(0)), np.zeros(len(rows)), 10.0)
         assert np.linalg.norm(ev.c) == 0.0 and min(np.linalg.eigvalsh(ev.S[0])) < 0.0
+        _, dense = probe_with_calls(ev, eigh_calls)
         assert (check_curvature(ev) is not None) == escapes
-        assert dense_probes == [ev.work.dim]
+        assert dense == 0
 
-    def test_slack_settled_point_never_calls_the_dense_probe(self, dense_probes):
+    @pytest.mark.parametrize("escapes", [False, True])
+    def test_exact_lambda_max_decides_between_the_floors(self, escapes, eigh_calls, monkeypatch):
+        # S = diag(1/2, 0, s) at Y = e_1 with one active row whose J = (1, 1, 0)
+        # / sqrt(rho): H = diag(1, 0, 2 s) + [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
+        # so lambda_min(H) = 2 s, the largest diagonal entry is 2, the upper
+        # bound max d + rho |J|^2 is 3, and lambda_max(H) = (3 + sqrt 5) / 2:
+        # 2 s lies between the floors at 2 and 3, on either side of the exact one
+        from lrsdp import solver
+
+        lambda_max, exact = solver._lambda_max, []
+
+        def spy(*args):
+            exact.append(lambda_max(*args))
+            return exact[-1]
+
+        monkeypatch.setattr(solver, "_lambda_max", spy)
+        s = -1.4e-8 if escapes else -1.15e-8
+        a = 1.0 / np.sqrt(40.0)
+        row = ([[[a, a, 0.0], [a, 0.0, 0.0], [0.0, 0.0, 0.0]]], [], a, "E")
+        prob = make_problem((3,), 1, 0, [np.diag([0.5, 0.0, s])], [], [row])
+        ev = eval_point(prob, FactorizedPoint((np.eye(3)[:, :1],), (), np.zeros(0)), np.zeros(1), 10.0)
+        floors = solver.CURV_FLOOR * np.array([2.0, (3.0 + np.sqrt(5.0)) / 2.0, 3.0])
+        assert floors[0] < -2.0 * s < floors[2] and (-2.0 * s > floors[1]) == escapes
+        _, dense = probe_with_calls(ev, eigh_calls)
+        assert (check_curvature(ev) is not None) == escapes
+        assert dense == 0
+        assert len(exact) == 1 and abs(exact[0] - floors[1] / solver.CURV_FLOOR) <= 1e-14
+
+    def test_slack_settled_point_runs_no_order_dim_eigensolve(self, eigh_calls):
         for n in (6, 10):
             state, _ = al_solve(densify(maxcut_sdp(n, 0)), [3], SolverConfig())
-            dense_probes.clear()
             ev = eval_point(maxcut_sdp(n, 0), state.point, state.lam, state.rho)
             assert min(np.linalg.eigvalsh(ev.S[0])) < 0.0  # settled by the floor, not by S >= 0
-            assert check_curvature(ev) is None
-            assert dense_probes == []
+            direction, dense = probe_with_calls(ev, eigh_calls)
+            # no slack eigenvalue falls below the floor: no Schur complement is formed
+            assert dense == 0 and [name for name, _ in eigh_calls] == ["eigh", "eigvalsh"]
+            assert direction is None and check_curvature(ev) is None
 
     def test_rejected_escape_reuses_the_probe(self, eigh_calls):
         # saddle at Y = 0 with a flat gradient; the quartic penalty on X_22
