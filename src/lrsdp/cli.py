@@ -6,8 +6,8 @@ only emitted under --timing, since it would break that reproducibility.
 
 Exit codes: 0 certified globally optimal, 1 usage/parse errors, 2 not
 certified (indeterminate or escapable), 3 infeasible, 4 numerical failure
-(a non-finite local evaluation or an interior-point stall); ``main`` maps the
-last two for every subcommand.
+(a non-finite local evaluation or an interior-point stall); ``main`` maps
+``UsageError`` and the last two for every subcommand.
 """
 
 from __future__ import annotations
@@ -190,12 +190,19 @@ def read_point(text: str) -> FactorizedPoint:
 # ---------------------------------------------------------------------------
 
 
+class UsageError(Exception):
+    """A usage or input error: ``main`` prints it as an ``error:`` line and exits 1."""
+
+
 def _load_problem(path: str) -> ConicSdpProblem:
-    with open(path) as fh:
-        problem = read_problem(fh.read())
+    try:
+        with open(path) as fh:
+            problem = read_problem(fh.read())
+    except (OSError, ProblemFormatError) as exc:
+        raise UsageError(exc) from exc
     diags = validate(problem)
     if diags:
-        raise ProblemFormatError("; ".join(diags))
+        raise UsageError("; ".join(diags))
     return problem
 
 
@@ -277,22 +284,15 @@ def _oracle_objective(problem: ConicSdpProblem) -> float | None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        problem = _load_problem(args.path)
-    except (OSError, ProblemFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    problem = _load_problem(args.path)
     cfg = _config_from_args(args)
     ranks = args.rank
     k = problem.structure.factorized_count
     if ranks is not None and len(ranks) != k:
-        print(f"error: --rank needs {k} comma-separated ranks, got {len(ranks)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--rank needs {k} comma-separated ranks, got {len(ranks)}")
     for j, (r, n) in enumerate(zip(ranks or (), problem.structure.psd_sizes)):
         if r > n:
-            print(f"error: --rank {r} for block {j} exceeds its size {n}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"--rank {r} for block {j} exceeds its size {n}")
     report = staircase_solve(problem, cfg, ranks=ranks)
 
     payload = _report_payload(problem, report, cfg, ranks, args.timing)
@@ -303,35 +303,29 @@ def cmd_solve(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    problem = _load_problem(args.path)
     try:
-        problem = _load_problem(args.path)
         with open(args.point) as fh:
             point = read_point(fh.read())
-    except (OSError, ProblemFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError) as exc:
+        raise UsageError(exc) from exc
 
     st = problem.structure
     k = st.factorized_count
     if len(point.factors) != k or len(point.tail_blocks) != st.num_blocks - k:
-        print("error: point block layout does not match the problem", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("point block layout does not match the problem")
     for j, y in enumerate(point.factors):
         if y.shape[0] != st.psd_sizes[j]:
-            print(f"error: factor {j} has {y.shape[0]} rows, expected {st.psd_sizes[j]}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"factor {j} has {y.shape[0]} rows, expected {st.psd_sizes[j]}")
     for j, sm in enumerate(point.tail_blocks):
         if sm.dim != st.psd_sizes[k + j]:
-            print(f"error: tail block {j} has dim {sm.dim}, expected {st.psd_sizes[k + j]}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"tail block {j} has dim {sm.dim}, expected {st.psd_sizes[k + j]}")
     if point.free.shape != (st.free_dim,):
-        print("error: free part length mismatch", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("free part length mismatch")
     try:
         factor(PrimalPoint(point.tail_blocks, point.free), [sm.dim for sm in point.tail_blocks])
     except NotPsdError as exc:
-        print(f"error: tail {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"tail {exc}") from exc
 
     dp = densify(problem)
     licq = licq_check(dp, point)
@@ -362,27 +356,23 @@ def _parse_rank_ranges(text: str) -> list[list[int]]:
 
 
 def cmd_bound(args) -> int:
-    try:
-        problem = _load_problem(args.path)
-    except (OSError, ProblemFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    problem = _load_problem(args.path)
     st = problem.structure
     try:
         if st.num_blocks == 1 and st.free_dim == 0 and st.factorized_count == 1:
             if args.ranks:
-                raise ValueError("--ranks sets tail rank ranges, and this problem has no tail block")
-            report = m_prime_inequality(problem, cap=args.cap)
+                raise UsageError("--ranks sets tail rank ranges, and this problem has no tail block")
+            report = m_prime_inequality(problem) if args.cap is None else m_prime_inequality(problem, args.cap)
         else:
+            if args.cap is not None:
+                raise UsageError("--cap bounds the m' enumeration, and this problem takes the conic formula")
             if args.ranks:
                 ranges = _parse_rank_ranges(args.ranks)
             else:
                 ranges = [list(range(n + 1)) for n in st.tail_sizes]
             report = m_prime_conic(problem, ranges)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from exc
 
     payload = {
         "m_prime": report.m_prime,
@@ -399,8 +389,9 @@ def cmd_experiment(args) -> int:
     scale_tol = 1e-6
 
     if args.kind in ("genericity", "licq") and p > n:
-        print(f"error: {args.kind} needs --p of at most --n, got p = {p}, n = {n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"{args.kind} needs --p of at most --n, got p = {p}, n = {n}")
+    if args.oracle and args.kind != "genericity":
+        raise UsageError(f"--oracle applies to genericity only, not {args.kind}")
 
     if args.kind == "genericity":
         def trial(t: int):
@@ -441,11 +432,9 @@ def cmd_experiment(args) -> int:
 
     elif args.kind == "adversarial":
         if p >= n:
-            print(f"error: adversarial needs --p below --n, got p = {p}, n = {n}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"adversarial needs --p below --n, got p = {p}, n = {n}")
         if m < 1:
-            print(f"error: adversarial needs --m of at least 1 (the trace row), got {m}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"adversarial needs --m of at least 1 (the trace row), got {m}")
 
         def trial(t: int):
             built = adversarial_instance(n, p, m, args.seed + t)
@@ -468,7 +457,7 @@ def cmd_experiment(args) -> int:
             "trials": records,
         }
 
-    elif args.kind == "licq":
+    else:
         def trial(t: int):
             rng = np.random.default_rng(args.seed + t)
             y0 = rng.standard_normal((n, p))
@@ -488,9 +477,6 @@ def cmd_experiment(args) -> int:
             "pass_fraction": sum(r["holds"] for r in records) / args.trials,
             "trials": records,
         }
-    else:
-        print(f"error: unknown experiment kind {args.kind!r}", file=sys.stderr)
-        return EXIT_USAGE
 
     _write_output(format_report(payload), args.out)
     return EXIT_OK
@@ -572,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bound", help="rank bound report (m', p per block)")
     pb.add_argument("path")
     pb.add_argument("--ranks", default=None, help="tail rank ranges, e.g. '0,1;0,3'")
-    pb.add_argument("--cap", type=_int_at_least(0), default=20)
+    pb.add_argument("--cap", type=_int_at_least(0), default=None)
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=cmd_bound)
 
@@ -597,6 +583,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -202,6 +202,8 @@ class TestFlagValidation:
             ["solve", "{path}", "--rank", "3"],
             ["experiment", "genericity", "--n", "4", "--p", "9"],
             ["experiment", "licq", "--n", "4", "--p", "9", "--m", "3", "--trials", "2"],
+            ["experiment", "adversarial", "--n", "4", "--p", "2", "--trials", "1", "--oracle"],
+            ["experiment", "licq", "--n", "4", "--p", "2", "--trials", "1", "--oracle"],
         ],
         ids=["rank-count", "rank-empty", "max-outer-0", "genericity-trials-0",
              "licq-trials-0", "adversarial-p-equals-n", "genericity-m-negative",
@@ -209,7 +211,7 @@ class TestFlagValidation:
              "genericity-tol-0", "cert-tol-0", "cert-tol-nan", "seed-negative",
              "licq-seed-negative", "rank-zero", "rank-negative", "cap-negative",
              "bound-ranks-without-tails", "adversarial-m-0", "rank-above-block-size",
-             "genericity-p-above-n", "licq-p-above-n"],
+             "genericity-p-above-n", "licq-p-above-n", "adversarial-oracle", "licq-oracle"],
     )
     def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv):
         point = os.path.join(tmp_path, "trivial.point")
@@ -237,6 +239,17 @@ class TestFlagValidation:
         assert code == 1
         assert out == ""
         assert "error:" in err
+
+    def test_cap_on_a_conic_formula_problem_exits_one(self, tmp_path):
+        # two blocks take the conic formula, which enumerates no active sets
+        prob = generate_random(BlockStructure((3, 1), 1, 0), 2, "EE", 1)
+        path = os.path.join(tmp_path, "tail.sdp")
+        Path(path).write_text(write_problem(prob))
+        assert run_cli(["bound", path])[0] == 0
+        code, out, err = run_cli(["bound", path, "--cap", "5"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: --cap bounds the m' enumeration, and this problem takes the conic formula\n"
 
 
 class TestCertifyCommand:
