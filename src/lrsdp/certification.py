@@ -301,17 +301,14 @@ def certify(
     )
 
     worst_block, worst_rel = None, 0.0
-    psd_ok = True
     for j, w in enumerate(spectra):
         scale = 1.0 + max(abs(float(w[0])), abs(float(w[-1])))
         rel = float(w[0]) / scale
-        if rel < -cert_tol:
-            psd_ok = False
-            if rel < worst_rel:
-                worst_rel = rel
-                worst_block = j
+        if rel < -cert_tol and rel < worst_rel:
+            worst_rel = rel
+            worst_block = j
 
-    if residuals_ok and psd_ok:
+    if residuals_ok and worst_block is None:
         verdict = "GlobalOptimal"
     elif worst_block is not None:
         verdict = "Escapable"
@@ -380,27 +377,28 @@ def staircase_solve(
     Lagrangian, recovering multipliers both from the solver and by least
     squares, and certifying with the more stationary of the two.  The dense
     view is built once here and shared by every stage's local solve, checks
-    and escape line searches.  An Escapable certificate appends the slack
-    eigenvector as one column to its block, with a line search on its scale;
-    when that block is at full rank, and on an Indeterminate certificate, the
-    stage burns a fresh-seed restart.  A local solve that raises
-    ``InfeasibleError`` grows every block below full rank by one column and
-    continues from a fresh seed with a fresh restart budget; there is no
-    same-rank retry, since below the rank bound the rank-p matrices can miss
-    the feasible set altogether.  When no block can grow the error
-    propagates.  Terminates on GlobalOptimal, on full rank, or when the
-    per-rank restart budget (``SolverConfig.restarts``, the only budget) is
-    exhausted.
+    and escape line searches.
+
+    Every stage ends in exactly one outcome, recorded by one ``StageRecord``:
+    ``certified`` on GlobalOptimal; ``rank-increment`` when some blocks can
+    grow by one column; else ``restart`` while the restart budget
+    (``SolverConfig.restarts``, the only budget) lasts; else ``stop``.  The
+    blocks to grow are the escape block of an Escapable certificate, whose
+    slack eigenvector is appended as a column with a line search on its scale
+    and warm-starts the next stage, and, after a local solve raises
+    ``InfeasibleError``, every block below full rank (verdict Infeasible).
+    There is no same-rank retry after an infeasible stage, since below the
+    rank bound the rank-p matrices can miss the feasible set altogether; when
+    no block can grow the error propagates.  A rank increment resets the
+    restart budget, and a stage that passes no warm start to the next one
+    advances the seed.
     """
     t0 = time.perf_counter()
-    st = problem.structure
+    sizes = problem.structure.psd_sizes
     dp = densify(problem)
     bound = initial_rank_bound(problem)
-    if ranks is None:
-        cur_ranks = list(bound.p_per_block)
-    else:
-        cur_ranks = [int(r) for r in ranks]
-    cur_ranks = [min(max(1, r), st.psd_sizes[j]) for j, r in enumerate(cur_ranks)]
+    start = bound.p_per_block if ranks is None else ranks
+    cur_ranks = [min(max(1, int(r)), sizes[j]) for j, r in enumerate(start)]
 
     stages: list[StageRecord] = []
     warm = None
@@ -409,49 +407,34 @@ def staircase_solve(
     state = None
     cert = None
 
+    def growable(j):
+        return j < len(cur_ranks) and cur_ranks[j] < sizes[j]
+
     for stage in range(1, 101):
-        ranks_at_solve = tuple(cur_ranks)
-        stage_cfg = replace(config, seed=cur_seed)
+        ranks_at_solve, seed = tuple(cur_ranks), cur_seed
+        warm_in, warm = warm, None  # only an escape column sets the next warm start
         try:
-            state, _ = al_solve(dp, cur_ranks, stage_cfg, warm_start=warm)
+            state, _ = al_solve(dp, cur_ranks, replace(config, seed=seed), warm_start=warm_in)
         except InfeasibleError:
             # below full rank the rank constraint itself can exclude every
-            # feasible point, so grow every block that can, from a fresh seed
-            growable = [j for j, r in enumerate(cur_ranks) if r < st.psd_sizes[j]]
-            if not growable:
+            # feasible point, so grow every block that can
+            grow = [j for j in range(len(cur_ranks)) if growable(j)]
+            if not grow:
                 raise
-            for j in growable:
-                cur_ranks[j] += 1
-            restarts_left = config.restarts
-            cur_seed += 1
-            stages.append(
-                StageRecord(
-                    stage=stage,
-                    ranks=ranks_at_solve,
-                    seed=stage_cfg.seed,
-                    objective=float("nan"),
-                    kkt=KktResiduals(np.inf, np.inf, np.inf, 0.0, 0.0),
-                    slack_min_eig=0.0,
-                    verdict="Infeasible",
-                    action="rank-increment",
-                    duality_gap=float("nan"),
-                )
+            kkt = KktResiduals(np.inf, np.inf, np.inf, 0.0, 0.0)
+            verdict, objective, slack_min_eig, gap = "Infeasible", float("nan"), 0.0, float("nan")
+        else:
+            act = active_set(dp, state.point)
+            candidates = (
+                Multipliers(np.array(state.lam), act, "FromSolver"),
+                estimate_multipliers(dp, state.point, act),
             )
-            warm = None
-            continue
-        act = active_set(dp, state.point)
-        candidates = (
-            Multipliers(np.array(state.lam), act, "FromSolver"),
-            estimate_multipliers(dp, state.point, act),
-        )
-        cert = certify(dp, state.point, candidates)
-
-        action = "stop"
-        if cert.verdict == "GlobalOptimal":
-            action = "certified"
-        elif cert.verdict == "Escapable":
+            cert = certify(dp, state.point, candidates)
+            verdict, objective, kkt = cert.verdict, state.objective, cert.kkt
+            slack_min_eig, gap = cert.slack_min_eig, cert.duality_gap
             blk = cert.escape_block
-            if blk < len(cur_ranks) and cur_ranks[blk] < st.psd_sizes[blk]:
+            grow = [blk] if blk is not None and growable(blk) else []
+            if grow:
                 # line search on the column's scale: the first trial that
                 # lowers the AL, else the smallest
                 trials = [append_column(state.point, blk, cert.escape_vector, alpha)
@@ -460,29 +443,22 @@ def staircase_solve(
                 thresh = base - 1e-12 * (1.0 + abs(base))
                 lower = (t for t in trials if al_value_grad(dp, t, state.lam, state.rho)[0] < thresh)
                 warm = (next(lower, trials[-1]), state.lam)
-                cur_ranks[blk] += 1
-                restarts_left = config.restarts
-                action = "rank-increment"
-        # Indeterminate, or Escapable with no room to grow
-        if action == "stop" and restarts_left > 0:
-            restarts_left -= 1
-            cur_seed += 1
-            warm = None
-            action = "restart"
 
-        stages.append(
-            StageRecord(
-                stage=stage,
-                ranks=ranks_at_solve,
-                seed=stage_cfg.seed,
-                objective=state.objective,
-                kkt=cert.kkt,
-                slack_min_eig=cert.slack_min_eig,
-                verdict=cert.verdict,
-                action=action,
-                duality_gap=cert.duality_gap,
-            )
-        )
+        if verdict == "GlobalOptimal":
+            action = "certified"
+        elif grow:
+            for j in grow:
+                cur_ranks[j] += 1
+            restarts_left = config.restarts
+            action = "rank-increment"
+        elif restarts_left > 0:
+            restarts_left -= 1
+            action = "restart"
+        else:
+            action = "stop"
+        if warm is None:
+            cur_seed += 1
+        stages.append(StageRecord(stage, ranks_at_solve, seed, objective, kkt, slack_min_eig, verdict, action, gap))
         if action in ("certified", "stop"):
             break
 

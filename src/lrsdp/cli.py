@@ -35,6 +35,7 @@ from .factorization import (
     lift,
     m_prime_conic,
     m_prime_inequality,
+    single_factor_block,
 )
 from .model import (
     BlockStructure,
@@ -352,21 +353,24 @@ def cmd_certify(args) -> int:
 
 
 def _parse_rank_ranges(text: str) -> list[list[int]]:
-    return [[int(v) for v in grp.split(",") if v != ""] for grp in text.split(";")]
+    try:
+        return [[int(v) for v in grp.split(",") if v != ""] for grp in text.split(";")]
+    except ValueError:
+        raise UsageError(f"--ranks takes integer ranks per tail block, as in '0,2;0,1', got {text!r}") from None
 
 
 def cmd_bound(args) -> int:
     problem = _load_problem(args.path)
     st = problem.structure
     try:
-        if st.num_blocks == 1 and st.free_dim == 0 and st.factorized_count == 1:
-            if args.ranks:
+        if single_factor_block(st):
+            if args.ranks is not None:
                 raise UsageError("--ranks sets tail rank ranges, and this problem has no tail block")
             report = m_prime_inequality(problem) if args.cap is None else m_prime_inequality(problem, args.cap)
         else:
             if args.cap is not None:
                 raise UsageError("--cap bounds the m' enumeration, and this problem takes the conic formula")
-            if args.ranks:
+            if args.ranks is not None:
                 ranges = _parse_rank_ranges(args.ranks)
             else:
                 ranges = [list(range(n + 1)) for n in st.tail_sizes]

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import oracle
 from .model import (
+    BlockStructure,
     ConicSdpProblem,
     PrimalPoint,
     SymmetricMatrix,
@@ -35,6 +36,7 @@ __all__ = [
     "m_prime_inequality",
     "m_prime_conic",
     "append_column",
+    "single_factor_block",
     "initial_rank_bound",
 ]
 
@@ -173,6 +175,11 @@ def _numerical_rank(mat: np.ndarray) -> int:
     return _rank_from_singular_values(np.linalg.svd(mat, compute_uv=False))
 
 
+def single_factor_block(st: BlockStructure) -> bool:
+    """One factorized PSD block, no tail block, no free part: m' by enumeration."""
+    return st.num_blocks == 1 and st.factorized_count == 1 and st.free_dim == 0
+
+
 def m_prime_inequality(problem: ConicSdpProblem, cap: int = 20) -> RankBoundReport:
     """m' for a single-block problem (largest independent simultaneously-active set).
 
@@ -183,8 +190,8 @@ def m_prime_inequality(problem: ConicSdpProblem, cap: int = 20) -> RankBoundRepo
     the cap falls back to min(m, rank A).
     """
     st = problem.structure
-    if st.num_blocks != 1 or st.free_dim != 0:
-        raise ValueError("unsupported structure: m' enumeration needs one PSD block and d = 0")
+    if not single_factor_block(st):
+        raise ValueError("unsupported structure: m' enumeration needs one factorized block, no tail, d = 0")
     n = st.psd_sizes[0]
     m = problem.m
     if m == 0:
@@ -249,12 +256,12 @@ def m_prime_conic(problem: ConicSdpProblem, rank_ranges) -> RankBoundReport:
 def initial_rank_bound(problem: ConicSdpProblem) -> RankBoundReport:
     """Cheap rank bound used to seed the staircase (no active-set enumeration).
 
-    Single block: ``m_prime_inequality`` with no enumeration (cap 0), i.e.
-    the rank of the stack when equality-only, else the min(m, rank A) upper
-    bound.  Multi-block or free variables: the conic formula with
+    ``single_factor_block``: ``m_prime_inequality`` with no enumeration
+    (cap 0), i.e. the rank of the stack when equality-only, else the
+    min(m, rank A) upper bound.  Any other structure: the conic formula with
     unconstrained tail ranks, i.e. m' = max(0, m - d).
     """
     st = problem.structure
-    if st.num_blocks == 1 and st.free_dim == 0 and st.factorized_count == 1:
+    if single_factor_block(st):
         return m_prime_inequality(problem, cap=0)
     return m_prime_conic(problem, [range(n + 1) for n in st.tail_sizes])

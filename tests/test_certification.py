@@ -24,6 +24,7 @@ from lrsdp.apps import (
     build_integer_quadratic,
     build_sensing_psd,
     generate_random,
+    random_soc_fixture,
 )
 from lrsdp.oracle import oracle_solve
 
@@ -464,23 +465,52 @@ class TestStaircase:
         assert calls == [[2]]
 
     def test_infeasible_stage_escalates_without_a_same_rank_retry(self, monkeypatch):
-        # rank 1 gives 4 dimensions of PSD matrices against 5 generic rows
+        # rank 1 gives 4 dimensions of PSD matrices against 5 generic rows;
+        # with two factor blocks at rank 1 (4 + 3 dimensions against 9 rows)
+        # the infeasible stage grows both blocks at once
         from lrsdp import certification
 
-        ranks = []
+        solved = []
 
         def spy(dp, cur_ranks, *args, **kwargs):
-            ranks.append(cur_ranks[0])
+            solved.append(tuple(cur_ranks))
             return al_solve(dp, cur_ranks, *args, **kwargs)
 
         monkeypatch.setattr(certification, "al_solve", spy)
-        prob = build_sensing_psd(4, 2, 5, seed=0).problem
-        report = staircase_solve(prob, SolverConfig(seed=0), ranks=[1])
-        assert ranks.count(1) == 1
-        assert [(s.ranks, s.verdict, s.action, s.seed) for s in report.stages] == [
-            ((1,), "Infeasible", "rank-increment", 0),
-            ((2,), "GlobalOptimal", "certified", 1),
+        cases = [
+            (build_sensing_psd(4, 2, 5, seed=0).problem, (1,), (2,)),
+            (generate_random(BlockStructure((4, 3), 2, 0), 9, "E" * 9, 0), (1, 1), (2, 2)),
         ]
+        for prob, start, grown in cases:
+            solved.clear()
+            report = staircase_solve(prob, SolverConfig(seed=0), ranks=list(start))
+            assert solved.count(start) == 1
+            assert [(s.ranks, s.verdict, s.action, s.seed) for s in report.stages] == [
+                (start, "Infeasible", "rank-increment", 0),
+                (grown, "GlobalOptimal", "certified", 1),
+            ]
+
+    def test_escapable_tail_block_restarts_from_a_fresh_seed(self, monkeypatch):
+        # the escape block is the SOC instance's tail block, which has no
+        # factor to grow: each such stage restarts with the next seed
+        from lrsdp import certification
+
+        escape_blocks = []
+
+        def spy(*args, **kwargs):
+            cert = certify(*args, **kwargs)
+            escape_blocks.append(cert.escape_block)
+            return cert
+
+        monkeypatch.setattr(certification, "certify", spy)
+        prob = random_soc_fixture(3, 3, 3, 4).problem
+        report = staircase_solve(prob, SolverConfig(seed=4))
+        assert [(s.ranks, s.verdict, s.action, s.seed) for s in report.stages] == [
+            ((3,), "Escapable", "restart", 4),
+            ((3,), "Escapable", "restart", 5),
+            ((3,), "GlobalOptimal", "certified", 6),
+        ]
+        assert escape_blocks == [1, 1, None]
 
     def test_report_is_deterministic(self):
         prob = generate_random(BlockStructure((6,), 1, 0), 5, "EEEEI", 17)

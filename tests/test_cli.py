@@ -175,53 +175,107 @@ class TestSolveCommand:
 
 class TestFlagValidation:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,last_line",
         [
-            ["solve", "{path}", "--rank", "1,2"],
-            ["solve", "{path}", "--rank", ""],
-            ["solve", "{path}", "--max-outer", "0"],
-            ["experiment", "genericity", "--trials", "0"],
-            ["experiment", "licq", "--trials", "0"],
-            ["experiment", "adversarial", "--n", "4", "--p", "4"],
-            ["experiment", "genericity", "--m", "-1"],
-            ["solve", "{path}", "--tol", "0"],
-            ["solve", "{path}", "--tol", "-1"],
-            ["solve", "{path}", "--tol", "nan"],
-            ["solve", "{path}", "--tol", "inf"],
-            ["solve", "{path}", "--restarts", "-2"],
-            ["experiment", "genericity", "--tol", "0"],
-            ["certify", "{path}", "{point}", "--cert-tol", "0"],
-            ["certify", "{path}", "{point}", "--cert-tol", "nan"],
-            ["solve", "{path}", "--seed", "-1"],
-            ["experiment", "licq", "--seed", "-1"],
-            ["solve", "{path}", "--rank", "0"],
-            ["solve", "{path}", "--rank", "-2"],
-            ["bound", "{path}", "--cap", "-1"],
-            ["bound", "{path}", "--ranks", "0"],
-            ["experiment", "adversarial", "--n", "4", "--p", "2", "--m", "0"],
-            ["solve", "{path}", "--rank", "3"],
-            ["experiment", "genericity", "--n", "4", "--p", "9"],
-            ["experiment", "licq", "--n", "4", "--p", "9", "--m", "3", "--trials", "2"],
-            ["experiment", "adversarial", "--n", "4", "--p", "2", "--trials", "1", "--oracle"],
-            ["experiment", "licq", "--n", "4", "--p", "2", "--trials", "1", "--oracle"],
+            pytest.param(["solve", "{path}", "--rank", "1,2"],
+                         "error: --rank needs 1 comma-separated ranks, got 2",
+                         id="rank-count"),
+            pytest.param(["solve", "{path}", "--rank", ""],
+                         "error: --rank needs 1 comma-separated ranks, got 0",
+                         id="rank-empty"),
+            pytest.param(["solve", "{path}", "--max-outer", "0"],
+                         "lrsdp solve: error: argument --max-outer: must be at least 1, got 0",
+                         id="max-outer-0"),
+            pytest.param(["experiment", "genericity", "--trials", "0"],
+                         "lrsdp experiment: error: argument --trials: must be at least 1, got 0",
+                         id="genericity-trials-0"),
+            pytest.param(["experiment", "licq", "--trials", "0"],
+                         "lrsdp experiment: error: argument --trials: must be at least 1, got 0",
+                         id="licq-trials-0"),
+            pytest.param(["experiment", "adversarial", "--n", "4", "--p", "4"],
+                         "error: adversarial needs --p below --n, got p = 4, n = 4",
+                         id="adversarial-p-equals-n"),
+            pytest.param(["experiment", "genericity", "--m", "-1"],
+                         "lrsdp experiment: error: argument --m: must be at least 0, got -1",
+                         id="genericity-m-negative"),
+            pytest.param(["solve", "{path}", "--tol", "0"],
+                         "lrsdp solve: error: argument --tol: must be finite and positive, got 0.0",
+                         id="tol-0"),
+            pytest.param(["solve", "{path}", "--tol", "-1"],
+                         "lrsdp solve: error: argument --tol: must be finite and positive, got -1.0",
+                         id="tol-negative"),
+            pytest.param(["solve", "{path}", "--tol", "nan"],
+                         "lrsdp solve: error: argument --tol: must be finite and positive, got nan",
+                         id="tol-nan"),
+            pytest.param(["solve", "{path}", "--tol", "inf"],
+                         "lrsdp solve: error: argument --tol: must be finite and positive, got inf",
+                         id="tol-inf"),
+            pytest.param(["solve", "{path}", "--restarts", "-2"],
+                         "lrsdp solve: error: argument --restarts: must be at least 0, got -2",
+                         id="restarts-negative"),
+            pytest.param(["experiment", "genericity", "--tol", "0"],
+                         "lrsdp experiment: error: argument --tol: must be finite and positive, got 0.0",
+                         id="genericity-tol-0"),
+            pytest.param(["certify", "{path}", "{point}", "--cert-tol", "0"],
+                         "lrsdp certify: error: argument --cert-tol: must be finite and positive, got 0.0",
+                         id="cert-tol-0"),
+            pytest.param(["certify", "{path}", "{point}", "--cert-tol", "nan"],
+                         "lrsdp certify: error: argument --cert-tol: must be finite and positive, got nan",
+                         id="cert-tol-nan"),
+            pytest.param(["solve", "{path}", "--seed", "-1"],
+                         "lrsdp solve: error: argument --seed: must be at least 0, got -1",
+                         id="seed-negative"),
+            pytest.param(["experiment", "licq", "--seed", "-1"],
+                         "lrsdp experiment: error: argument --seed: must be at least 0, got -1",
+                         id="licq-seed-negative"),
+            pytest.param(["solve", "{path}", "--rank", "0"],
+                         "lrsdp solve: error: argument --rank: must be at least 1, got 0",
+                         id="rank-zero"),
+            pytest.param(["solve", "{path}", "--rank", "-2"],
+                         "lrsdp solve: error: argument --rank: must be at least 1, got -2",
+                         id="rank-negative"),
+            pytest.param(["bound", "{path}", "--cap", "-1"],
+                         "lrsdp bound: error: argument --cap: must be at least 0, got -1",
+                         id="cap-negative"),
+            pytest.param(["bound", "{path}", "--ranks", "0"],
+                         "error: --ranks sets tail rank ranges, and this problem has no tail block",
+                         id="bound-ranks-without-tails"),
+            pytest.param(["experiment", "adversarial", "--n", "4", "--p", "2", "--m", "0"],
+                         "error: adversarial needs --m of at least 1 (the trace row), got 0",
+                         id="adversarial-m-0"),
+            pytest.param(["solve", "{path}", "--rank", "3"],
+                         "error: --rank 3 for block 0 exceeds its size 2",
+                         id="rank-above-block-size"),
+            pytest.param(["experiment", "genericity", "--n", "4", "--p", "9"],
+                         "error: genericity needs --p of at most --n, got p = 9, n = 4",
+                         id="genericity-p-above-n"),
+            pytest.param(["experiment", "licq", "--n", "4", "--p", "9", "--m", "3", "--trials", "2"],
+                         "error: licq needs --p of at most --n, got p = 9, n = 4",
+                         id="licq-p-above-n"),
+            pytest.param(["experiment", "adversarial", "--n", "4", "--p", "2", "--trials", "1", "--oracle"],
+                         "error: --oracle applies to genericity only, not adversarial",
+                         id="adversarial-oracle"),
+            pytest.param(["experiment", "licq", "--n", "4", "--p", "2", "--trials", "1", "--oracle"],
+                         "error: --oracle applies to genericity only, not licq",
+                         id="licq-oracle"),
+            pytest.param(["bound", "{path}", "--ranks", ""],
+                         "error: --ranks sets tail rank ranges, and this problem has no tail block",
+                         id="bound-empty-ranks-without-tails"),
+            pytest.param(["bound", "{tail}", "--ranks", "x"],
+                         "error: --ranks takes integer ranks per tail block, as in '0,2;0,1', got 'x'",
+                         id="bound-ranks-not-integers"),
         ],
-        ids=["rank-count", "rank-empty", "max-outer-0", "genericity-trials-0",
-             "licq-trials-0", "adversarial-p-equals-n", "genericity-m-negative",
-             "tol-0", "tol-negative", "tol-nan", "tol-inf", "restarts-negative",
-             "genericity-tol-0", "cert-tol-0", "cert-tol-nan", "seed-negative",
-             "licq-seed-negative", "rank-zero", "rank-negative", "cap-negative",
-             "bound-ranks-without-tails", "adversarial-m-0", "rank-above-block-size",
-             "genericity-p-above-n", "licq-p-above-n", "adversarial-oracle", "licq-oracle"],
     )
-    def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv):
+    def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv, last_line):
         point = os.path.join(tmp_path, "trivial.point")
         e1 = np.array([[1.0], [0.0]])
         Path(point).write_text(write_point(FactorizedPoint((e1,), (), np.zeros(0))))
-        code, out, err = run_cli([a.format(path=trivial_file, point=point) for a in argv])
+        tail = os.path.join(tmp_path, "tail.sdp")
+        Path(tail).write_text(write_problem(generate_random(BlockStructure((3, 1), 1, 0), 2, "EE", 1)))
+        code, out, err = run_cli([a.format(path=trivial_file, point=point, tail=tail) for a in argv])
         assert code == 1
         assert out == ""
-        assert "error:" in err
-
+        assert err.splitlines()[-1] == last_line
 
     @pytest.mark.parametrize(
         "factor_rows,tail_rows",

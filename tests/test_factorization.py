@@ -176,9 +176,14 @@ class TestMPrimeSingleBlock:
                 assert triangular(p - 1) <= rep.m_prime
 
     def test_unsupported_structure(self):
-        prob = generate_random(BlockStructure((2, 2), 1, 0), 2, "EE", 0)
-        with pytest.raises(ValueError, match="unsupported structure"):
-            m_prime_inequality(prob)
+        # a tail block, and a single block left unfactorized, which
+        # ``initial_rank_bound`` sends to the conic formula (no factor ranks)
+        for prob in (
+            generate_random(BlockStructure((2, 2), 1, 0), 2, "EE", 0),
+            generate_random(BlockStructure((4,), 0, 0), 5, "EEEII", 3),
+        ):
+            with pytest.raises(ValueError, match="unsupported structure"):
+                m_prime_inequality(prob)
 
 
 class TestMPrimeConic:
