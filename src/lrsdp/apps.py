@@ -5,6 +5,11 @@ instance is strictly feasible (right-hand sides come from an interior point)
 and bounded (costs are assembled as a positive-definite part plus an adjoint
 term, which hands the dual a strictly feasible point).  All randomness flows
 from an explicit seed.
+
+Each builder states its rows as dense matrices and assembles the problem with
+``ConicSdpProblem.from_dense``.  A ``BuiltProblem`` carries data only (the
+problem, a planted point, extras); the rank bound is derived on demand with
+``initial_rank_bound``.
 """
 
 from __future__ import annotations
@@ -14,16 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factorization import FactorizedPoint, RankBoundReport, initial_rank_bound, triangular
-from .model import (
-    BlockStructure,
-    ConicSdpProblem,
-    Constraint,
-    ConstraintKind,
-    CooSymmetric,
-    SymmetricMatrix,
-    write_problem,
-)
+from .factorization import FactorizedPoint, initial_rank_bound, triangular
+from .model import BlockStructure, ConicSdpProblem, write_problem
 
 __all__ = [
     "BuiltProblem",
@@ -45,7 +42,6 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class BuiltProblem:
     problem: ConicSdpProblem
-    rank_bound: RankBoundReport | None = None
     planted_point: FactorizedPoint | None = None
     extras: dict = field(default_factory=dict)
 
@@ -82,20 +78,17 @@ def build_integer_quadratic(cost: np.ndarray) -> BuiltProblem:
         raise ValueError(f"cost must be square of size >= 2, got {cost.shape}")
     n = n1 - 1
 
-    corner = CooSymmetric.from_entries(n1, [(n, n, 1.0)])
-    cons = [Constraint((corner,), np.zeros(0), 1.0, ConstraintKind.EQUALITY)]
+    corner = np.zeros((n1, n1))
+    corner[n, n] = 1.0
+    rows = [([corner], (), 1.0, "E")]
     for i in range(n):
-        bl = CooSymmetric.from_entries(n1, [(i, i, 1.0), (i, n, -0.5)])
-        cons.append(Constraint((bl,), np.zeros(0), 0.0, ConstraintKind.INEQUALITY))
-
-    problem = ConicSdpProblem.normalized(
-        structure=BlockStructure((n1,), 1, 0),
-        cost_blocks=(SymmetricMatrix.from_dense(_sym(cost)),),
-        cost_free=np.zeros(0),
-        constraints=cons,
-        name=f"iqm-n{n}",
+        a = np.zeros((n1, n1))
+        a[i, i] = 1.0
+        a[i, n] = a[n, i] = -0.5
+        rows.append(([a], (), 0.0, "I"))
+    return BuiltProblem(
+        ConicSdpProblem.from_dense(BlockStructure((n1,), 1, 0), [cost], (), rows, f"iqm-n{n}")
     )
-    return BuiltProblem(problem, rank_bound=initial_rank_bound(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -105,33 +98,26 @@ def build_integer_quadratic(cost: np.ndarray) -> BuiltProblem:
 
 def build_sensing_psd(n: int, rank: int, num_measurements: int, seed: int) -> BuiltProblem:
     """PSD matrix sensing: minimize trace subject to random measurements of a
-    planted rank-`rank` PSD matrix."""
+    planted rank-`rank` PSD matrix, whose factor is the planted point."""
     rng = np.random.default_rng(seed)
     y_star = rng.standard_normal((n, rank))
     x_star = y_star @ y_star.T
 
-    cons = []
+    rows = []
     for _ in range(num_measurements):
         a = _random_sym(rng, n)
         a /= np.linalg.norm(a)
-        cons.append(
-            Constraint(
-                (CooSymmetric.from_dense(a),),
-                np.zeros(0),
-                float(np.tensordot(a, x_star)),
-                ConstraintKind.EQUALITY,
-            )
-        )
-    problem = ConicSdpProblem.normalized(
-        structure=BlockStructure((n,), 1, 0),
-        cost_blocks=(SymmetricMatrix.from_dense(np.eye(n)),),
-        cost_free=np.zeros(0),
-        constraints=cons,
-        name=f"sensing-psd-n{n}-r{rank}-m{num_measurements}-s{seed}",
+        rows.append(([a], (), float(np.tensordot(a, x_star)), "E"))
+    problem = ConicSdpProblem.from_dense(
+        BlockStructure((n,), 1, 0),
+        [np.eye(n)],
+        (),
+        rows,
+        f"sensing-psd-n{n}-r{rank}-m{num_measurements}-s{seed}",
     )
     return BuiltProblem(
         problem,
-        rank_bound=initial_rank_bound(problem),
+        planted_point=FactorizedPoint((y_star,), (), np.zeros(0)),
         extras={
             "planted": x_star.tolist(),
             "planted_rank": rank,
@@ -155,30 +141,21 @@ def build_sensing_symmetric(
         x_star = np.outer(u, u) - np.outer(v, v)
     x_star = _sym(np.asarray(x_star, dtype=float))
 
-    cons = []
+    rows = []
     for _ in range(num_measurements):
         a = _random_sym(rng, n)
         a /= np.linalg.norm(a)
-        cons.append(
-            Constraint(
-                (CooSymmetric.from_dense(a), CooSymmetric.from_dense(-a)),
-                np.zeros(0),
-                float(np.tensordot(a, x_star)),
-                ConstraintKind.EQUALITY,
-            )
-        )
-    eye = SymmetricMatrix.from_dense(np.eye(n))
-    problem = ConicSdpProblem.normalized(
-        structure=BlockStructure((n, n), 2, 0),
-        cost_blocks=(eye, eye),
-        cost_free=np.zeros(0),
-        constraints=cons,
-        name=f"sensing-sym-n{n}-m{num_measurements}-s{seed}",
+        rows.append(([a, -a], (), float(np.tensordot(a, x_star)), "E"))
+    problem = ConicSdpProblem.from_dense(
+        BlockStructure((n, n), 2, 0),
+        [np.eye(n), np.eye(n)],
+        (),
+        rows,
+        f"sensing-sym-n{n}-m{num_measurements}-s{seed}",
     )
     nuc = float(np.sum(np.abs(np.linalg.eigvalsh(x_star))))
     return BuiltProblem(
         problem,
-        rank_bound=initial_rank_bound(problem),
         extras={"planted": x_star.tolist(), "nuclear_norm": nuc},
     )
 
@@ -214,14 +191,12 @@ def extract_cone_point(x2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _soc_row_matrix(g: np.ndarray) -> CooSymmetric:
+def _soc_row_matrix(g: np.ndarray) -> np.ndarray:
     """Matrix M with <M, arrow(x)> = g . x."""
-    n2 = g.size
-    entries = [(0, 0, float(g[0]))]
-    for j in range(1, n2):
-        if g[j] != 0.0:
-            entries.append((0, j, float(g[j]) / 2.0))
-    return CooSymmetric.from_entries(n2, entries)
+    a = np.zeros((g.size, g.size))
+    a[0, 0] = g[0]
+    a[0, 1:] = a[1:, 0] = g[1:] / 2.0
+    return a
 
 
 def build_soc_embedding(
@@ -248,35 +223,27 @@ def build_soc_embedding(
     if len(psd_rows) != len(soc_rows) or len(psd_rows) != len(rhs):
         raise ValueError("inconsistent row counts")
 
-    cons = []
-    for bmat, g, bi in zip(psd_rows, soc_rows, rhs):
-        cons.append(
-            Constraint(
-                (CooSymmetric.from_dense(np.asarray(bmat, dtype=float)), _soc_row_matrix(np.asarray(g, dtype=float))),
-                np.zeros(0),
-                float(bi),
-                ConstraintKind.EQUALITY,
-            )
-        )
-    zero1 = CooSymmetric.empty(n1)
+    rows = [
+        ([bmat, _soc_row_matrix(np.asarray(g, dtype=float))], (), bi, "E")
+        for bmat, g, bi in zip(psd_rows, soc_rows, rhs)
+    ]
+    zero1 = np.zeros((n1, n1))
     for i in range(1, n2):
-        bl = CooSymmetric.from_entries(n2, [(0, 0, -1.0), (i, i, 1.0)])
-        cons.append(Constraint((zero1, bl), np.zeros(0), 0.0, ConstraintKind.EQUALITY))
+        a = np.zeros((n2, n2))
+        a[0, 0], a[i, i] = -1.0, 1.0
+        rows.append(([zero1, a], (), 0.0, "E"))
     for i in range(1, n2):
         for j in range(i + 1, n2):
-            bl = CooSymmetric.from_entries(n2, [(i, j, 1.0)])
-            cons.append(Constraint((zero1, bl), np.zeros(0), 0.0, ConstraintKind.EQUALITY))
+            a = np.zeros((n2, n2))
+            a[i, j] = a[j, i] = 1.0
+            rows.append(([zero1, a], (), 0.0, "E"))
 
-    cost2 = _soc_row_matrix(soc_cost)
-    problem = ConicSdpProblem.normalized(
-        structure=BlockStructure((n1, n2), 1, 0),
-        cost_blocks=(
-            SymmetricMatrix.from_dense(_sym(psd_cost)),
-            SymmetricMatrix.from_dense(cost2.to_dense()),
-        ),
-        cost_free=np.zeros(0),
-        constraints=cons,
-        name=f"soc-n{n1}x{n2}-m{len(rhs)}",
+    problem = ConicSdpProblem.from_dense(
+        BlockStructure((n1, n2), 1, 0),
+        [psd_cost, _soc_row_matrix(soc_cost)],
+        (),
+        rows,
+        f"soc-n{n1}x{n2}-m{len(rhs)}",
     )
     assert problem.m == len(rhs) + triangular(n2 - 1)
     return BuiltProblem(problem, extras={"m1": len(rhs), "n2": n2})
@@ -313,7 +280,7 @@ def random_soc_fixture(n1: int, n2: int, m1: int, seed: int) -> BuiltProblem:
     built = build_soc_embedding(psd_cost, soc_cost, psd_rows, soc_rows, rhs)
     extras = dict(built.extras)
     extras["interior_point"] = x_0.tolist()
-    return BuiltProblem(built.problem, built.rank_bound, None, extras)
+    return BuiltProblem(built.problem, extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +319,16 @@ def build_adversarial_cost(
     lam = rng.standard_normal(len(constraint_mats))
     c = s_mat + sum(l * np.asarray(a, dtype=float) for l, a in zip(lam, constraint_mats))
 
-    cons = [
-        Constraint(
-            (CooSymmetric.from_dense(np.asarray(a, dtype=float)),),
-            np.zeros(0),
-            float(bi),
-            ConstraintKind.EQUALITY,
-        )
-        for a, bi in zip(constraint_mats, b)
-    ]
-    problem = ConicSdpProblem.normalized(
-        structure=BlockStructure((n,), 1, 0),
-        cost_blocks=(SymmetricMatrix.from_dense(c),),
-        cost_free=np.zeros(0),
-        constraints=cons,
-        name=name or f"adversarial-n{n}-p{p}-s{seed}",
+    problem = ConicSdpProblem.from_dense(
+        BlockStructure((n,), 1, 0),
+        [c],
+        (),
+        [([a], (), bi, "E") for a, bi in zip(constraint_mats, b)],
+        name or f"adversarial-n{n}-p{p}-s{seed}",
     )
     planted = FactorizedPoint((y.copy(),), (), np.zeros(0))
     return BuiltProblem(
         problem,
-        rank_bound=initial_rank_bound(problem),
         planted_point=planted,
         extras={
             "planted_objective": float(np.tensordot(c, y @ y.T)),
@@ -457,24 +414,15 @@ def generate_random(structure: BlockStructure, m: int, kinds: str, seed: int) ->
             r = rng.standard_normal((n, 2 * n)) / np.sqrt(2 * n)
             w = r @ r.T + 0.1 * np.eye(n)
             w += sum(mu[i] * rows[i][0][j] for i in range(m))
-            cost_blocks.append(SymmetricMatrix.from_dense(w))
+            cost_blocks.append(w)
         cost_free = sum((mu[i] * rows[i][1] for i in range(m)), np.zeros(d))
 
-        cons = [
-            Constraint(
-                tuple(CooSymmetric.from_dense(a) for a in blocks),
-                free,
-                float(b[i]),
-                ConstraintKind(kinds[i]),
-            )
-            for i, (blocks, free) in enumerate(rows)
-        ]
-        return ConicSdpProblem.normalized(
-            structure=structure,
-            cost_blocks=tuple(cost_blocks),
-            cost_free=cost_free,
-            constraints=cons,
-            name=f"random-{'x'.join(str(n) for n in sizes)}-m{m}-s{seed}",
+        return ConicSdpProblem.from_dense(
+            structure,
+            cost_blocks,
+            cost_free,
+            [(blocks, free, b[i], kinds[i]) for i, (blocks, free) in enumerate(rows)],
+            f"random-{'x'.join(str(n) for n in sizes)}-m{m}-s{seed}",
         )
     raise RuntimeError("could not generate nonzero right-hand sides")
 
@@ -483,13 +431,16 @@ def write_fixture(built: BuiltProblem, path: str) -> None:
     """Emit the problem text plus a JSON sidecar with the planted data."""
     with open(path, "w") as fh:
         fh.write(write_problem(built.problem))
-    side = {"name": built.problem.name, "extras": built.extras}
-    if built.rank_bound is not None:
-        side["rank_bound"] = {
-            "m_prime": built.rank_bound.m_prime,
-            "p_per_block": list(built.rank_bound.p_per_block),
-            "method": built.rank_bound.method,
-        }
+    bound = initial_rank_bound(built.problem)
+    side = {
+        "name": built.problem.name,
+        "extras": built.extras,
+        "rank_bound": {
+            "m_prime": bound.m_prime,
+            "p_per_block": list(bound.p_per_block),
+            "method": bound.method,
+        },
+    }
     if built.planted_point is not None:
         side["planted_factors"] = [y.tolist() for y in built.planted_point.factors]
     with open(path + ".json", "w") as fh:

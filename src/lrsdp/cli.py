@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import oracle
-from .apps import adversarial_instance, generate_random
+from .apps import adversarial_instance, build_sensing_psd, generate_random
 from .certification import (
     CERT_TOL,
     certify,
@@ -179,7 +179,10 @@ def read_point(text: str) -> FactorizedPoint:
             factors.append(take_rows(n, p))
         elif toks[0] == "tail":
             n = int(toks[1])
-            tails.append(SymmetricMatrix.from_dense(take_rows(n, n)))
+            tail = take_rows(n, n)
+            if not np.array_equal(tail, tail.T):
+                raise ValueError(f"tail block {len(tails)} is not symmetric")
+            tails.append(SymmetricMatrix.from_dense(tail))
         else:
             d = int(toks[1])
             free = take_rows(1, d)[0]
@@ -396,111 +399,78 @@ def cmd_experiment(args) -> int:
         raise UsageError(f"{args.kind} needs --p of at most --n, got p = {p}, n = {n}")
     if args.oracle and args.kind != "genericity":
         raise UsageError(f"--oracle applies to genericity only, not {args.kind}")
+    if args.kind == "adversarial" and p >= n:
+        raise UsageError(f"adversarial needs --p below --n, got p = {p}, n = {n}")
+    if args.kind == "adversarial" and m < 1:
+        raise UsageError(f"adversarial needs --m of at least 1 (the trace row), got {m}")
 
-    if args.kind == "genericity":
-        def trial(t: int):
-            problem = generate_random(BlockStructure((n,), 1, 0), m, "E" * m, args.seed + t)
-            report = staircase_solve(problem, replace(cfg, seed=args.seed + t), ranks=[p])
-            scale = 1.0 + abs(report.objective)
-            first_rank = (
-                report.verdict == "GlobalOptimal"
-                and len(report.stages) == 1
-                and abs(report.certificate.duality_gap) <= scale_tol * scale
-            )
-            rec = {
-                "seed": args.seed + t,
-                "verdict": report.verdict,
-                "stages": len(report.stages),
-                "objective": report.objective,
-                "gap": report.certificate.duality_gap,
-                "slack_min_eig": report.certificate.slack_min_eig,
-                "certified_first_rank": first_rank,
-            }
-            if args.oracle:
-                obj = _oracle_objective(problem)
-                rec["oracle_objective"] = obj
-                rec["matches_oracle"] = obj is not None and (
-                    abs(report.objective - obj) <= 1e-5 * (1.0 + abs(obj))
-                )
-            return rec
-
-        records = [trial(t) for t in range(args.trials)]
-        payload = {
-            "kind": "genericity",
-            "params": {"n": n, "m": m, "p": p, "trials": args.trials, "seed": args.seed},
-            "fraction_certified_first_rank": sum(r["certified_first_rank"] for r in records) / args.trials,
-            "trials": records,
+    def genericity(seed: int) -> dict:
+        problem = generate_random(BlockStructure((n,), 1, 0), m, "E" * m, seed)
+        report = staircase_solve(problem, replace(cfg, seed=seed), ranks=[p])
+        scale = 1.0 + abs(report.objective)
+        first_rank = (
+            report.verdict == "GlobalOptimal"
+            and len(report.stages) == 1
+            and abs(report.certificate.duality_gap) <= scale_tol * scale
+        )
+        rec = {
+            "seed": seed,
+            "verdict": report.verdict,
+            "stages": len(report.stages),
+            "objective": report.objective,
+            "gap": report.certificate.duality_gap,
+            "slack_min_eig": report.certificate.slack_min_eig,
+            "certified_first_rank": first_rank,
         }
         if args.oracle:
-            payload["fraction_matching_oracle"] = sum(r["matches_oracle"] for r in records) / args.trials
+            obj = _oracle_objective(problem)
+            rec["oracle_objective"] = obj
+            rec["matches_oracle"] = obj is not None and (
+                abs(report.objective - obj) <= 1e-5 * (1.0 + abs(obj))
+            )
+        return rec
 
-    elif args.kind == "adversarial":
-        if p >= n:
-            raise UsageError(f"adversarial needs --p below --n, got p = {p}, n = {n}")
-        if m < 1:
-            raise UsageError(f"adversarial needs --m of at least 1 (the trace row), got {m}")
-
-        def trial(t: int):
-            built = adversarial_instance(n, p, m, args.seed + t)
-            point = built.planted_point
-            dp = densify(built.problem)
-            cert = certify(dp, point, [estimate_multipliers(dp, point)])
-            return {
-                "seed": args.seed + t,
-                "verdict": cert.verdict,
-                "rejected": cert.verdict != "GlobalOptimal",
-                "stationarity": cert.kkt.stationarity,
-                "slack_min_eig": cert.slack_min_eig,
-            }
-
-        records = [trial(t) for t in range(args.trials)]
-        payload = {
-            "kind": "adversarial",
-            "params": {"n": n, "m": m, "p": p, "trials": args.trials, "seed": args.seed},
-            "rejection_fraction": sum(r["rejected"] for r in records) / args.trials,
-            "trials": records,
+    def adversarial(seed: int) -> dict:
+        built = adversarial_instance(n, p, m, seed)
+        point = built.planted_point
+        dp = densify(built.problem)
+        cert = certify(dp, point, [estimate_multipliers(dp, point)])
+        return {
+            "seed": seed,
+            "verdict": cert.verdict,
+            "rejected": cert.verdict != "GlobalOptimal",
+            "stationarity": cert.kkt.stationarity,
+            "slack_min_eig": cert.slack_min_eig,
         }
 
-    else:
-        def trial(t: int):
-            rng = np.random.default_rng(args.seed + t)
-            y0 = rng.standard_normal((n, p))
-            problem = _licq_instance(rng, n, m, y0)
-            res = licq_check(densify(problem), FactorizedPoint((y0,), (), np.zeros(0)))
-            return {
-                "seed": args.seed + t,
-                "holds": res.holds,
-                "jacobian_rank": res.jacobian_rank,
-                "active_count": res.active_count,
-            }
-
-        records = [trial(t) for t in range(args.trials)]
-        payload = {
-            "kind": "licq",
-            "params": {"n": n, "m": m, "p": p, "trials": args.trials, "seed": args.seed},
-            "pass_fraction": sum(r["holds"] for r in records) / args.trials,
-            "trials": records,
+    def licq(seed: int) -> dict:
+        built = build_sensing_psd(n, p, m, seed)
+        res = licq_check(densify(built.problem), built.planted_point)
+        return {
+            "seed": seed,
+            "holds": res.holds,
+            "jacobian_rank": res.jacobian_rank,
+            "active_count": res.active_count,
         }
+
+    # kind -> (trial of a seed, payload fraction key, record flag it counts)
+    trial, fraction, flag = {
+        "genericity": (genericity, "fraction_certified_first_rank", "certified_first_rank"),
+        "adversarial": (adversarial, "rejection_fraction", "rejected"),
+        "licq": (licq, "pass_fraction", "holds"),
+    }[args.kind]
+    records = [trial(args.seed + t) for t in range(args.trials)]
+    payload = {
+        "kind": args.kind,
+        "params": {"n": n, "m": m, "p": p, "trials": args.trials, "seed": args.seed},
+        fraction: sum(r[flag] for r in records) / args.trials,
+        "trials": records,
+    }
+    if args.oracle:
+        payload["fraction_matching_oracle"] = sum(r["matches_oracle"] for r in records) / args.trials
 
     _write_output(format_report(payload), args.out)
     return EXIT_OK
-
-
-def _licq_instance(rng: np.random.Generator, n: int, m: int, y0: np.ndarray) -> ConicSdpProblem:
-    """Random equality map with b taken at a feasible factor (entries nonzero)."""
-    from .model import Constraint, ConstraintKind, CooSymmetric
-
-    x0 = y0 @ y0.T
-    cons = []
-    while len(cons) < m:
-        a = 0.5 * (lambda g: g + g.T)(rng.standard_normal((n, n)))
-        a /= np.linalg.norm(a)
-        bi = float(np.tensordot(a, x0))
-        if abs(bi) < 1e-10:
-            continue
-        cons.append(Constraint((CooSymmetric.from_dense(a),), np.zeros(0), bi, ConstraintKind.EQUALITY))
-    cost = SymmetricMatrix.from_dense(np.eye(n))
-    return ConicSdpProblem.normalized(BlockStructure((n,), 1, 0), (cost,), np.zeros(0), cons)
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,6 @@ def m_prime_inequality(problem: ConicSdpProblem, cap: int = 20) -> RankBoundRepo
         raise ValueError("unsupported structure: m' enumeration needs one factorized block, no tail, d = 0")
     n = st.psd_sizes[0]
     m = problem.m
-    if m == 0:
-        return RankBoundReport(0, (_min_rank_for(0, n),), "ExactEnumeration")
-
     all_rank = _numerical_rank(_stack_rows(problem, range(m)))
     eq_idx = list(problem.equality_indices())
     ineq_idx = list(problem.inequality_indices())

@@ -13,6 +13,10 @@ factorizes; trailing blocks are kept as matrix variables.
 Symmetric matrices are stored packed (upper triangle, row-major), so symmetry
 is structural.  Constraint data is kept as sparse upper-triangle coordinate
 lists; cost blocks are dense packed.
+
+A problem is assembled in one of two ways: ``ConicSdpProblem.from_dense``
+takes dense rows (every builder goes through it), and ``read_problem`` takes
+file entries, which ``CooSymmetric.from_entries`` adds up per position.
 """
 
 from __future__ import annotations
@@ -97,10 +101,6 @@ class SymmetricMatrix:
             )
 
     @classmethod
-    def zeros(cls, n: int) -> "SymmetricMatrix":
-        return cls(n, np.zeros(packed_size(n)))
-
-    @classmethod
     def from_dense(cls, a: np.ndarray) -> "SymmetricMatrix":
         a = np.asarray(a, dtype=float)
         n = a.shape[0]
@@ -140,11 +140,6 @@ class CooSymmetric:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-
-    @classmethod
-    def empty(cls, n: int) -> "CooSymmetric":
-        z = np.zeros(0)
-        return cls(n, z.astype(int), z.astype(int), z)
 
     @classmethod
     def from_entries(cls, n: int, entries) -> "CooSymmetric":
@@ -240,6 +235,28 @@ class ConicSdpProblem:
             cost_free=np.asarray(cost_free, dtype=float),
             constraints=tuple(eqs + ineqs),
             name=name,
+        )
+
+    @classmethod
+    def from_dense(cls, structure, cost_blocks, cost_free, rows, name="") -> "ConicSdpProblem":
+        """Build from dense data: ``rows`` holds (blocks, free, rhs, 'E'|'I')
+        tuples, one dense matrix per PSD block; each matrix, cost or row
+        block, enters through its symmetric part."""
+        constraints = [
+            Constraint(
+                tuple(CooSymmetric.from_dense(a) for a in blocks),
+                np.asarray(free, dtype=float),
+                float(rhs),
+                ConstraintKind(kind),
+            )
+            for blocks, free, rhs, kind in rows
+        ]
+        return cls.normalized(
+            structure,
+            tuple(SymmetricMatrix.from_dense(c) for c in cost_blocks),
+            cost_free,
+            constraints,
+            name,
         )
 
     @property
@@ -417,8 +434,8 @@ def read_problem(text: str) -> ConicSdpProblem:
             f"inconsistent dimension declaration: {len(b)} rhs values, m = {m}", b_line
         )
 
-    # entry accumulators: cost and one slot per constraint
-    block_entries: list[list[dict]] = [[{} for _ in range(nblocks)] for _ in range(m + 1)]
+    # entry lists: cost and one slot per constraint
+    block_entries = [[[] for _ in range(nblocks)] for _ in range(m + 1)]
     free_entries = [np.zeros(d) for _ in range(m + 1)]
 
     for lineno, content in lines[5:]:
@@ -447,46 +464,31 @@ def read_problem(text: str) -> ConicSdpProblem:
                     f"entry ({i},{j}) outside stored upper triangle of block {blk} (dim {n})",
                     lineno,
                 )
-            key = (i - 1, j - 1)
-            slot = block_entries[con][blk - 1]
-            slot[key] = slot.get(key, 0.0) + val
+            block_entries[con][blk - 1].append((i - 1, j - 1, val))
 
-    def coo(con: int, blk: int) -> CooSymmetric:
-        n = sizes[blk]
-        items = sorted(block_entries[con][blk].items())
-        rows = np.array([ij[0] for ij, _ in items], dtype=int)
-        cols = np.array([ij[1] for ij, _ in items], dtype=int)
-        vals = np.array([v for _, v in items], dtype=float)
-        return CooSymmetric(n, rows, cols, vals)
+    blocks = [
+        tuple(CooSymmetric.from_entries(n, entries) for n, entries in zip(sizes, per_con))
+        for per_con in block_entries
+    ]
+    for fv in free_entries:
+        fv.setflags(write=False)
 
     cost_blocks = []
-    for blk in range(nblocks):
-        sm = SymmetricMatrix.zeros(sizes[blk])
-        for (i, j), v in block_entries[0][blk].items():
-            sm.packed[packed_index(sizes[blk], i, j)] += v
-        sm.packed.setflags(write=False)
-        cost_blocks.append(sm)
+    for coo in blocks[0]:
+        packed = np.zeros(packed_size(coo.dim))
+        packed[packed_index(coo.dim, coo.rows, coo.cols)] += coo.vals
+        packed.setflags(write=False)
+        cost_blocks.append(SymmetricMatrix(coo.dim, packed))
 
-    constraints = []
-    for ci in range(1, m + 1):
-        fv = free_entries[ci]
-        fv.setflags(write=False)
-        constraints.append(
-            Constraint(
-                blocks=tuple(coo(ci, blk) for blk in range(nblocks)),
-                free=fv,
-                rhs=b[ci - 1],
-                kind=kinds[ci - 1],
-            )
-        )
-
-    cf = free_entries[0]
-    cf.setflags(write=False)
+    constraints = tuple(
+        Constraint(blocks[ci], free_entries[ci], b[ci - 1], kinds[ci - 1])
+        for ci in range(1, m + 1)
+    )
     return ConicSdpProblem(
         structure=BlockStructure(tuple(sizes), k, d),
         cost_blocks=tuple(cost_blocks),
-        cost_free=cf,
-        constraints=tuple(constraints),
+        cost_free=free_entries[0],
+        constraints=constraints,
     )
 
 

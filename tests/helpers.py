@@ -4,35 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from lrsdp.model import (
-    BlockStructure,
-    ConicSdpProblem,
-    Constraint,
-    ConstraintKind,
-    CooSymmetric,
-    SymmetricMatrix,
-)
+from lrsdp.model import BlockStructure, ConicSdpProblem, SymmetricMatrix
 from lrsdp.factorization import FactorizedPoint
 
 
 def make_problem(sizes, k, d, cost_blocks, cost_free, rows, name=""):
     """Rows are (dense_blocks, free_vec, rhs, 'E'|'I') tuples."""
-    cons = [
-        Constraint(
-            tuple(CooSymmetric.from_dense(np.asarray(b, dtype=float)) for b in blocks),
-            np.asarray(free, dtype=float),
-            float(rhs),
-            ConstraintKind(kind),
-        )
-        for blocks, free, rhs, kind in rows
-    ]
-    return ConicSdpProblem.normalized(
-        structure=BlockStructure(tuple(sizes), k, d),
-        cost_blocks=tuple(SymmetricMatrix.from_dense(np.asarray(c, dtype=float)) for c in cost_blocks),
-        cost_free=np.asarray(cost_free, dtype=float),
-        constraints=cons,
-        name=name,
-    )
+    return ConicSdpProblem.from_dense(BlockStructure(tuple(sizes), k, d), cost_blocks, cost_free, rows, name)
 
 
 def apply_reference(problem, blocks, x):

@@ -29,10 +29,11 @@ from lrsdp.certification import (
 import contextlib
 import io
 
-from lrsdp.cli import _licq_instance, main as cli_main
+from lrsdp.cli import main as cli_main
 from lrsdp.dense import densify
 from lrsdp.factorization import (
     FactorizedPoint,
+    initial_rank_bound,
     m_prime_inequality,
     triangular,
 )
@@ -191,7 +192,7 @@ def test_criterion_4_fixed_cost_sensing_certifies():
     worst = 0.0
     for seed in range(trials):
         built = build_sensing_psd(n, r, m, seed)
-        assert triangular(built.rank_bound.p_per_block[0]) > m
+        assert triangular(initial_rank_bound(built.problem).p_per_block[0]) > m
         report = staircase_solve(built.problem, SolverConfig(seed=seed))
         sol = oracle_solve(built.problem)
         rel = abs(report.objective - sol.objective) / (1.0 + abs(sol.objective))
@@ -291,10 +292,8 @@ def test_criterion_8_regularity_of_generic_rows():
     t0 = time.perf_counter()
     passed = 0
     for seed in range(100):
-        rng = np.random.default_rng(seed)
-        y0 = rng.standard_normal((8, 3))
-        problem = _licq_instance(rng, 8, 6, y0)
-        res = licq_check(densify(problem), FactorizedPoint((y0,), (), np.zeros(0)))
+        built = build_sensing_psd(8, 3, 6, seed)
+        res = licq_check(densify(built.problem), built.planted_point)
         passed += res.holds
 
     e11 = np.zeros((2, 2)); e11[0, 0] = 1.0

@@ -23,7 +23,7 @@ from lrsdp.apps import (
 )
 from lrsdp.certification import estimate_multipliers, kkt_residuals, staircase_solve
 from lrsdp.dense import densify
-from lrsdp.factorization import triangular
+from lrsdp.factorization import initial_rank_bound, triangular
 from lrsdp.model import BlockStructure, read_problem, validate, write_problem
 from lrsdp.oracle import oracle_solve
 from lrsdp.solver import SolverConfig
@@ -229,5 +229,5 @@ def test_write_fixture_roundtrip(tmp_path):
     again = read_problem(Path(path).read_text())
     assert write_problem(again) == write_problem(built.problem)
     side = json.loads(Path(path + ".json").read_text())
-    assert side["rank_bound"]["p_per_block"] == list(built.rank_bound.p_per_block)
+    assert side["rank_bound"]["p_per_block"] == list(initial_rank_bound(built.problem).p_per_block)
     assert "nuclear_norm" in side["extras"]

@@ -295,13 +295,9 @@ class TestLicq:
         assert res.active_count == 2
 
     def test_generic_rows_hold_at_random_feasible_points(self):
-        from lrsdp.cli import _licq_instance
-
         for seed in range(20):
-            rng = np.random.default_rng(seed)
-            y0 = rng.standard_normal((6, 2))
-            prob = _licq_instance(rng, 6, 5, y0)
-            res = licq_check(densify(prob), FactorizedPoint((y0,), (), np.zeros(0)))
+            built = build_sensing_psd(6, 2, 5, seed)
+            res = licq_check(densify(built.problem), built.planted_point)
             assert res.holds
 
 

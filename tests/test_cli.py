@@ -264,6 +264,10 @@ class TestFlagValidation:
             pytest.param(["bound", "{tail}", "--ranks", "x"],
                          "error: --ranks takes integer ranks per tail block, as in '0,2;0,1', got 'x'",
                          id="bound-ranks-not-integers"),
+            # the tail's symmetric part is 0, which certified GlobalOptimal
+            pytest.param(["certify", "{two_block}", "{skew_tail}"],
+                         "error: tail block 0 is not symmetric",
+                         id="certify-asymmetric-tail"),
         ],
     )
     def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv, last_line):
@@ -272,7 +276,15 @@ class TestFlagValidation:
         Path(point).write_text(write_point(FactorizedPoint((e1,), (), np.zeros(0))))
         tail = os.path.join(tmp_path, "tail.sdp")
         Path(tail).write_text(write_problem(generate_random(BlockStructure((3, 1), 1, 0), 2, "EE", 1)))
-        code, out, err = run_cli([a.format(path=trivial_file, point=point, tail=tail) for a in argv])
+        two_block = os.path.join(tmp_path, "two_block.sdp")
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        Path(two_block).write_text(write_problem(make_problem(
+            (2, 2), 1, 0, [np.eye(2), np.eye(2)], [], [([e11, np.zeros((2, 2))], [], 1.0, "E")]
+        )))
+        skew_tail = os.path.join(tmp_path, "skew_tail.point")
+        Path(skew_tail).write_text("factor 2 1\n1\n0\ntail 2\n0 5\n-5 0\n")
+        files = dict(path=trivial_file, point=point, tail=tail, two_block=two_block, skew_tail=skew_tail)
+        code, out, err = run_cli([a.format(**files) for a in argv])
         assert code == 1
         assert out == ""
         assert err.splitlines()[-1] == last_line

@@ -237,6 +237,22 @@ EEI
         text = '" a comment\n' + self.MINIMAL
         assert read_problem(text).m == 1
 
+    def test_repeated_constraint_entry_reads_as_sum(self):
+        bl = read_problem(self.MINIMAL + "1 1 1 2 0.25\n1 1 1 2 0.5\n").constraints[0].blocks[0]
+        assert (bl.rows.tolist(), bl.cols.tolist(), bl.vals.tolist()) == ([0, 0], [0, 1], [1.0, 0.75])
+
+    def test_repeated_cost_entry_reads_as_sum(self):
+        prob = read_problem(self.MINIMAL + "0 1 1 1 2\n")
+        assert prob.cost_blocks[0].packed.tolist() == [3.0, 0.0, 1.0]
+
+    def test_cancelling_entries_are_not_written(self):
+        text = self.MINIMAL + "1 1 2 2 0.5\n1 1 2 2 -0.5\n0 1 1 2 0.5\n0 1 1 2 -0.5\n"
+        assert write_problem(read_problem(text)) == write_problem(read_problem(self.MINIMAL))
+
+    def test_negative_zero_cost_entry_reads_as_positive_zero(self):
+        packed = read_problem(self.MINIMAL + "0 1 1 2 -0\n").cost_blocks[0].packed
+        assert packed[1] == 0.0 and not np.signbit(packed[1])
+
 
 def test_generated_corpus_roundtrips_structurally():
     from lrsdp.apps import generate_random
