@@ -4,12 +4,9 @@ Generators guarantee two things the rest of the suite leans on: every
 instance is strictly feasible (right-hand sides come from an interior point)
 and bounded (costs are assembled as a positive-definite part plus an adjoint
 term, which hands the dual a strictly feasible point).  All randomness flows
-from an explicit seed.
-
-Each builder states its rows as dense matrices and assembles the problem with
-``ConicSdpProblem.from_dense``.  A ``BuiltProblem`` carries data only (the
-problem, a planted point, extras); the rank bound is derived on demand with
-``initial_rank_bound``.
+from an explicit seed.  Builders state their rows as dense matrices for
+``ConicSdpProblem.from_dense``; a ``BuiltProblem`` carries data only, with no
+derived rank bound.
 """
 
 from __future__ import annotations

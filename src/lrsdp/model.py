@@ -12,11 +12,9 @@ factorizes; trailing blocks are kept as matrix variables.
 
 Symmetric matrices are stored packed (upper triangle, row-major), so symmetry
 is structural.  Constraint data is kept as sparse upper-triangle coordinate
-lists; cost blocks are dense packed.
-
-A problem is assembled in one of two ways: ``ConicSdpProblem.from_dense``
-takes dense rows (every builder goes through it), and ``read_problem`` takes
-file entries, which ``CooSymmetric.from_entries`` adds up per position.
+lists; cost blocks are dense packed.  Builders assemble a problem from dense
+rows with ``ConicSdpProblem.from_dense``; ``read_problem`` adds up file entries
+with ``CooSymmetric.from_entries``.
 """
 
 from __future__ import annotations
