@@ -28,7 +28,6 @@ from .factorization import (
     append_column,
     factor,
     initial_rank_bound,
-    lift,
     m_prime_conic,
     m_prime_inequality,
     triangular,
@@ -64,7 +63,6 @@ from .oracle import (
     NoPsdBlockError,
     NotStrictlyFeasibleError,
     OracleSolution,
-    brute_force_2x2,
     oracle_solve,
 )
 

@@ -77,7 +77,6 @@ ACTIVE_TOL = 1e-7
 @dataclass(frozen=True, eq=False)
 class Multipliers:
     values: np.ndarray
-    active_set: frozenset
     source: str  # FromSolver | LeastSquares
     residual: float | None = None
 
@@ -90,21 +89,13 @@ class KktResiduals:
     sign: float
     free: float
 
-    def as_dict(self) -> dict:
-        return {
-            "stationarity": self.stationarity,
-            "feasibility": self.feasibility,
-            "complementarity": self.complementarity,
-            "sign": self.sign,
-            "free": self.free,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
     slack_spectrum: tuple[np.ndarray, ...]
     kkt: KktResiduals
     multipliers: Multipliers
+    objective: float  # primal objective at the lifted point
     duality_gap: float
     verdict: str  # GlobalOptimal | Escapable | Indeterminate
     escape_block: int | None = None
@@ -135,7 +126,6 @@ class LicqResult:
 
 @dataclass(frozen=True, eq=False)
 class StageRecord:
-    stage: int
     ranks: tuple[int, ...]
     seed: int
     objective: float
@@ -143,12 +133,10 @@ class StageRecord:
     slack_min_eig: float
     verdict: str
     action: str
-    duality_gap: float
 
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    problem_name: str
     seed: int
     rank_bound: RankBoundReport
     stages: tuple[StageRecord, ...]
@@ -218,7 +206,7 @@ def estimate_multipliers(
     for i in np.flatnonzero(dp.ineq_mask):
         if lam[i] < 0.0:
             lam[i] = 0.0 if lam[i] > -1e-10 else lam[i]
-    return Multipliers(lam, frozenset(active), "LeastSquares", residual)
+    return Multipliers(lam, "LeastSquares", residual)
 
 
 def kkt_residuals(dp: DenseProblem, point: FactorizedPoint, mult: Multipliers) -> KktResiduals:
@@ -264,8 +252,8 @@ def certify(
     GlobalOptimal requires every KKT residual under its tolerance and every
     slack block PSD up to -cert_tol * (1 + ||S_j||_2); a clearly negative
     slack eigenvalue gives Escapable with the offending eigenpair; everything
-    else is Indeterminate.  The duality gap is reported as an independent
-    numerical witness.
+    else is Indeterminate.  The primal objective at the point and the duality
+    gap it gives are reported as an independent numerical witness.
     """
     X = _lifted_blocks(point)
     c = dp.apply(X, point.free) - dp.b
@@ -321,6 +309,7 @@ def certify(
         slack_spectrum=tuple(spectra),
         kkt=kkt,
         multipliers=mult,
+        objective=primal,
         duality_gap=duality_gap,
         verdict=verdict,
         escape_block=worst_block,
@@ -410,7 +399,7 @@ def staircase_solve(
     def growable(j):
         return j < len(cur_ranks) and cur_ranks[j] < sizes[j]
 
-    for stage in range(1, 101):
+    for _ in range(100):
         ranks_at_solve, seed = tuple(cur_ranks), cur_seed
         warm_in, warm = warm, None  # only an escape column sets the next warm start
         try:
@@ -422,16 +411,15 @@ def staircase_solve(
             if not grow:
                 raise
             kkt = KktResiduals(np.inf, np.inf, np.inf, 0.0, 0.0)
-            verdict, objective, slack_min_eig, gap = "Infeasible", float("nan"), 0.0, float("nan")
+            verdict, objective, slack_min_eig = "Infeasible", float("nan"), 0.0
         else:
-            act = active_set(dp, state.point)
             candidates = (
-                Multipliers(np.array(state.lam), act, "FromSolver"),
-                estimate_multipliers(dp, state.point, act),
+                Multipliers(np.array(state.lam), "FromSolver"),
+                estimate_multipliers(dp, state.point, active_set(dp, state.point)),
             )
             cert = certify(dp, state.point, candidates)
             verdict, objective, kkt = cert.verdict, state.objective, cert.kkt
-            slack_min_eig, gap = cert.slack_min_eig, cert.duality_gap
+            slack_min_eig = cert.slack_min_eig
             blk = cert.escape_block
             grow = [blk] if blk is not None and growable(blk) else []
             if grow:
@@ -458,7 +446,7 @@ def staircase_solve(
             action = "stop"
         if warm is None:
             cur_seed += 1
-        stages.append(StageRecord(stage, ranks_at_solve, seed, objective, kkt, slack_min_eig, verdict, action, gap))
+        stages.append(StageRecord(ranks_at_solve, seed, objective, kkt, slack_min_eig, verdict, action))
         if action in ("certified", "stop"):
             break
 
@@ -466,7 +454,6 @@ def staircase_solve(
         raise InfeasibleError("no rank admitted a feasible point")
     final_verdict = cert.verdict if cert.verdict == "GlobalOptimal" else "Indeterminate"
     return SolveReport(
-        problem_name=problem.name,
         seed=config.seed,
         rank_bound=bound,
         stages=tuple(stages),

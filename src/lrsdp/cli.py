@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .factorization import (
     FactorizedPoint,
     NotPsdError,
     factor,
-    lift,
     m_prime_conic,
     m_prime_inequality,
     single_factor_block,
@@ -111,8 +110,11 @@ def format_report(obj) -> str:
 
 def _write_output(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -146,7 +148,7 @@ def read_point(text: str) -> FactorizedPoint:
         if ln.strip() and not ln.lstrip().startswith('"')
     ]
     factors, tails = [], []
-    free = np.zeros(0)
+    free = None
     pos = 0
     header_fields = {"factor": 3, "tail": 2, "free": 2}
 
@@ -184,9 +186,10 @@ def read_point(text: str) -> FactorizedPoint:
                 raise ValueError(f"tail block {len(tails)} is not symmetric")
             tails.append(SymmetricMatrix.from_dense(tail))
         else:
-            d = int(toks[1])
-            free = take_rows(1, d)[0]
-    return FactorizedPoint(tuple(factors), tuple(tails), free)
+            if free is not None:
+                raise ValueError("point file has a second free section")
+            free = take_rows(1, int(toks[1]))[0]
+    return FactorizedPoint(tuple(factors), tuple(tails), np.zeros(0) if free is None else free)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +247,7 @@ def _report_payload(problem, report, cfg, rank_override, timing: bool) -> dict:
         {
             "rank": list(st.ranks),
             "objective": st.objective,
-            "kkt": st.kkt.as_dict(),
+            "kkt": asdict(st.kkt),
             "slack_min_eig": st.slack_min_eig,
             "verdict": st.verdict,
             "action": st.action,
@@ -337,10 +340,10 @@ def cmd_certify(args) -> int:
     cert = certify(dp, point, [mult], cert_tol=args.cert_tol)
     payload = {
         "problem": _problem_summary(problem),
-        "objective": lift(point).objective(problem),
+        "objective": cert.objective,
         "multipliers": cert.multipliers.values,
         "multiplier_source": cert.multipliers.source,
-        "kkt": cert.kkt.as_dict(),
+        "kkt": asdict(cert.kkt),
         "slack_spectrum": [list(s) for s in cert.slack_spectrum],
         "duality_gap": cert.duality_gap,
         "verdict": cert.verdict,

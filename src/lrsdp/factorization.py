@@ -31,7 +31,6 @@ __all__ = [
     "NotPsdError",
     "RankTooSmallError",
     "triangular",
-    "lift",
     "factor",
     "m_prime_inequality",
     "m_prime_conic",
@@ -78,13 +77,6 @@ class RankBoundReport:
     method: str  # ExactEnumeration | RankUpperBound | ConicFormula
 
 
-def lift(point: FactorizedPoint) -> PrimalPoint:
-    """Map factors back to matrix variables: block j becomes Y_j Y_j^T."""
-    blocks = [SymmetricMatrix.from_dense(y @ y.T) for y in point.factors]
-    blocks.extend(point.tail_blocks)
-    return PrimalPoint(psd_blocks=tuple(blocks), free=np.array(point.free, dtype=float))
-
-
 def factor(point: PrimalPoint, p: list[int], psd_tol: float = 1e-9) -> FactorizedPoint:
     """Factor the first len(p) blocks of a PSD point at the requested ranks.
 
@@ -124,7 +116,7 @@ def factor(point: PrimalPoint, p: list[int], psd_tol: float = 1e-9) -> Factorize
 
 
 def append_column(point: FactorizedPoint, block: int, v: np.ndarray, alpha: float) -> FactorizedPoint:
-    """Grow factor `block` by one column alpha*v; lift changes by alpha^2 v v^T."""
+    """Grow factor `block` by one column alpha*v; Y Y^T changes by alpha^2 v v^T."""
     v = np.asarray(v, dtype=float)
     y = point.factors[block]
     if v.shape != (y.shape[0],):

@@ -63,15 +63,6 @@ def _triu_rows_cols(n: int) -> tuple[np.ndarray, np.ndarray]:
     return r, c
 
 
-@lru_cache(maxsize=None)
-def _inner_weights(n: int) -> np.ndarray:
-    # trace inner product on packed storage: diagonal entries weigh 1, off 2
-    r, c = _triu_rows_cols(n)
-    w = np.where(r == c, 1.0, 2.0)
-    w.setflags(write=False)
-    return w
-
-
 def packed_size(n: int) -> int:
     return n * (n + 1) // 2
 
@@ -115,16 +106,6 @@ class SymmetricMatrix:
         a[r, c] = self.packed
         a[c, r] = self.packed
         return a
-
-    def inner(self, other: "SymmetricMatrix") -> float:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        w = _inner_weights(self.dim)
-        return float(np.dot(w * self.packed, other.packed))
-
-    def norm(self) -> float:
-        w = _inner_weights(self.dim)
-        return float(np.sqrt(np.dot(w * self.packed, self.packed)))
 
     def scaled(self, t: float) -> "SymmetricMatrix":
         return SymmetricMatrix(self.dim, t * self.packed)
@@ -209,10 +190,6 @@ class PrimalPoint:
     psd_blocks: tuple[SymmetricMatrix, ...]
     free: np.ndarray
 
-    def objective(self, problem: "ConicSdpProblem") -> float:
-        val = sum(c.inner(x) for c, x in zip(problem.cost_blocks, self.psd_blocks))
-        return float(val + np.dot(problem.cost_free, self.free))
-
 
 @dataclass(frozen=True, eq=False)
 class ConicSdpProblem:
@@ -260,14 +237,6 @@ class ConicSdpProblem:
     @property
     def m(self) -> int:
         return len(self.constraints)
-
-    @property
-    def m_eq(self) -> int:
-        return sum(1 for c in self.constraints if c.kind is ConstraintKind.EQUALITY)
-
-    @property
-    def m_ineq(self) -> int:
-        return self.m - self.m_eq
 
     @property
     def b(self) -> np.ndarray:

@@ -108,7 +108,7 @@ def point_axpy(point: FactorizedPoint, direction: FactorizedPoint, t: float) -> 
 def point_dot(a: FactorizedPoint, b: FactorizedPoint) -> float:
     """Pairing of a gradient-shaped object with a direction-shaped object."""
     val = sum(float(np.sum(x * y)) for x, y in zip(a.factors, b.factors))
-    val += sum(x.inner(y) for x, y in zip(a.tail_blocks, b.tail_blocks))
+    val += sum(float(np.sum(x.to_dense() * y.to_dense())) for x, y in zip(a.tail_blocks, b.tail_blocks))
     return val + float(np.dot(a.free, b.free))
 
 

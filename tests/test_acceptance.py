@@ -39,9 +39,10 @@ from lrsdp.factorization import (
 )
 from lrsdp.factorization import _numerical_rank, _stack_rows
 from lrsdp.model import BlockStructure, write_problem
-from lrsdp.oracle import active_subset_feasible, brute_force_2x2, oracle_solve
+from lrsdp.oracle import active_subset_feasible, oracle_solve
 from lrsdp.solver import SolverConfig, al_hessian_vector, al_value_grad
 
+from brute_force import brute_force_2x2
 from helpers import (
     apply_reference,
     lifted,

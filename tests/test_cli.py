@@ -15,12 +15,14 @@ from lrsdp.apps import (
     build_sensing_psd,
     generate_random,
 )
+from lrsdp.certification import certify, estimate_multipliers
 from lrsdp.cli import main, read_point, write_point
+from lrsdp.dense import densify
 from lrsdp.factorization import FactorizedPoint, factor
-from lrsdp.model import BlockStructure, SymmetricMatrix, write_problem
+from lrsdp.model import BlockStructure, SymmetricMatrix, read_problem, write_problem
 from lrsdp.oracle import oracle_solve
 
-from helpers import make_problem, trivial_sdp
+from helpers import make_problem, random_factor_point, trivial_sdp
 
 try:
     import jsonschema
@@ -268,6 +270,16 @@ class TestFlagValidation:
             pytest.param(["certify", "{two_block}", "{skew_tail}"],
                          "error: tail block 0 is not symmetric",
                          id="certify-asymmetric-tail"),
+            # x = 5 is infeasible; a reader that kept only the last section would certify x = 0
+            pytest.param(["certify", "{free_sdp}", "{two_free}"],
+                         "error: point file has a second free section",
+                         id="certify-second-free-section"),
+            pytest.param(["bound", "{path}", "--out", "{missing_dir}/x.json"],
+                         "error: cannot write --out {missing_dir}/x.json: No such file or directory",
+                         id="out-in-missing-directory"),
+            pytest.param(["solve", "{path}", "--out", "{tmp}"],
+                         "error: cannot write --out {tmp}: Is a directory",
+                         id="out-is-a-directory"),
         ],
     )
     def test_bad_flag_exits_one_with_error_line(self, trivial_file, tmp_path, argv, last_line):
@@ -283,11 +295,20 @@ class TestFlagValidation:
         )))
         skew_tail = os.path.join(tmp_path, "skew_tail.point")
         Path(skew_tail).write_text("factor 2 1\n1\n0\ntail 2\n0 5\n-5 0\n")
-        files = dict(path=trivial_file, point=point, tail=tail, two_block=two_block, skew_tail=skew_tail)
+        # min X_11 + X_22 + x  s.t.  X_11 + x = 1
+        free_sdp = os.path.join(tmp_path, "free.sdp")
+        Path(free_sdp).write_text(write_problem(make_problem(
+            (2,), 1, 1, [np.eye(2)], [1.0], [([e11], [1.0], 1.0, "E")]
+        )))
+        two_free = os.path.join(tmp_path, "two_free.point")
+        Path(two_free).write_text("factor 2 1\n1\n0\nfree 1\n5\nfree 1\n0\n")
+        files = dict(path=trivial_file, point=point, tail=tail, two_block=two_block, skew_tail=skew_tail,
+                     free_sdp=free_sdp, two_free=two_free, tmp=str(tmp_path),
+                     missing_dir=os.path.join(tmp_path, "missing"))
         code, out, err = run_cli([a.format(**files) for a in argv])
         assert code == 1
         assert out == ""
-        assert err.splitlines()[-1] == last_line
+        assert err.splitlines()[-1] == last_line.format(**files)
 
     @pytest.mark.parametrize(
         "factor_rows,tail_rows",
@@ -355,6 +376,23 @@ class TestCertifyCommand:
         code, out, _ = run_cli(["certify", ppath, tpath])
         report = json.loads(out)
         assert "kkt" in report and report["kkt"]["feasibility"] == 0.0
+
+    def test_objective_is_the_certificate_objective(self, tmp_path):
+        # a tail block, free variables and inequality rows
+        prob = generate_random(BlockStructure((5, 3), 1, 2), 6, "EEEIII", 4)
+        ppath = os.path.join(tmp_path, "mixed.sdp")
+        Path(ppath).write_text(write_problem(prob))
+        tpath = os.path.join(tmp_path, "mixed.point")
+        Path(tpath).write_text(write_point(random_factor_point(prob, [2], 4)))
+        code, out, _ = run_cli(["certify", ppath, tpath])
+        assert code == 2
+        report = json.loads(out)
+        dp = densify(read_problem(Path(ppath).read_text()))
+        point = read_point(Path(tpath).read_text())
+        cert = certify(dp, point, [estimate_multipliers(dp, point)])
+        # 17 significant digits read back to the same double
+        assert report["objective"] == cert.objective
+        assert report["duality_gap"] == cert.duality_gap
 
     def test_shape_mismatch_exit_one(self, tmp_path, trivial_file):
         tpath = os.path.join(tmp_path, "wrong.point")

@@ -1,4 +1,4 @@
-"""Factorization, lift/factor round trips, rank bounds."""
+"""Factorization, factor round trips, rank bounds."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from lrsdp.factorization import (
     append_column,
     factor,
     initial_rank_bound,
-    lift,
     m_prime_conic,
     m_prime_inequality,
     triangular,
@@ -47,24 +46,13 @@ def test_triangular_rejects_negative():
         triangular(-1)
 
 
+def gram(point: FactorizedPoint, block: int = 0) -> np.ndarray:
+    """Y Y^T of one factor block."""
+    y = point.factors[block]
+    return y @ y.T
+
+
 class TestLiftFactor:
-    def test_lift_unit_column(self):
-        y = FactorizedPoint((np.array([[1.0], [0.0]]),), (), np.zeros(0))
-        np.testing.assert_allclose(
-            lift(y).psd_blocks[0].to_dense(), [[1.0, 0.0], [0.0, 0.0]]
-        )
-
-    def test_lift_identity(self):
-        y = FactorizedPoint((np.eye(2),), (), np.zeros(0))
-        np.testing.assert_allclose(lift(y).psd_blocks[0].to_dense(), np.eye(2))
-
-    def test_lift_is_psd(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            y = FactorizedPoint((rng.standard_normal((5, 3)),), (), np.zeros(0))
-            w = np.linalg.eigvalsh(lift(y).psd_blocks[0].to_dense())
-            assert w.min() >= -1e-12
-
     def test_factor_unit_matrix(self):
         x = PrimalPoint((SymmetricMatrix.from_dense(np.diag([1.0, 0.0])),), np.zeros(0))
         y = factor(x, [1]).factors[0]
@@ -87,7 +75,7 @@ class TestLiftFactor:
             x_mat = g @ g.T
             x = PrimalPoint((SymmetricMatrix.from_dense(x_mat),), np.zeros(0))
             y = factor(x, [3])
-            back = lift(y).psd_blocks[0].to_dense()
+            back = gram(y)
             err = np.linalg.norm(back - x_mat)
             assert err <= 1e-8 * (1.0 + np.linalg.norm(x_mat))
             # column beyond the numerical rank is zero
@@ -99,14 +87,12 @@ class TestAppendColumn:
         rng = np.random.default_rng(1)
         y = FactorizedPoint((rng.standard_normal((4, 2)),), (), np.zeros(0))
         y2 = append_column(y, 0, rng.standard_normal(4), 0.0)
-        np.testing.assert_array_equal(
-            lift(y2).psd_blocks[0].packed, lift(y).psd_blocks[0].packed
-        )
+        np.testing.assert_array_equal(gram(y2), gram(y))
 
     def test_unit_columns_build_identity(self):
         y = FactorizedPoint((np.array([[1.0], [0.0]]),), (), np.zeros(0))
         y2 = append_column(y, 0, np.array([0.0, 1.0]), 1.0)
-        np.testing.assert_allclose(lift(y2).psd_blocks[0].to_dense(), np.eye(2))
+        np.testing.assert_allclose(gram(y2), np.eye(2))
 
     def test_lift_update_identity(self):
         rng = np.random.default_rng(2)
@@ -115,7 +101,7 @@ class TestAppendColumn:
             v = rng.standard_normal(5)
             alpha = float(rng.standard_normal())
             y2 = append_column(y, 0, v, alpha)
-            delta = lift(y2).psd_blocks[0].to_dense() - lift(y).psd_blocks[0].to_dense()
+            delta = gram(y2) - gram(y)
             np.testing.assert_allclose(delta, alpha**2 * np.outer(v, v), atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -245,7 +231,7 @@ def test_initial_rank_bound_single_block_is_the_unenumerated_m_prime():
 
     def reference(problem):
         """The single-block branch before it called m_prime_inequality."""
-        if problem.m_ineq == 0:
+        if problem.inequality_indices().size == 0:
             return m_prime_inequality(problem)
         mp = min(problem.m, _numerical_rank(_stack_rows(problem, range(problem.m))))
         return RankBoundReport(mp, (_min_rank_for(mp, problem.structure.psd_sizes[0]),), "RankUpperBound")

@@ -282,6 +282,3 @@ def test_symmetric_matrix_roundtrip_and_inner():
     a = 0.5 * (g + g.T)
     sm = SymmetricMatrix.from_dense(a)
     np.testing.assert_allclose(sm.to_dense(), a)
-    g2 = rng.standard_normal((4, 4))
-    b = 0.5 * (g2 + g2.T)
-    assert abs(sm.inner(SymmetricMatrix.from_dense(b)) - np.tensordot(a, b)) < 1e-12

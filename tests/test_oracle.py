@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lrsdp.certification import Multipliers, active_set, certify
+from lrsdp.certification import Multipliers, certify
 from lrsdp.dense import densify
 from lrsdp.factorization import factor
 from lrsdp.model import (
@@ -20,13 +20,13 @@ from lrsdp.model import (
 from lrsdp.oracle import (
     MaxIterationsError,
     NotStrictlyFeasibleError,
+    _min_violation,
     active_subset_feasible,
-    brute_force_2x2,
-    min_active_violation,
     oracle_solve,
 )
 from lrsdp.apps import build_integer_quadratic, generate_random
 
+from brute_force import _lp2_values, _rotated, brute_force_2x2
 from helpers import correlation_sdp, indefinite_trace_sdp, iqm_cost, make_problem, trivial_sdp
 
 
@@ -70,7 +70,7 @@ class TestInteriorPoint:
             nrank = int(np.sum(w > 1e-7 * w[-1]))
             pt = factor(sol.X, [nrank], psd_tol=1e-6)
             dp = densify(prob)
-            mult = Multipliers(sol.lam, active_set(dp, pt), "FromSolver")
+            mult = Multipliers(sol.lam, "FromSolver")
             cert = certify(dp, pt, [mult], cert_tol=1e-4)
             assert cert.verdict == "GlobalOptimal"
 
@@ -206,8 +206,6 @@ class TestBruteForce2x2:
             assert abs(grid - sol.objective) <= 1e-5 * (1.0 + abs(sol.objective))
 
     def test_rotated_rows_match_per_angle_products(self):
-        from lrsdp.oracle import _rotated
-
         rng = np.random.default_rng(4)
         mats = rng.standard_normal((3, 2, 2))
         mats = mats + mats.transpose(0, 2, 1)
@@ -225,8 +223,6 @@ class TestBruteForce2x2:
         assert _rotated(np.zeros((0, 2, 2)), thetas).shape == (37, 0, 2)
 
     def test_vectorized_lp_matches_per_angle_loop(self):
-        from lrsdp.oracle import _lp2_values, _rotated
-
         rng = np.random.default_rng(1)
         outcomes = set()
         for _ in range(60):
@@ -306,7 +302,7 @@ class TestActiveSubsetFeasibility:
     def test_forced_active_inequality(self):
         built = build_integer_quadratic(iqm_cost(1.0, -0.8, 0.16))
         # the single inequality can be made active (e.g. at the corner point)
-        v = min_active_violation(built.problem, (1,))
+        v = _min_violation(densify(built.problem), (1,))
         assert v <= 1e-7
 
     def test_conflicting_rows_report_violation(self):
@@ -316,7 +312,7 @@ class TestActiveSubsetFeasibility:
             [([e11], [], 1.0, "E"), ([e11], [], 3.0, "I")],
         )
         # forcing the inequality active contradicts the equality by 2
-        v = min_active_violation(prob, (1,))
+        v = _min_violation(densify(prob), (1,))
         assert v >= 0.9
 
     def test_matches_model_level_reference_bitwise(self):
@@ -335,14 +331,14 @@ class TestActiveSubsetFeasibility:
             iq = list(prob.inequality_indices())
             for r in range(len(iq) + 1):
                 for combo in combinations(iq, r):
-                    got = min_active_violation(prob, combo)
+                    got = _min_violation(densify(prob), combo)
                     want = reference_min_active_violation(prob, combo)
                     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_two_blocks_with_free_variables(self):
         prob = generate_random(BlockStructure((3, 2), 1, 2), 5, "EEIII", 9)
         for combo in ((), (2,), (3, 4)):
-            assert abs(min_active_violation(prob, combo)) <= 1e-7
+            assert abs(_min_violation(densify(prob), combo)) <= 1e-7
         assert active_subset_feasible(prob, ())
 
         # two equalities on the same combination of both blocks and x
@@ -354,7 +350,7 @@ class TestActiveSubsetFeasibility:
             [(row, [1.0, -1.0], 1.0, "E"), (row, [1.0, -1.0], 3.0, "E"),
              ([e11, np.zeros((3, 3))], [0.0, 1.0], 0.5, "I")],
         )
-        assert min_active_violation(conflict, ()) == pytest.approx(1.0, abs=1e-6)
+        assert _min_violation(densify(conflict), ()) == pytest.approx(1.0, abs=1e-6)
         assert not active_subset_feasible(conflict, ())
 
 
