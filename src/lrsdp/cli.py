@@ -155,7 +155,8 @@ def read_point(text: str) -> FactorizedPoint:
     def take_rows(count, width):
         nonlocal pos
         rows = []
-        for _ in range(count):
+        # a zero-width row is written blank, and blank lines were dropped
+        for _ in range(count if width else 0):
             if pos >= len(lines):
                 raise ValueError("point file ended early")
             vals = [float(t) for t in lines[pos].split()]
@@ -165,7 +166,7 @@ def read_point(text: str) -> FactorizedPoint:
                 raise ValueError(f"non-finite value in point file line {lines[pos]!r}")
             rows.append(vals)
             pos += 1
-        return np.array(rows)
+        return np.array(rows).reshape(count, width)
 
     while pos < len(lines):
         toks = lines[pos].split()

@@ -162,8 +162,6 @@ def _rank_from_singular_values(s: np.ndarray) -> int:
 
 
 def _numerical_rank(mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
     return _rank_from_singular_values(np.linalg.svd(mat, compute_uv=False))
 
 
@@ -176,17 +174,21 @@ def m_prime_inequality(problem: ConicSdpProblem, cap: int = 20) -> RankBoundRepo
     """m' for a single-block problem (largest independent simultaneously-active set).
 
     With no inequalities this is just the rank of the constraint stack.  With
-    inequalities and m <= cap, enumerates candidate active sets, certifying
-    each with an oracle feasibility solve (``oracle.active_subset_feasible``,
-    looked up at call time) and pruning supersets of infeasible sets; above
-    the cap falls back to min(m, rank A).
+    inequalities and m <= cap, walks the candidate active sets by size, slicing
+    each set's rows from one stack of all m rows.  Supersets of sets found
+    infeasible are pruned.  Each other set's rank comes first: only a rank above
+    the best so far earns a feasibility solve (``oracle.active_subset_feasible``,
+    looked up at call time), which raises the best or adds the set to the
+    pruned ones.  The walk ends once the best reaches rank A.  Above the cap,
+    min(m, rank A).
     """
     st = problem.structure
     if not single_factor_block(st):
         raise ValueError("unsupported structure: m' enumeration needs one factorized block, no tail, d = 0")
     n = st.psd_sizes[0]
     m = problem.m
-    all_rank = _numerical_rank(_stack_rows(problem, range(m)))
+    stack = _stack_rows(problem, range(m))
+    all_rank = _numerical_rank(stack)
     eq_idx = list(problem.equality_indices())
     ineq_idx = list(problem.inequality_indices())
 
@@ -199,21 +201,20 @@ def m_prime_inequality(problem: ConicSdpProblem, cap: int = 20) -> RankBoundRepo
 
     best = -1
     infeasible: list[frozenset[int]] = []
-    for size in range(0, len(ineq_idx) + 1):
+    for combo in (c for size in range(len(ineq_idx) + 1) for c in combinations(ineq_idx, size)):
         if best >= all_rank:
             break
-        for combo in combinations(ineq_idx, size):
-            sset = frozenset(combo)
-            if any(bad <= sset for bad in infeasible):
-                continue
-            if oracle.active_subset_feasible(problem, combo):
-                r = _numerical_rank(_stack_rows(problem, eq_idx + list(combo)))
-                best = max(best, r)
-            else:
-                infeasible.append(sset)
-    if best < 0:
-        # not even the empty active set is feasible: problem itself infeasible
-        best = 0
+        sset = frozenset(combo)
+        if any(bad <= sset for bad in infeasible):
+            continue
+        r = _numerical_rank(stack[eq_idx + list(combo)])
+        if r <= best:  # cannot raise m', feasible or not
+            continue
+        if oracle.active_subset_feasible(problem, combo):
+            best = r
+        else:
+            infeasible.append(sset)
+    best = max(best, 0)  # no feasible active set at all: the problem is infeasible
     return RankBoundReport(best, (_min_rank_for(best, n),), "ExactEnumeration")
 
 

@@ -11,9 +11,9 @@ convergence measure, no randomness, fraction-to-boundary 0.99.
 
 One phase I (``_min_violation``: the least uniform violation of the rows,
 some forced active) answers every feasibility question on a view of the same
-``DenseProblem``.  The m' enumeration forces each candidate active set;
-``oracle_solve`` forces none to diagnose a stall.  Both decide with the one
-rule ``_feasible``.
+``DenseProblem``.  The m' enumeration forces each candidate active set whose
+rank could raise m'; ``oracle_solve`` forces none to diagnose a stall.  Both
+decide with the one rule ``_feasible``.
 """
 
 from __future__ import annotations
@@ -306,10 +306,7 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
     )
 
 
-# ---------------------------------------------------------------------------
-# active-subset feasibility (used by the m' enumeration)
-# ---------------------------------------------------------------------------
-
-
 def active_subset_feasible(problem: ConicSdpProblem, active: tuple[int, ...]) -> bool:
+    """Whether a feasible point holds the rows `active` at equality (the m' enumeration's test):
+    the phase I ``_min_violation`` with those rows forced active, judged by ``_feasible``."""
     return _feasible(_min_violation(densify(problem), active), problem.b)

@@ -420,6 +420,22 @@ class TestCertifyCommand:
         np.testing.assert_array_equal(again.tail_blocks[0].packed, pt.tail_blocks[0].packed)
         np.testing.assert_array_equal(again.free, pt.free)
 
+    def test_zero_width_factor_roundtrip(self):
+        # a rank-0 factor is written as blank rows, which the reader drops
+        again = read_point(write_point(FactorizedPoint((np.zeros((2, 0)),), (), np.zeros(0))))
+        assert again.ranks == (0,)
+        assert again.factors[0].shape == (2, 0)
+
+    def test_empty_free_section(self):
+        again = read_point("factor 1 1\n2\nfree 0\n")
+        np.testing.assert_array_equal(again.factors[0], [[2.0]])
+        assert again.free.shape == (0,)
+
+    def test_zero_width_factor_then_free_section(self):
+        again = read_point("factor 2 0\nfree 1\n3\n")
+        assert again.factors[0].shape == (2, 0)
+        np.testing.assert_array_equal(again.free, [3.0])
+
 
 class TestBoundCommand:
     def test_equality_stack_rank(self, tmp_path):

@@ -262,3 +262,40 @@ def test_initial_rank_bound_is_the_conic_formula_at_free_tail_ranks():
         free_tails = [range(n + 1) for n in prob.structure.tail_sizes]
         assert initial_rank_bound(prob) == m_prime_conic(prob, free_tails)
     assert initial_rank_bound(fixtures[-1]).m_prime == 0
+
+
+def test_screened_enumeration_matches_unpruned_reference(monkeypatch):
+    """The rank screen and the superset pruning skip only sets that cannot
+    change m': both agree with solving every subset."""
+    from itertools import combinations
+
+    from lrsdp import oracle
+    from lrsdp.factorization import _min_rank_for, _numerical_rank, _stack_rows
+
+    feasible = oracle.active_subset_feasible
+    infeasible_solved = screened = 0
+    for n, kinds in ((2, "EIII"), (3, "EIII"), (3, "IIII"), (4, "EEIII")):
+        for seed in range(2):
+            prob = generate_random(BlockStructure((n,), 1, 0), len(kinds), kinds, seed)
+            eq, iq = prob.equality_indices().tolist(), prob.inequality_indices().tolist()
+            subsets = [c for k in range(len(iq) + 1) for c in combinations(iq, k)]
+            answers = {c: feasible(prob, c) for c in subsets}
+            reference = max(
+                [_numerical_rank(_stack_rows(prob, eq + list(c))) for c in subsets if answers[c]],
+                default=0,
+            )
+            calls = []
+            monkeypatch.setattr(oracle, "active_subset_feasible",
+                                lambda p, a: calls.append(a) or feasible(p, a))
+            rep = m_prime_inequality(prob)
+            assert rep.m_prime == reference
+            assert rep.p_per_block == (_min_rank_for(reference, n),)
+            bad = [frozenset(c) for c in calls if not answers[c]]
+            infeasible_solved += len(bad)
+            # sets walked before the last solve, neither solved nor pruned
+            screened += sum(
+                c not in calls and not any(b <= frozenset(c) for b in bad)
+                for c in subsets[: subsets.index(calls[-1])]
+            )
+    assert infeasible_solved > 0  # the pruning fires
+    assert screened > 0  # the rank screen fires

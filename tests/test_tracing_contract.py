@@ -74,6 +74,26 @@ def test_traced_line_search_evaluates_on_the_staircase_view(tracing):
     assert metrics["certification.licq_s"] == 0
 
 
+def test_traced_m_prime_solves_only_sets_that_raise_it(tracing):
+    import numpy as np
+
+    from lrsdp import factorization
+    from lrsdp.apps import build_integer_quadratic
+
+    # the oracle workload's shape: a positive-definite 6x6 cost, one equality
+    # and five inequality rows, every active subset feasible
+    g = np.random.default_rng(0).standard_normal((6, 6))
+    problem = build_integer_quadratic(g @ g.T + 0.1 * np.eye(6)).problem
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        report = factorization.m_prime_inequality(problem)
+    metrics = tracer.layer_metrics()
+    assert report.m_prime == 6
+    # one solve per subset size, each raising m' by one; all 32 unscreened
+    assert metrics["oracle.feasibility_checks"] == 6
+    assert metrics["oracle.feasible_frac"] == 1.0
+
+
 def test_benchmark_selftest_passes():
     # every workload's tiny instances, traced twice, repeat their counters
     proc = subprocess.run(
