@@ -6,7 +6,7 @@ arrays.  ``DenseProblem`` is that one conversion, and its ``apply``,
 ``adjoint``, ``slack`` and ``jacobian`` are the one constraint operator: the
 solver, the certifier and the interior-point oracle evaluate A(X),
 A*(lambda) and C - A*(lambda) through the same view (the oracle on an
-equality-form copy that holds the inequality slacks as one more block).
+equality-form copy, with the inequality slacks as a vector beside it).
 
 Callers build the view and pass it down.  Only these build one:
 ``staircase_solve`` once per solve, for every local solve, certificate check

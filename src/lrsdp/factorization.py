@@ -174,13 +174,14 @@ def m_prime_inequality(problem: ConicSdpProblem, cap: int = 20) -> RankBoundRepo
     """m' for a single-block problem (largest independent simultaneously-active set).
 
     With no inequalities this is just the rank of the constraint stack.  With
-    inequalities and m <= cap, walks the candidate active sets by size, slicing
-    each set's rows from one stack of all m rows.  Supersets of sets found
-    infeasible are pruned.  Each other set's rank comes first: only a rank above
-    the best so far earns a feasibility solve (``oracle.active_subset_feasible``,
-    looked up at call time), which raises the best or adds the set to the
-    pruned ones.  The walk ends once the best reaches rank A.  Above the cap,
-    min(m, rank A).
+    inequalities and m <= cap, the full set is solved first: it has rank A, so
+    if it can be active m' = rank A.  Otherwise (infeasible or stalled) the sets
+    are walked by size, each one's rows sliced from one stack of all m rows.
+    Supersets of sets found infeasible are pruned.  Each other set's rank comes
+    first: only a rank above the best so far earns a feasibility solve
+    (``oracle.active_subset_feasible``, looked up at call time), which raises
+    the best or adds the set to the pruned ones.  The walk ends once the best
+    reaches rank A.  Above the cap, min(m, rank A).
     """
     st = problem.structure
     if not single_factor_block(st):
@@ -199,8 +200,14 @@ def m_prime_inequality(problem: ConicSdpProblem, cap: int = 20) -> RankBoundRepo
         mp = min(m, all_rank)
         return RankBoundReport(mp, (_min_rank_for(mp, n),), "RankUpperBound")
 
-    best = -1
-    infeasible: list[frozenset[int]] = []
+    best, infeasible = -1, []
+    try:
+        if oracle.active_subset_feasible(problem, tuple(ineq_idx)):
+            best = all_rank  # the walk ends at once
+        else:
+            infeasible.append(frozenset(ineq_idx))
+    except oracle.MaxIterationsError:
+        pass  # a stalled first solve leaves the walk to decide
     for combo in (c for size in range(len(ineq_idx) + 1) for c in combinations(ineq_idx, size)):
         if best >= all_rank:
             break

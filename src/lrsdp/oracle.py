@@ -2,7 +2,8 @@
 
 ``oracle_solve`` is a dense primal-dual path-following interior-point method
 (Mehrotra predictor-corrector, HKM direction) on the equality-form problem:
-the inequality slacks are one extra diagonal PSD block, and free variables are
+the inequality slacks and their duals are a vector pair (SDPT3's linear block:
+ratio-test steps, w/z on the Schur diagonal), and free variables are
 eliminated directly from the Schur system.  Residuals, objective and search
 directions go through the ``DenseProblem`` operator the solver and certifier
 use.  It anchors every derived test value in the suite, so it is deliberately
@@ -11,9 +12,9 @@ convergence measure, no randomness, fraction-to-boundary 0.99.
 
 One phase I (``_min_violation``: the least uniform violation of the rows,
 some forced active) answers every feasibility question on a view of the same
-``DenseProblem``.  The m' enumeration forces each candidate active set whose
-rank could raise m'; ``oracle_solve`` forces none to diagnose a stall.  Both
-decide with the one rule ``_feasible``.
+``DenseProblem``.  The m' enumeration forces the full inequality set first,
+then each candidate active set whose rank could raise m'; ``oracle_solve``
+forces none to diagnose a stall.  Both decide with the one rule ``_feasible``.
 """
 
 from __future__ import annotations
@@ -72,40 +73,29 @@ def _inv_sqrt(a: np.ndarray) -> np.ndarray:
 
 def _max_step(f: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx still PSD, given f = _inv_sqrt(x)."""
-    lam_min = float(np.linalg.eigvalsh(_sym(f.T @ dx @ f)).min())
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
+    return _ratio_step(np.linalg.eigvalsh(_sym(f.T @ dx @ f)))
 
 
-def _equality_form(dp: DenseProblem) -> DenseProblem:
-    """The view with every row an equality: the s inequality slacks are one
-    extra s x s block, whose data on the k-th inequality row is -e_k e_k^T.
-
-    The block's data and starting point are diagonal, so every HKM update
-    keeps it exactly diagonal.  With no inequality rows the view comes back
-    as it is, so no 0x0 block reaches ``_inv_sqrt``.
-    """
-    ineq = np.flatnonzero(dp.ineq_mask)
-    s = ineq.size
-    if s == 0:
-        return dp
-    slack = np.zeros((dp.m, s, s))
-    slack[ineq, np.arange(s), np.arange(s)] = -1.0
-    return replace(
-        dp,
-        sizes=dp.sizes + (s,),
-        C=dp.C + [np.zeros((s, s))],
-        A=dp.A + [slack],
-        eq_mask=np.ones(dp.m, dtype=bool),
-    )
+def _ratio_step(q: np.ndarray) -> float:
+    """Largest alpha with 1 + alpha*q >= 0 entrywise: the ratio test at q = dx / x."""
+    q_min = float(np.min(q, initial=0.0))
+    return np.inf if q_min >= -1e-14 else -1.0 / q_min
 
 
-def _ipm(dp: DenseProblem, tol: float, max_iter: int):
-    """Path-following solve of an equality-form view (``_equality_form``)."""
-    N = float(sum(dp.sizes))
+def _equality_form(dp: DenseProblem) -> tuple[DenseProblem, np.ndarray]:
+    """The view with every row an equality, and the rows of the slack vector
+    w >= 0 (SDPT3's linear block): slack k enters the k-th inequality row,
+    rows[k], with -1, so A_i(X) + a_i.x - w_k = b_i.  Empty with no inequality."""
+    return replace(dp, eq_mask=np.ones(dp.m, dtype=bool)), np.flatnonzero(dp.ineq_mask)
+
+
+def _ipm(dp: DenseProblem, rows: np.ndarray, tol: float, max_iter: int):
+    """Path-following solve of an equality-form view and its slack rows
+    (``_equality_form``): PSD blocks X_j with duals S_j, slacks w >= 0 with
+    duals z = lambda[rows] at the dual solution."""
+    N = float(sum(dp.sizes) + rows.size)
     if N == 0:
-        raise NoPsdBlockError("interior-point solve needs at least one PSD block")
+        raise NoPsdBlockError("interior-point solve needs a PSD block or an inequality row")
     m, d = dp.m, dp.d
     scale_b = 1.0 + float(np.linalg.norm(dp.b, np.inf)) if m else 1.0
     scale_c = 1.0 + max(
@@ -116,6 +106,7 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
     eta_d = scale_c
     X = [eta_p * np.eye(n) for n in dp.sizes]
     S = [eta_d * np.eye(n) for n in dp.sizes]
+    w, z = np.full(rows.size, eta_p), np.full(rows.size, eta_d)
     lam = np.zeros(m)
     x = np.zeros(d)
 
@@ -124,24 +115,26 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
     stagnant = 0
     for it in range(1, max_iter + 1):
         r_p = dp.b - dp.apply(X, x)
+        r_p[rows] += w
         slack, r_f = dp.slack(lam)
         R_d = [sl - s_ for sl, s_ in zip(slack, S)]
+        r_z = lam[rows] - z
 
-        gap = sum(float(np.vdot(x_, s_)) for x_, s_ in zip(X, S))
+        gap = sum(float(np.vdot(x_, s_)) for x_, s_ in zip(X, S)) + float(w @ z)
         mu = gap / N
         pobj = dp.objective(X, x)
         dobj = float(dp.b @ lam)
 
         pinf = float(np.linalg.norm(r_p, np.inf)) / scale_b
         dinf = max(
-            max(float(np.linalg.norm(rd, np.inf)) for rd in R_d),
-            float(np.linalg.norm(r_f, np.inf)) if d else 0.0,
+            [float(np.linalg.norm(rd, np.inf)) for rd in R_d]
+            + [float(np.max(np.abs(r_z), initial=0.0)), float(np.linalg.norm(r_f, np.inf)) if d else 0.0]
         ) / scale_c
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         # |relgap|: an S that lost PSD can make <X, S> negative
         measure = max(pinf, dinf, abs(relgap))
         if measure <= tol:
-            return X, lam, S, x, it - 1, pobj, dobj
+            return X, lam, w, x, it - 1, pobj, dobj
 
         # near the float64 floor the iteration can degrade; stop once the
         # measure stops falling
@@ -158,8 +151,8 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
         FS = [_inv_sqrt(s_) for s_ in S]
         Sinv = [f @ f.T for f in FS]
 
-        # Schur complement M[i,l] = sum_j <A_ij, T_lj>, T_lj = sym(X_j A_lj Sinv_j);
-        # explicit shapes: with m = 0 a -1 in a reshape is ambiguous
+        # Schur complement M[i,l] = sum_j <A_ij, T_lj> (+ w/z on the slack rows),
+        # T_lj = sym(X_j A_lj Sinv_j); explicit shapes: m = 0 makes -1 ambiguous
         T = []
         M = np.zeros((m, m))
         for a, x_, si, n in zip(dp.A, X, Sinv, dp.sizes):
@@ -168,6 +161,7 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
             T.append(t)
             M += a.reshape(m, n * n) @ t.reshape(m, n * n).T
         M = _sym(M)
+        M[rows, rows] += w / z
 
         try:
             cfM = sla.cho_factor(M + (1e-13 * (np.trace(M) / max(m, 1))) * np.eye(m), lower=True)
@@ -189,26 +183,29 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
             dx = np.linalg.solve(small, dp.Af.T @ y1 - rf)
             return y1 - Y2 @ dx, dx
 
-        def directions(K: list[np.ndarray]):
+        def directions(K: list[np.ndarray], k_w: np.ndarray):
             W = [_sym(k - x_ @ rd @ si) for k, x_, rd, si in zip(K, X, R_d, Sinv)]
-            dlam, dx = solve_kkt(r_p - dp.apply(W, np.zeros(d)), r_f)
+            W_w = k_w - w * r_z / z
+            h = r_p - dp.apply(W, np.zeros(d))
+            h[rows] += W_w
+            dlam, dx = solve_kkt(h, r_f)
             adj, _ = dp.adjoint(dlam)
             dS = [rd - a for rd, a in zip(R_d, adj)]
-            dX = [w + np.tensordot(dlam, t, axes=1) for w, t in zip(W, T)]
-            return dX, dlam, dS, dx
+            dX = [w_ + np.tensordot(dlam, t, axes=1) for w_, t in zip(W, T)]
+            return dX, W_w - w * dlam[rows] / z, dlam, dS, r_z + dlam[rows], dx
 
-        def steps(dX, dS):
-            ap = min(1.0, 0.99 * min(_max_step(f, dx_) for f, dx_ in zip(FX, dX)))
-            ad = min(1.0, 0.99 * min(_max_step(f, ds_) for f, ds_ in zip(FS, dS)))
-            return ap, ad
+        def steps(dX, dw, dS, dz):
+            ap = min([_max_step(f, dx_) for f, dx_ in zip(FX, dX)] + [_ratio_step(dw / w)])
+            ad = min([_max_step(f, ds_) for f, ds_ in zip(FS, dS)] + [_ratio_step(dz / z)])
+            return min(1.0, 0.99 * ap), min(1.0, 0.99 * ad)
 
         # predictor (affine scaling)
-        dX, dlam, dS, dx = directions([-x_ for x_ in X])
-        ap, ad = steps(dX, dS)
-        mu_aff = sum(
+        dX, dw, dlam, dS, dz, dx = directions([-x_ for x_ in X], -w)
+        ap, ad = steps(dX, dw, dS, dz)
+        mu_aff = (sum(
             float(np.vdot(x_ + ap * dx_, s_ + ad * ds_))
             for x_, dx_, s_, ds_ in zip(X, dX, S, dS)
-        ) / N
+        ) + float((w + ap * dw) @ (z + ad * dz))) / N
         sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
         # centering floor: never let complementarity outrun feasibility, or the
         # Schur system degenerates before the residuals are cleaned up
@@ -216,11 +213,12 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
 
         # corrector
         K = [sigma * mu * si - x_ - dx_ @ ds_ @ si for si, x_, dx_, ds_ in zip(Sinv, X, dX, dS)]
-        dX, dlam, dS, dx = directions(K)
-        ap, ad = steps(dX, dS)
+        dX, dw, dlam, dS, dz, dx = directions(K, (sigma * mu - dw * dz) / z - w)
+        ap, ad = steps(dX, dw, dS, dz)
 
         X = [_sym(x_ + ap * dx_) for x_, dx_ in zip(X, dX)]
         S = [_sym(s_ + ad * ds_) for s_, ds_ in zip(S, dS)]
+        w, z = w + ap * dw, z + ad * dz
         lam = lam + ad * dlam
         if d:
             x = x + ap * dx
@@ -267,7 +265,7 @@ def _min_violation(dp: DenseProblem, active) -> float:
         b=signed(dp.b),
         eq_mask=np.zeros(rows.size, dtype=bool),
     )
-    X = _ipm(_equality_form(phase), 1e-8, 200)[0]
+    X = _ipm(*_equality_form(phase), 1e-8, 200)[0]
     return float(X[len(dp.sizes)][0, 0])
 
 
@@ -281,7 +279,7 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
     """
     dp = densify(problem)
     try:
-        X, lam, S, x, it, pobj, dobj = _ipm(_equality_form(dp), tol, max_iter)
+        X, lam, _, x, it, pobj, dobj = _ipm(*_equality_form(dp), tol, max_iter)
     except (MaxIterationsError, np.linalg.LinAlgError) as exc:
         try:
             t = _min_violation(dp, ())
@@ -291,13 +289,8 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
             raise NotStrictlyFeasibleError(f"least uniform violation {t:.3e}") from exc
         raise MaxIterationsError(str(exc)) from exc
 
-    nb_orig = len(dp.sizes)
-    point = PrimalPoint(
-        psd_blocks=tuple(SymmetricMatrix.from_dense(X[j]) for j in range(nb_orig)),
-        free=np.array(x),
-    )
     return OracleSolution(
-        X=point,
+        X=PrimalPoint(tuple(SymmetricMatrix.from_dense(xb) for xb in X), np.array(x)),
         lam=np.array(lam),
         objective=pobj,
         dual_objective=dobj,

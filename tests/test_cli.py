@@ -166,7 +166,7 @@ class TestSolveCommand:
         assert final["verdict"] == "GlobalOptimal"
         assert code == 0  # the exit code follows the verdict
         assert "oracle_objective" in final and final["oracle_objective"] is None
-        assert err == "warning: oracle: interior-point solve needs at least one PSD block\n"
+        assert err == "warning: oracle: interior-point solve needs a PSD block or an inequality row\n"
 
     def test_timing_off_by_default(self, trivial_file):
         _, out, _ = run_cli(["solve", trivial_file])

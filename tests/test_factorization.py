@@ -265,15 +265,15 @@ def test_initial_rank_bound_is_the_conic_formula_at_free_tail_ranks():
 
 
 def test_screened_enumeration_matches_unpruned_reference(monkeypatch):
-    """The rank screen and the superset pruning skip only sets that cannot
-    change m': both agree with solving every subset."""
+    """The full-set shortcut, the rank screen and the superset pruning skip
+    only sets that cannot change m': all agree with solving every subset."""
     from itertools import combinations
 
     from lrsdp import oracle
     from lrsdp.factorization import _min_rank_for, _numerical_rank, _stack_rows
 
     feasible = oracle.active_subset_feasible
-    infeasible_solved = screened = 0
+    shortcut = pruned = screened = 0
     for n, kinds in ((2, "EIII"), (3, "EIII"), (3, "IIII"), (4, "EEIII")):
         for seed in range(2):
             prob = generate_random(BlockStructure((n,), 1, 0), len(kinds), kinds, seed)
@@ -290,12 +290,50 @@ def test_screened_enumeration_matches_unpruned_reference(monkeypatch):
             rep = m_prime_inequality(prob)
             assert rep.m_prime == reference
             assert rep.p_per_block == (_min_rank_for(reference, n),)
+            assert calls[0] == tuple(iq)  # the full set is solved first
+            if answers[calls[0]]:
+                assert calls == [tuple(iq)]  # one solve settles m' = rank A
+                shortcut += 1
+                continue
             bad = [frozenset(c) for c in calls if not answers[c]]
-            infeasible_solved += len(bad)
-            # sets walked before the last solve, neither solved nor pruned
-            screened += sum(
-                c not in calls and not any(b <= frozenset(c) for b in bad)
-                for c in subsets[: subsets.index(calls[-1])]
-            )
-    assert infeasible_solved > 0  # the pruning fires
+            # sets walked before the last solve and not solved: pruned as
+            # supersets of an infeasible set, else screened by their rank
+            for c in subsets[: subsets.index(calls[-1])]:
+                if c not in calls:
+                    is_pruned = any(b <= frozenset(c) for b in bad)
+                    pruned += is_pruned
+                    screened += not is_pruned
+    assert shortcut > 0  # the full-set shortcut fires
+    assert pruned > 0  # the pruning fires
     assert screened > 0  # the rank screen fires
+
+
+def test_stalled_full_set_solve_falls_back_to_the_walk(monkeypatch):
+    from lrsdp import oracle
+
+    # X11 >= 1, X22 >= 1, X12 >= 0 and X11 + X22 >= 2, all active at X = I:
+    # the first three rows already have rank A = 3, so the walk stops before
+    # it reaches the full set
+    e11, e22, e12 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[0.0, 0.5], [0.5, 0.0]])
+    prob = make_problem(
+        (2,), 1, 0, [np.eye(2)], [],
+        [([e11], [], 1.0, "I"), ([e22], [], 1.0, "I"), ([e12], [], 0.0, "I"), ([np.eye(2)], [], 2.0, "I")],
+    )
+    full = (0, 1, 2, 3)
+    feasible = oracle.active_subset_feasible
+    calls = []
+    monkeypatch.setattr(oracle, "active_subset_feasible", lambda p, a: calls.append(a) or feasible(p, a))
+    shortcut = m_prime_inequality(prob)
+    assert calls == [full]
+
+    def stall_on_full_set(p, a):
+        calls.append(a)
+        if tuple(a) == full:
+            raise oracle.MaxIterationsError("stalled")
+        return feasible(p, a)
+
+    calls.clear()
+    monkeypatch.setattr(oracle, "active_subset_feasible", stall_on_full_set)
+    walked = m_prime_inequality(prob)
+    assert (walked.m_prime, walked.p_per_block) == (shortcut.m_prime, shortcut.p_per_block)
+    assert calls[0] == full and full not in calls[1:] and len(calls) > 1

@@ -19,6 +19,7 @@ from lrsdp.model import (
 )
 from lrsdp.oracle import (
     MaxIterationsError,
+    NoPsdBlockError,
     NotStrictlyFeasibleError,
     _min_violation,
     active_subset_feasible,
@@ -158,31 +159,66 @@ class TestEqualityForm:
         # comes from its eigendecomposition
         assert set(orders) == {(0, 0)}
 
-    def test_one_diagonal_slack_block(self):
-        from lrsdp.oracle import _equality_form
+    def test_slack_vector_on_inequality_rows(self):
+        from lrsdp.oracle import _equality_form, _ipm
 
         prob = generate_random(BlockStructure((4, 3), 2, 2), 6, "EIEIIE", 3)
         dp = densify(prob)
-        eqf = _equality_form(dp)
-        ineq = np.flatnonzero(dp.ineq_mask)
-        assert eqf.sizes == dp.sizes + (ineq.size,)
-        assert len(eqf.A) == len(eqf.C) == len(dp.A) + 1
+        eqf, rows = _equality_form(dp)
         assert eqf.eq_mask.all() and eqf.m == dp.m
-        np.testing.assert_array_equal(eqf.C[-1], np.zeros((3, 3)))
+        assert eqf.sizes == dp.sizes and eqf.A is dp.A and eqf.b is dp.b
+        np.testing.assert_array_equal(rows, np.flatnonzero(dp.ineq_mask))
 
-        rng = np.random.default_rng(0)
-        blocks = [(lambda g: g @ g.T)(rng.standard_normal((n, n))) for n in dp.sizes]
-        x = rng.standard_normal(dp.d)
-        s = rng.uniform(0.5, 2.0, ineq.size)
-        want = dp.apply(blocks, x)
-        want[ineq] -= s
-        np.testing.assert_allclose(eqf.apply(blocks + [np.diag(s)], x), want, rtol=1e-13, atol=1e-13)
+        # slack k enters row rows[k] with -1: A(X) + a.x - w = b at the solve
+        X, lam, w, x = _ipm(eqf, rows, 1e-9, 100)[:4]
+        r = dp.apply(X, x) - dp.b
+        np.testing.assert_allclose(r[rows], w, atol=1e-7)
+        np.testing.assert_allclose(r[dp.eq_mask], 0.0, atol=1e-7)
+        assert w.min() >= 0.0 and lam[rows].min() >= -1e-9
 
     def test_equality_only_view_unchanged(self):
         from lrsdp.oracle import _equality_form
 
         dp = densify(generate_random(BlockStructure((4,), 1, 0), 3, "EEE", 1))
-        assert _equality_form(dp) is dp
+        eqf, rows = _equality_form(dp)
+        assert rows.shape == (0,)
+        assert eqf.eq_mask.all() and eqf.sizes == dp.sizes and eqf.A is dp.A and eqf.b is dp.b
+
+    def test_ratio_step_matches_diagonal_block(self):
+        from lrsdp.oracle import _inv_sqrt, _max_step, _ratio_step
+
+        rng = np.random.default_rng(5)
+        for s in (1, 3, 7):
+            x = rng.uniform(0.1, 2.0, s)
+            dx = rng.standard_normal(s)
+            dx[0] = -abs(dx[0])
+            want = _max_step(_inv_sqrt(np.diag(x)), np.diag(dx))
+            assert _ratio_step(dx / x) == pytest.approx(want, rel=1e-12)
+            nonneg = np.abs(dx)
+            assert _ratio_step(nonneg / x) == _max_step(_inv_sqrt(np.diag(x)), np.diag(nonneg)) == np.inf
+        assert _ratio_step(np.zeros(0)) == np.inf
+
+
+class TestPsdFree:
+    def test_free_variables_and_slacks_only(self):
+        # min x1 + x2 s.t. x1 >= 1, x2 >= 2: no PSD block, two slacks
+        prob = make_problem(
+            (), 0, 2, [], [1.0, 1.0],
+            [([], [1.0, 0.0], 1.0, "I"), ([], [0.0, 1.0], 2.0, "I")],
+        )
+        sol = oracle_solve(prob)
+        assert sol.objective == pytest.approx(3.0, abs=1e-7)
+        np.testing.assert_allclose(sol.X.free, [1.0, 2.0], atol=1e-7)
+        np.testing.assert_allclose(sol.lam, [1.0, 1.0], atol=1e-7)
+        assert sol.X.psd_blocks == () and sol.iterations == 6
+
+    def test_no_inequality_row_has_nothing_to_solve(self):
+        prob = make_problem(
+            (), 0, 2, [], [1.0, 1.0],
+            [([], [1.0, 0.0], 1.0, "E"), ([], [0.0, 1.0], 2.0, "E")],
+        )
+        with pytest.raises(NoPsdBlockError):
+            oracle_solve(prob)
 
 
 class TestBruteForce2x2:

@@ -89,8 +89,9 @@ def test_traced_m_prime_solves_only_sets_that_raise_it(tracing):
         report = factorization.m_prime_inequality(problem)
     metrics = tracer.layer_metrics()
     assert report.m_prime == 6
-    # one solve per subset size, each raising m' by one; all 32 unscreened
-    assert metrics["oracle.feasibility_checks"] == 6
+    # every active subset is feasible, the full set among them, and its rank is
+    # rank A = 6: that one solve settles m' (6 with the walk alone, 32 unscreened)
+    assert metrics["oracle.feasibility_checks"] == 1
     assert metrics["oracle.feasible_frac"] == 1.0
 
 
