@@ -38,7 +38,6 @@ from .solver import (
     LagrangianState,
     NumericalFailure,
     SolverConfig,
-    al_hessian_vector,
     al_solve,
     al_value_grad,
 )

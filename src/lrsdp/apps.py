@@ -11,13 +11,12 @@ derived rank bound.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factorization import FactorizedPoint, initial_rank_bound, triangular
-from .model import BlockStructure, ConicSdpProblem, write_problem
+from .factorization import FactorizedPoint, triangular
+from .model import BlockStructure, ConicSdpProblem
 
 __all__ = [
     "BuiltProblem",
@@ -32,7 +31,6 @@ __all__ = [
     "embed_cone_point",
     "extract_cone_point",
     "recover_difference",
-    "write_fixture",
 ]
 
 
@@ -423,22 +421,3 @@ def generate_random(structure: BlockStructure, m: int, kinds: str, seed: int) ->
         )
     raise RuntimeError("could not generate nonzero right-hand sides")
 
-
-def write_fixture(built: BuiltProblem, path: str) -> None:
-    """Emit the problem text plus a JSON sidecar with the planted data."""
-    with open(path, "w") as fh:
-        fh.write(write_problem(built.problem))
-    bound = initial_rank_bound(built.problem)
-    side = {
-        "name": built.problem.name,
-        "extras": built.extras,
-        "rank_bound": {
-            "m_prime": bound.m_prime,
-            "p_per_block": list(bound.p_per_block),
-            "method": bound.method,
-        },
-    }
-    if built.planted_point is not None:
-        side["planted_factors"] = [y.tolist() for y in built.planted_point.factors]
-    with open(path + ".json", "w") as fh:
-        json.dump(side, fh, indent=2)

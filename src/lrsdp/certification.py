@@ -44,6 +44,7 @@ from .solver import (
     LagrangianState,
     SolverConfig,
     _internal_factors,
+    _lifted_blocks,
     al_solve,
     al_value_grad,
     kkt_scales,
@@ -152,11 +153,6 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _lifted_blocks(point: FactorizedPoint) -> list[np.ndarray]:
-    """Dense X_j: Y_j Y_j^T for factor blocks, tail blocks as given."""
-    return [y @ y.T for y in point.factors] + [t.to_dense() for t in point.tail_blocks]
-
-
 def active_set(dp: DenseProblem, point: FactorizedPoint) -> frozenset:
     """Equalities plus the inequalities tight at the point (``ACTIVE_TOL``)."""
     c = dp.apply(_lifted_blocks(point), point.free) - dp.b
@@ -164,25 +160,20 @@ def active_set(dp: DenseProblem, point: FactorizedPoint) -> frozenset:
     return frozenset(int(i) for i in np.flatnonzero(tight))
 
 
-def estimate_multipliers(
-    dp: DenseProblem,
-    point: FactorizedPoint,
-    active: frozenset | None = None,
-) -> Multipliers:
+def estimate_multipliers(dp: DenseProblem, point: FactorizedPoint) -> Multipliers:
     """Least-squares stationarity fit for the multipliers.
 
-    Minimizes the norm of the Lagrangian gradient over lambda, with inactive
-    inequality multipliers pinned to zero and active ones constrained
-    nonnegative.  Tail blocks participate through their full-rank factors.
+    Minimizes the norm of the Lagrangian gradient over lambda, with the
+    multipliers of inequalities inactive at the point (``active_set``) pinned
+    to zero and active ones constrained nonnegative.  Tail blocks participate
+    through their full-rank factors.
     """
-    if active is None:
-        active = active_set(dp, point)
     ys = _internal_factors(point)
 
     r0 = np.concatenate(
         [(2.0 * c @ y).ravel() for c, y in zip(dp.C, ys)] + ([dp.c_free] if dp.d else [])
     )
-    act = sorted(active)
+    act = sorted(active_set(dp, point))
     g_cols = dp.jacobian(ys, act).T
 
     lam = np.zeros(dp.m)
@@ -415,7 +406,7 @@ def staircase_solve(
         else:
             candidates = (
                 Multipliers(np.array(state.lam), "FromSolver"),
-                estimate_multipliers(dp, state.point, active_set(dp, state.point)),
+                estimate_multipliers(dp, state.point),
             )
             cert = certify(dp, state.point, candidates)
             verdict, objective, kkt = cert.verdict, state.objective, cert.kkt

@@ -11,8 +11,8 @@ equality-form copy, with the inequality slacks as a vector beside it).
 Callers build the view and pass it down.  Only these build one:
 ``staircase_solve`` once per solve, for every local solve, certificate check
 and escape line search; each oracle entry point once per call; and each CLI
-command once.  ``al_solve``, ``al_value_grad`` and ``al_hessian_vector`` take
-the view from their caller.
+command once.  ``al_solve`` and ``al_value_grad`` take the view from their
+caller.
 """
 
 from __future__ import annotations

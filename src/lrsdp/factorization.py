@@ -181,7 +181,7 @@ def m_prime_inequality(problem: ConicSdpProblem, cap: int = 20) -> RankBoundRepo
     first: only a rank above the best so far earns a feasibility solve
     (``oracle.active_subset_feasible``, looked up at call time), which raises
     the best or adds the set to the pruned ones.  The walk ends once the best
-    reaches rank A.  Above the cap, min(m, rank A).
+    reaches rank A.  Above the cap, rank A.
     """
     st = problem.structure
     if not single_factor_block(st):
@@ -197,8 +197,7 @@ def m_prime_inequality(problem: ConicSdpProblem, cap: int = 20) -> RankBoundRepo
         return RankBoundReport(all_rank, (_min_rank_for(all_rank, n),), "ExactEnumeration")
 
     if m > cap:
-        mp = min(m, all_rank)
-        return RankBoundReport(mp, (_min_rank_for(mp, n),), "RankUpperBound")
+        return RankBoundReport(all_rank, (_min_rank_for(all_rank, n),), "RankUpperBound")
 
     best, infeasible = -1, []
     try:
@@ -255,7 +254,7 @@ def initial_rank_bound(problem: ConicSdpProblem) -> RankBoundReport:
 
     ``single_factor_block``: ``m_prime_inequality`` with no enumeration
     (cap 0), i.e. the rank of the stack when equality-only, else the
-    min(m, rank A) upper bound.  Any other structure: the conic formula with
+    rank A upper bound.  Any other structure: the conic formula with
     unconstrained tail ranks, i.e. m' = max(0, m - d).
     """
     st = problem.structure

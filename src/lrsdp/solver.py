@@ -24,11 +24,11 @@ accepted.
 Tail PSD blocks are parameterized internally at full rank (any PSD matrix of
 size n factors at rank n), so one variable layout serves every block; the
 factorized/tail distinction matters again only for rank bounds and for
-certification reporting.
+certification reporting.  The AL value has one formula (``_al_terms``, on the
+lifted blocks), shared by the solver's evaluations and ``al_value_grad``.
 
-``al_solve`` and the public evaluators ``al_value_grad`` and
-``al_hessian_vector`` take the problem's dense view (``densify``) from their
-caller and build none.
+``al_solve`` and ``al_value_grad`` take the problem's dense view
+(``densify``) from their caller and build none.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "NumericalFailure",
     "kkt_scales",
     "al_value_grad",
-    "al_hessian_vector",
     "al_solve",
 ]
 
@@ -124,6 +123,11 @@ def kkt_scales(dp: DenseProblem, lam) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _lifted_blocks(point: FactorizedPoint) -> list[np.ndarray]:
+    """Dense X_j: Y_j Y_j^T for factor blocks, tail blocks as given."""
+    return [y @ y.T for y in point.factors] + [t.to_dense() for t in point.tail_blocks]
+
+
 def _internal_factors(point: FactorizedPoint) -> list[np.ndarray]:
     """Factor matrices for every block: given factors plus full-rank tails."""
     ys = [np.asarray(y, dtype=float) for y in point.factors]
@@ -187,20 +191,36 @@ def _lambda_max(d: np.ndarray, jq: np.ndarray, rho: float) -> float:
     return t
 
 
-class _Work:
-    """Dense data plus the flattened (Y_1..Y_L, x) variable layout.
+def _al_terms(dp: DenseProblem, X, x, lam: np.ndarray, rho: float):
+    """AL value at the lifted blocks X and free part x, checked finite.
 
-    The solver holds tail blocks as full-rank factors.  With
-    ``tail_matrices`` the tail slots hold the n x n matrices X_j themselves,
-    which are the public coordinates of ``al_value_grad`` and
-    ``al_hessian_vector``.
+    Returns (value, c = A(X) - b, <C, X> + c_free . x, lam~, active rows), with
+    lam~ = lam - rho c clipped at 0 on inequality rows and an inequality row
+    active while lam_i - rho c_i > 0.
     """
+    c = dp.apply(X, x) - dp.b
+    objective = dp.objective(X, x)
+    eq = dp.eq_mask
+    shifted = lam - rho * c
+    lam_t = np.where(eq, shifted, np.maximum(0.0, shifted))
+    value = objective + float(np.sum((-lam * c + 0.5 * rho * c * c)[eq]))
+    if np.any(~eq):
+        if rho <= 0.0:
+            raise NumericalFailure("PHR terms need rho > 0 with inequality rows")
+        value += float(np.sum((lam_t[~eq] ** 2 - lam[~eq] ** 2))) / (2.0 * rho)
+    if not np.isfinite(value):
+        raise NumericalFailure("non-finite augmented Lagrangian evaluation")
+    return value, c, objective, lam_t, eq | (shifted > 0.0)
 
-    def __init__(self, dp: DenseProblem, ranks, tail_matrices: bool = False):
+
+class _Work:
+    """Dense data plus the flattened (Y_1..Y_L, x) variable layout, with
+    every tail block held as a full-rank factor."""
+
+    def __init__(self, dp: DenseProblem, ranks):
         if len(ranks) != dp.k:
             raise ValueError(f"need {dp.k} factor ranks, got {len(ranks)}")
         self.dp = dp
-        self.nf = dp.k if tail_matrices else len(dp.sizes)  # blocks held as factors
         self.shapes = list(zip(dp.sizes, [int(q) for q in ranks] + list(dp.sizes[dp.k:])))
         self.offsets = []
         off = 0
@@ -225,10 +245,10 @@ class _Work:
         return ys, z[self.free_off:]
 
     def to_point(self, z) -> FactorizedPoint:
-        """z as a point: tails held as factors are lifted, tails held as matrices kept."""
+        """z as a point, with the tail factors lifted to tail blocks."""
         ys, x = self.unpack(z)
-        k, nf = self.dp.k, self.nf
-        tails = tuple(SymmetricMatrix.from_dense(t) for t in [y @ y.T for y in ys[k:nf]] + ys[nf:])
+        k = self.dp.k
+        tails = tuple(SymmetricMatrix.from_dense(y @ y.T) for y in ys[k:])
         return FactorizedPoint(tuple(np.array(y) for y in ys[:k]), tails, np.array(x))
 
 
@@ -238,43 +258,23 @@ class _Eval:
     Second-order terms go through J, the constraint Jacobian at the point
     (``DenseProblem.jacobian``): the Hessian is
     blockdiag(kron(2 S_j, I_q)) + J^T diag(w) J, with w = rho on active rows
-    and 0 elsewhere.  A tail held as a matrix enters J as the factor I/2, whose
-    columns 2 A_i (I/2) = A_i are the derivative of <A_i, X_j>, and it carries
-    no S-curvature term.
+    and 0 elsewhere.
 
-    The constructor computes only what a trial point needs: the AL value,
-    checked finite.  The slack, gradient (checked finite), J, CG path and
-    probe are computed on first use and kept.
+    The constructor computes only what a trial point needs: the AL value
+    (``_al_terms``), checked finite.  The slack, gradient (checked finite), J,
+    CG path and probe are computed on first use and kept.
     """
 
     def __init__(self, work: _Work, z: np.ndarray, lam: np.ndarray, rho: float):
-        dp = work.dp
-        nf = work.nf
         self.work = work
         self.z = z
         self.lam = lam
         self.rho = rho
         ys, x = work.unpack(z)
-        X = [y @ y.T for y in ys[:nf]] + ys[nf:]
-        self.c = dp.apply(X, x) - dp.b
-        self.sdp_objective = dp.objective(X, x)
-
-        shifted = lam - rho * self.c
-        lam_t = np.where(dp.eq_mask, shifted, np.maximum(0.0, shifted))
-        self.lam_tilde = lam_t
-        self.active = dp.eq_mask | (shifted > 0.0)
-
-        eq, c = dp.eq_mask, self.c
-        value = self.sdp_objective
-        value += float(np.sum((-lam * c + 0.5 * rho * c * c)[eq]))
-        if np.any(~eq):
-            if rho <= 0.0:
-                raise NumericalFailure("PHR terms need rho > 0 with inequality rows")
-            value += float(np.sum((lam_t[~eq] ** 2 - lam[~eq] ** 2))) / (2.0 * rho)
-        self.value = value
+        self.value, self.c, self.sdp_objective, self.lam_tilde, self.active = _al_terms(
+            work.dp, [y @ y.T for y in ys], x, lam, rho
+        )
         self.hvp_weight = np.where(self.active, rho, 0.0)
-        if not np.isfinite(value):
-            raise NumericalFailure("non-finite augmented Lagrangian evaluation")
 
     @cached_property
     def _slack(self) -> tuple[list[np.ndarray], np.ndarray]:
@@ -287,21 +287,20 @@ class _Eval:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        (S, free), ys, nf = self._slack, self.work.unpack(self.z)[0], self.work.nf
-        grad = self.work.pack([2.0 * s @ y for s, y in zip(S, ys[:nf])] + S[nf:], free)
+        (S, free), ys = self._slack, self.work.unpack(self.z)[0]
+        grad = self.work.pack([2.0 * s @ y for s, y in zip(S, ys)], free)
         if not np.all(np.isfinite(grad)):
             raise NumericalFailure("non-finite augmented Lagrangian gradient")
         return grad
 
     @cached_property
     def J(self) -> np.ndarray:
-        ys, nf = self.work.unpack(self.z)[0], self.work.nf
-        return self.work.dp.jacobian(ys[:nf] + [0.5 * np.eye(n) for n in self.work.dp.sizes[nf:]])
+        return self.work.dp.jacobian(self.work.unpack(self.z)[0])
 
     def hvp(self, u: np.ndarray) -> np.ndarray:
         """H u."""
         out = self.J.T @ (self.hvp_weight * (self.J @ u))
-        for off, (n, q), s in zip(self.work.offsets, self.work.shapes, self.S[:self.work.nf]):
+        for off, (n, q), s in zip(self.work.offsets, self.work.shapes, self.S):
             out[off:off + n * q] += (2.0 * s @ u[off:off + n * q].reshape(n, q)).ravel()
         return out
 
@@ -312,14 +311,14 @@ class _Eval:
 
         With S_j = V_j diag(lam_j) V_j^T and Q = blockdiag(V_j (x) I_q, I),
         Q^T H Q = diag(d) + rho Jq^T Jq for Jq = J_a Q, J_a the active rows of
-        J, and d = 2 lam_j repeated q times (0 on blocks held as matrices and
-        free variables).  lambda_max(H) lies between its largest diagonal
-        entry lo and hi = max d + rho lambda_max(Jq Jq^T): escape when
-        ``_schur_escape`` fails at the floor of hi, settle when it passes at
-        that of lo (at once when no d is below it), else use the exact one.
+        J, and d = 2 lam_j repeated q times (0 on free variables).
+        lambda_max(H) lies between its largest diagonal entry lo and
+        hi = max d + rho lambda_max(Jq Jq^T): escape when ``_schur_escape``
+        fails at the floor of hi, settle when it passes at that of lo (at once
+        when no d is below it), else use the exact one.
         """
         work, rho = self.work, self.rho
-        eigs = [np.linalg.eigh(s) for s in self.S[:work.nf]]
+        eigs = [np.linalg.eigh(s) for s in self.S]
         jq = self.J[self.active]
         d = np.zeros(work.dim)
         for off, (n, q), (lam, v) in zip(work.offsets, work.shapes, eigs):
@@ -441,39 +440,24 @@ def _inner(ev: _Eval, tol, max_iter):
 # ---------------------------------------------------------------------------
 
 
-def _public_eval(dp: DenseProblem, point: FactorizedPoint, lam, rho) -> _Eval:
-    """_Eval in the public (Y, X-tail, x) coordinates."""
-    work = _Work(dp, point.ranks, tail_matrices=True)
-    ys = list(point.factors) + [t.to_dense() for t in point.tail_blocks]
-    z = work.pack(ys, np.asarray(point.free, dtype=float))
-    return _Eval(work, z, np.asarray(lam, dtype=float), rho)
-
-
 def al_value_grad(dp: DenseProblem, point: FactorizedPoint, lam, rho: float):
     """Augmented-Lagrangian value and gradient on the problem's dense view.
 
     Gradient is returned in the same shape as the point: 2*S_j*Y_j for factor
     blocks, the slack-matrix component for tail blocks, and the free-part
-    slack for the free variables.
+    slack for the free variables, with S built from lam~ (``_al_terms``).
     """
-    ev = _public_eval(dp, point, lam, rho)
-    return ev.value, ev.work.to_point(ev.grad)
-
-
-def al_hessian_vector(
-    dp: DenseProblem,
-    point: FactorizedPoint,
-    lam,
-    rho: float,
-    direction: FactorizedPoint,
-) -> FactorizedPoint:
-    """Exact Hessian-vector product of the AL, in the public coordinates."""
-    ev = _public_eval(dp, point, lam, rho)
-    us = list(direction.factors) + [t.to_dense() for t in direction.tail_blocks]
-    hu = ev.hvp(ev.work.pack(us, np.asarray(direction.free, dtype=float)))
-    if not np.all(np.isfinite(hu)):
-        raise NumericalFailure("non-finite Hessian-vector product")
-    return ev.work.to_point(hu)
+    if len(point.factors) != dp.k:
+        raise ValueError(f"need {dp.k} factor ranks, got {len(point.factors)}")
+    lam = np.asarray(lam, dtype=float)
+    x = np.asarray(point.free, dtype=float)
+    value, _, _, lam_t, _ = _al_terms(dp, _lifted_blocks(point), x, lam, rho)
+    S, free = dp.slack(lam_t)
+    factors = [2.0 * s @ y for s, y in zip(S, point.factors)]
+    if not all(np.all(np.isfinite(g)) for g in factors + S[dp.k:] + [free]):
+        raise NumericalFailure("non-finite augmented Lagrangian gradient")
+    tails = tuple(SymmetricMatrix.from_dense(s) for s in S[dp.k:])
+    return value, FactorizedPoint(tuple(factors), tails, free)
 
 
 def _initial_z(work: _Work, rng: np.random.Generator, b: np.ndarray) -> np.ndarray:

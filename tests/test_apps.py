@@ -1,9 +1,5 @@
 """Application builders and corpus generators."""
 
-import json
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -19,12 +15,11 @@ from lrsdp.apps import (
     generate_random,
     random_soc_fixture,
     recover_difference,
-    write_fixture,
 )
 from lrsdp.certification import estimate_multipliers, kkt_residuals, staircase_solve
 from lrsdp.dense import densify
-from lrsdp.factorization import initial_rank_bound, triangular
-from lrsdp.model import BlockStructure, read_problem, validate, write_problem
+from lrsdp.factorization import triangular
+from lrsdp.model import BlockStructure, validate, write_problem
 from lrsdp.oracle import oracle_solve
 from lrsdp.solver import SolverConfig
 
@@ -221,13 +216,3 @@ class TestGenerateRandom:
         with pytest.raises(ValueError):
             generate_random(BlockStructure((3,), 1, 0), 2, "EEE", 0)
 
-
-def test_write_fixture_roundtrip(tmp_path):
-    built = build_sensing_psd(4, 1, 5, seed=2)
-    path = os.path.join(tmp_path, "fixture.sdp")
-    write_fixture(built, path)
-    again = read_problem(Path(path).read_text())
-    assert write_problem(again) == write_problem(built.problem)
-    side = json.loads(Path(path + ".json").read_text())
-    assert side["rank_bound"]["p_per_block"] == list(initial_rank_bound(built.problem).p_per_block)
-    assert "nuclear_norm" in side["extras"]

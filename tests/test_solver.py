@@ -8,8 +8,8 @@ from lrsdp.factorization import FactorizedPoint
 from lrsdp.model import BlockStructure
 from lrsdp.solver import (
     InfeasibleError,
+    NumericalFailure,
     SolverConfig,
-    al_hessian_vector,
     al_solve,
     al_value_grad,
 )
@@ -82,45 +82,74 @@ class TestValueGrad:
                 exact = point_dot(grad, d)
                 assert abs(slope - exact) <= 1e-6 * (1.0 + abs(exact))
 
+    def test_value_equals_solver_value(self):
+        # one formula: the public value at a point equals al_solve's at its internal factors
+        for seed in JACOBIAN_SEEDS:
+            problem, ranks = mixed_instance(seed)
+            point = random_factor_point(problem, ranks, seed)
+            lam = np.random.default_rng(seed).standard_normal(problem.m)
+            value, _ = al_value_grad(densify(problem), point, lam, 2.0)
+            assert abs(value - eval_point(problem, point, lam, 2.0).value) <= 1e-12 * (1.0 + abs(value))
+
+    def test_non_finite_gradient_raises(self):
+        # the overflow point of TestLazyEval: a finite value, but 2 S Y overflows
+        y = FactorizedPoint((np.array([[1.0], [0.0]]),), (), np.zeros(0))
+        with pytest.raises(NumericalFailure), np.errstate(over="ignore"):
+            al_value_grad(densify(trivial_sdp()), y, [1e308], 10.0)
+
+
+def stepped(ev, d, t):
+    """_Eval at ev's point moved by t d, at ev's multipliers and penalty."""
+    from lrsdp.solver import _Eval
+
+    return _Eval(ev.work, ev.z + t * d, ev.lam, ev.rho)
+
+
+def solver_layout_cases(first_seed, count):
+    """(eval, seed) at kink-safe random points of mixed instances, in al_solve's layout."""
+    seed = first_seed
+    while count:
+        seed += 1
+        problem, ranks = mixed_instance(seed)
+        rng = np.random.default_rng(seed)
+        point = random_factor_point(problem, ranks, seed)
+        lam = rng.standard_normal(problem.m)
+        if kink_safe(problem, point, lam, 2.0):
+            count -= 1
+            yield eval_point(problem, point, lam, 2.0), seed
+
 
 class TestHessianVector:
+    """_Eval's gradient and Hessian-vector products in al_solve's layout."""
+
     def test_unconstrained_identity_cost(self):
         prob = make_problem((3,), 1, 0, [np.eye(3)], [], [])
         rng = np.random.default_rng(0)
         y = FactorizedPoint((rng.standard_normal((3, 2)),), (), np.zeros(0))
-        u = FactorizedPoint((rng.standard_normal((3, 2)),), (), np.zeros(0))
-        hu = al_hessian_vector(densify(prob), y, np.zeros(0), 1.0, u)
-        np.testing.assert_allclose(hu.factors[0], 2.0 * u.factors[0], atol=1e-14)
+        u = rng.standard_normal(6)
+        hu = eval_point(prob, y, np.zeros(0), 1.0).hvp(u)
+        np.testing.assert_allclose(hu, 2.0 * u, atol=1e-14)
 
     def test_zero_direction(self):
-        prob = trivial_sdp()
-        y = FactorizedPoint((np.eye(2),), (), np.zeros(0))
-        u = FactorizedPoint((np.zeros((2, 2)),), (), np.zeros(0))
-        hu = al_hessian_vector(densify(prob), y, np.array([0.5]), 3.0, u)
-        assert np.all(hu.factors[0] == 0.0)
+        ev = eval_point(trivial_sdp(), FactorizedPoint((np.eye(2),), (), np.zeros(0)), [0.5], 3.0)
+        assert np.all(ev.hvp(np.zeros(ev.work.dim)) == 0.0)
+
+    def test_gradient_matches_value_differences(self):
+        h = 1e-5
+        for ev, seed in solver_layout_cases(0, 12):
+            for dseed in range(2):
+                d = np.random.default_rng(100 * seed + dseed).standard_normal(ev.work.dim)
+                slope = (stepped(ev, d, h).value - stepped(ev, d, -h).value) / (2.0 * h)
+                exact = float(ev.grad @ d)
+                assert abs(slope - exact) <= 1e-6 * (1.0 + abs(exact))
 
     def test_matches_gradient_differences(self):
         h = 1e-5
-        checked = 0
-        seed = 50
-        while checked < 8:
-            seed += 1
-            problem, ranks = mixed_instance(seed)
-            rng = np.random.default_rng(seed)
-            point = random_factor_point(problem, ranks, seed)
-            lam = rng.standard_normal(problem.m)
-            rho = 2.0
-            if not kink_safe(problem, point, lam, rho):
-                continue
-            checked += 1
-            d = random_direction(problem, ranks, 7 * seed)
-            e = random_direction(problem, ranks, 7 * seed + 1)
-            dp = densify(problem)
-            hd = al_hessian_vector(dp, point, lam, rho, d)
-            _, gp = al_value_grad(dp, point_axpy(point, d, h), lam, rho)
-            _, gm = al_value_grad(dp, point_axpy(point, d, -h), lam, rho)
-            slope = (point_dot(gp, e) - point_dot(gm, e)) / (2.0 * h)
-            exact = point_dot(hd, e)
+        for ev, seed in solver_layout_cases(50, 8):
+            d = np.random.default_rng(7 * seed).standard_normal(ev.work.dim)
+            e = np.random.default_rng(7 * seed + 1).standard_normal(ev.work.dim)
+            slope = float((stepped(ev, d, h).grad - stepped(ev, d, -h).grad) @ e) / (2.0 * h)
+            exact = float(ev.hvp(d) @ e)
             assert abs(slope - exact) <= 1e-5 * (1.0 + abs(exact))
 
 
@@ -220,7 +249,7 @@ def reference_hessian(ev):
     """blockdiag(kron(2 S_j, I_q), 0) + J^T diag(w) J at ev, built without ``hvp``."""
     work = ev.work
     h = ev.J.T @ np.diag(ev.hvp_weight) @ ev.J
-    for off, (n, q), s in zip(work.offsets, work.shapes, ev.S[:work.nf]):
+    for off, (n, q), s in zip(work.offsets, work.shapes, ev.S):
         h[off:off + n * q, off:off + n * q] += np.kron(2.0 * s, np.eye(q))
     return 0.5 * (h + h.T)
 
@@ -271,7 +300,7 @@ def probe_with_calls(ev, calls):
     calls.clear()
     direction = ev.curvature
     dim = ev.work.dim
-    slack = sum(s.shape[0] >= dim for s in ev.S[:ev.work.nf])
+    slack = sum(s.shape[0] >= dim for s in ev.S)
     return direction, sum(shape[-1] >= dim for _, shape in calls) - slack
 
 
