@@ -170,29 +170,24 @@ def estimate_multipliers(dp: DenseProblem, point: FactorizedPoint) -> Multiplier
     """
     ys = _internal_factors(point)
 
-    r0 = np.concatenate(
-        [(2.0 * c @ y).ravel() for c, y in zip(dp.C, ys)] + ([dp.c_free] if dp.d else [])
-    )
+    r0 = np.concatenate([(2.0 * c @ y).ravel() for c, y in zip(dp.C, ys)] + [dp.c_free])
     act = sorted(active_set(dp, point))
     g_cols = dp.jacobian(ys, act).T
 
     lam = np.zeros(dp.m)
-    if act:
-        ineq_cols = [col for col, i in enumerate(act) if not dp.eq_mask[i]]
-        if not ineq_cols:
-            sol = np.linalg.lstsq(g_cols, r0, rcond=None)[0]
-        else:
-            lb = np.full(len(act), -np.inf)
-            ub = np.full(len(act), np.inf)
-            for col in ineq_cols:
-                lb[col] = 0.0
-            res = scipy.optimize.lsq_linear(g_cols, r0, bounds=(lb, ub), method="bvls")
-            sol = res.x
-        for col, i in enumerate(act):
-            lam[i] = sol[col]
-        residual = float(np.linalg.norm(r0 - g_cols @ sol))
+    ineq_cols = [col for col, i in enumerate(act) if not dp.eq_mask[i]]
+    if not ineq_cols:
+        sol = np.linalg.lstsq(g_cols, r0, rcond=None)[0]
     else:
-        residual = float(np.linalg.norm(r0))
+        lb = np.full(len(act), -np.inf)
+        ub = np.full(len(act), np.inf)
+        for col in ineq_cols:
+            lb[col] = 0.0
+        res = scipy.optimize.lsq_linear(g_cols, r0, bounds=(lb, ub), method="bvls")
+        sol = res.x
+    for col, i in enumerate(act):
+        lam[i] = sol[col]
+    residual = float(np.linalg.norm(r0 - g_cols @ sol))
     # enforce the sign invariant against roundoff from the bounded solver
     for i in np.flatnonzero(dp.ineq_mask):
         if lam[i] < 0.0:
@@ -335,8 +330,6 @@ def escape_direction(point: FactorizedPoint, certificate: Certificate) -> Escape
 def licq_check(dp: DenseProblem, point: FactorizedPoint) -> LicqResult:
     """Linear independence of active constraint gradients at the point."""
     act = sorted(active_set(dp, point))
-    if not act:
-        return LicqResult(True, 0, 0)
     rank = _numerical_rank(dp.jacobian(_internal_factors(point), act))
     return LicqResult(rank == len(act), rank, len(act))
 

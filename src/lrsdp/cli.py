@@ -215,12 +215,9 @@ def _load_problem(path: str) -> ConicSdpProblem:
 
 
 def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(
-        tol=args.tol,
-        max_outer=args.max_outer,
-        seed=args.seed,
-        restarts=args.restarts,
-    )
+    """The flags given, over ``SolverConfig``'s defaults (a flag not given parses as None)."""
+    given = {name: getattr(args, name) for name in ("tol", "max_outer", "restarts")}
+    return SolverConfig(seed=args.seed, **{k: v for k, v in given.items() if v is not None})
 
 
 def _problem_summary(problem: ConicSdpProblem) -> dict:
@@ -401,8 +398,12 @@ def cmd_experiment(args) -> int:
 
     if args.kind in ("genericity", "licq") and p > n:
         raise UsageError(f"{args.kind} needs --p of at most --n, got p = {p}, n = {n}")
-    if args.oracle and args.kind != "genericity":
-        raise UsageError(f"--oracle applies to genericity only, not {args.kind}")
+    # the local solver's flags and --oracle act on genericity's staircase only
+    solver_flags = {"--oracle": args.oracle or None, "--tol": args.tol,
+                    "--max-outer": args.max_outer, "--restarts": args.restarts}
+    given = [flag for flag, value in solver_flags.items() if value is not None]
+    if given and args.kind != "genericity":
+        raise UsageError(f"{given[0]} applies to genericity only, not {args.kind}")
     if args.kind == "adversarial" and p >= n:
         raise UsageError(f"adversarial needs --p below --n, got p = {p}, n = {n}")
     if args.kind == "adversarial" and m < 1:
@@ -513,9 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=_int_at_least(0), default=0)
-        p.add_argument("--tol", type=_positive_float, default=1e-8)
-        p.add_argument("--max-outer", type=_int_at_least(1), default=50, dest="max_outer")
-        p.add_argument("--restarts", type=_int_at_least(0), default=3)
+        # None when not given: SolverConfig holds the defaults
+        p.add_argument("--tol", type=_positive_float)
+        p.add_argument("--max-outer", type=_int_at_least(1), dest="max_outer")
+        p.add_argument("--restarts", type=_int_at_least(0))
         p.add_argument("--out", default=None)
 
     ps = sub.add_parser("solve", help="staircase solve + certificate")

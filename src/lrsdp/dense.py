@@ -5,8 +5,8 @@ certification routines and the interior-point oracle all want stacked dense
 arrays.  ``DenseProblem`` is that one conversion, and its ``apply``,
 ``adjoint``, ``slack`` and ``jacobian`` are the one constraint operator: the
 solver, the certifier and the interior-point oracle evaluate A(X),
-A*(lambda) and C - A*(lambda) through the same view (the oracle on an
-equality-form copy, with the inequality slacks as a vector beside it).
+A*(lambda) and C - A*(lambda) through the same view, with one entry per PSD
+block in every block list (another length raises ``ValueError``).
 
 Callers build the view and pass it down.  Only these build one:
 ``staircase_solve`` once per solve, for every local solve, certificate check
@@ -36,6 +36,7 @@ class DenseProblem:
     b: np.ndarray                # (m,)
     eq_mask: np.ndarray          # (m,) bool
 
+    # unused in src; it stays for tools that read it off the view (benchmarks/tracing.py)
     @property
     def structure(self) -> BlockStructure:
         return BlockStructure(self.sizes, self.k, self.d)
@@ -51,7 +52,7 @@ class DenseProblem:
     def apply(self, blocks: list[np.ndarray], x: np.ndarray) -> np.ndarray:
         """<A_i, X> + a_i . x for every row i."""
         out = np.zeros(self.m)
-        for a, xb in zip(self.A, blocks):
+        for a, xb in zip(self.A, blocks, strict=True):
             out += np.einsum("iab,ab->i", a, xb)
         if self.d:
             out += self.Af @ x
@@ -71,14 +72,13 @@ class DenseProblem:
         """Constraint Jacobian at X_j = Y_j Y_j^T: row i is [2 A_i1 Y_1, ..., a_i].
 
         Row i applied to the row-major (U_1, ..., u) gives
-        <A_i, sum_j U_j Y_j^T + Y_j U_j^T> + a_i . u.  Only the leading
-        len(ys) blocks get columns; `rows` selects constraint rows (all by
-        default).
+        <A_i, sum_j U_j Y_j^T + Y_j U_j^T> + a_i . u.  `ys` has one factor
+        per block; `rows` selects constraint rows (all by default).
         """
         sel = slice(None) if rows is None else np.asarray(rows, dtype=int)
         r = self.m if rows is None else sel.size
         parts = []
-        for a, y in zip(self.A, ys):
+        for a, y in zip(self.A, ys, strict=True):
             n, q = y.shape
             # explicit shapes: with r = 0 a -1 in a reshape is ambiguous
             parts.append(2.0 * (a[sel].reshape(r * n, n) @ y).reshape(r, n * q))
@@ -87,7 +87,7 @@ class DenseProblem:
         return np.hstack(parts) if parts else np.zeros((r, 0))
 
     def objective(self, blocks: list[np.ndarray], x: np.ndarray) -> float:
-        val = sum(float(np.vdot(c, xb)) for c, xb in zip(self.C, blocks))
+        val = sum(float(np.vdot(c, xb)) for c, xb in zip(self.C, blocks, strict=True))
         if self.d:
             val += float(self.c_free @ x)
         return val
@@ -104,8 +104,7 @@ def densify(problem: ConicSdpProblem) -> DenseProblem:
     for i, con in enumerate(problem.constraints):
         for j, bl in enumerate(con.blocks):
             A[j][i] = bl.to_dense()
-        if st.free_dim:
-            Af[i] = con.free
+        Af[i] = con.free
         b[i] = con.rhs
         eq[i] = con.kind is ConstraintKind.EQUALITY
     return DenseProblem(

@@ -142,7 +142,7 @@ class CooSymmetric:
         sym = 0.5 * (a + a.T)
         r, c = _triu_rows_cols(n)
         v = sym[r, c]
-        keep = np.abs(v) > 0.0
+        keep = v != 0.0  # keeps NaN, so validate sees it
         return cls(n, r[keep].copy(), c[keep].copy(), v[keep].copy())
 
     def to_dense(self) -> np.ndarray:
@@ -290,6 +290,8 @@ def validate(problem: ConicSdpProblem) -> list[str]:
         diags.append(
             f"cost: free part has length {problem.cost_free.shape}, expected {st.free_dim}"
         )
+    if not np.all(np.isfinite(problem.cost_free)):
+        diags.append("cost: free part has non-finite entries")
 
     for i, con in enumerate(problem.constraints):
         if len(con.blocks) != st.num_blocks:
@@ -310,6 +312,8 @@ def validate(problem: ConicSdpProblem) -> list[str]:
             diags.append(
                 f"constraint {i}: free part length {con.free.shape}, expected {st.free_dim}"
             )
+        if not np.all(np.isfinite(con.free)):
+            diags.append(f"constraint {i}: free part has non-finite entries")
         if not np.isfinite(con.rhs):
             diags.append(f"constraint {i}: non-finite right-hand side")
 

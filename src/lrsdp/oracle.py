@@ -1,9 +1,9 @@
 """Independent ground-truth solvers for desk-scale problems.
 
 ``oracle_solve`` is a dense primal-dual path-following interior-point method
-(Mehrotra predictor-corrector, HKM direction) on the equality-form problem:
-the inequality slacks and their duals are a vector pair (SDPT3's linear block:
-ratio-test steps, w/z on the Schur diagonal), and free variables are
+(Mehrotra predictor-corrector, HKM direction) on the problem's dense view as
+posed: the inequality slacks and their duals are a vector pair (SDPT3's linear
+block: ratio-test steps, w/z on the Schur diagonal), and free variables are
 eliminated directly from the Schur system.  Residuals, objective and search
 directions go through the ``DenseProblem`` operator the solver and certifier
 use.  It anchors every derived test value in the suite, so it is deliberately
@@ -82,22 +82,17 @@ def _ratio_step(q: np.ndarray) -> float:
     return np.inf if q_min >= -1e-14 else -1.0 / q_min
 
 
-def _equality_form(dp: DenseProblem) -> tuple[DenseProblem, np.ndarray]:
-    """The view with every row an equality, and the rows of the slack vector
-    w >= 0 (SDPT3's linear block): slack k enters the k-th inequality row,
-    rows[k], with -1, so A_i(X) + a_i.x - w_k = b_i.  Empty with no inequality."""
-    return replace(dp, eq_mask=np.ones(dp.m, dtype=bool)), np.flatnonzero(dp.ineq_mask)
-
-
-def _ipm(dp: DenseProblem, rows: np.ndarray, tol: float, max_iter: int):
-    """Path-following solve of an equality-form view and its slack rows
-    (``_equality_form``): PSD blocks X_j with duals S_j, slacks w >= 0 with
-    duals z = lambda[rows] at the dual solution."""
+def _ipm(dp: DenseProblem, tol: float, max_iter: int):
+    """Path-following solve of the view: PSD blocks X_j with duals S_j, and a
+    slack vector w >= 0 (SDPT3's linear block) whose k-th entry enters the k-th
+    inequality row, rows[k], with -1, so A_i(X) + a_i.x - w_k = b_i; its duals
+    are z = lambda[rows] at the dual solution.  w is empty with no inequality."""
+    rows = np.flatnonzero(dp.ineq_mask)
     N = float(sum(dp.sizes) + rows.size)
     if N == 0:
         raise NoPsdBlockError("interior-point solve needs a PSD block or an inequality row")
     m, d = dp.m, dp.d
-    scale_b = 1.0 + float(np.linalg.norm(dp.b, np.inf)) if m else 1.0
+    scale_b = 1.0 + float(np.max(np.abs(dp.b), initial=0.0))
     scale_c = 1.0 + max(
         [float(np.linalg.norm(c)) for c in dp.C] + [float(np.linalg.norm(dp.c_free))]
     )
@@ -128,7 +123,7 @@ def _ipm(dp: DenseProblem, rows: np.ndarray, tol: float, max_iter: int):
         pinf = float(np.linalg.norm(r_p, np.inf)) / scale_b
         dinf = max(
             [float(np.linalg.norm(rd, np.inf)) for rd in R_d]
-            + [float(np.max(np.abs(r_z), initial=0.0)), float(np.linalg.norm(r_f, np.inf)) if d else 0.0]
+            + [float(np.max(np.abs(r_z), initial=0.0)), float(np.max(np.abs(r_f), initial=0.0))]
         ) / scale_c
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         # |relgap|: an S that lost PSD can make <X, S> negative
@@ -174,12 +169,15 @@ def _ipm(dp: DenseProblem, rows: np.ndarray, tol: float, max_iter: int):
             y += sla.cho_solve(cfM, rhs - M @ y)
             return y
 
+        # free-variable elimination, once per iterate: Y2 = M^-1 A_f and A_f^T Y2
+        if d:
+            Y2 = np.column_stack([msolve(dp.Af[:, t]) for t in range(d)])
+            small = dp.Af.T @ Y2
+
         def solve_kkt(h: np.ndarray, rf: np.ndarray):
             if d == 0:
                 return msolve(h), np.zeros(0)
             y1 = msolve(h)
-            Y2 = np.column_stack([msolve(dp.Af[:, t]) for t in range(d)])
-            small = dp.Af.T @ Y2
             dx = np.linalg.solve(small, dp.Af.T @ y1 - rf)
             return y1 - Y2 @ dx, dx
 
@@ -220,8 +218,7 @@ def _ipm(dp: DenseProblem, rows: np.ndarray, tol: float, max_iter: int):
         S = [_sym(s_ + ad * ds_) for s_, ds_ in zip(S, dS)]
         w, z = w + ap * dw, z + ad * dz
         lam = lam + ad * dlam
-        if d:
-            x = x + ap * dx
+        x = x + ap * dx
 
     raise MaxIterationsError(
         f"stalled after {it} iterations (best residual measure {best_measure:.3e})"
@@ -239,9 +236,10 @@ def _min_violation(dp: DenseProblem, active) -> float:
     |r_i| <= t on the forced rows (``active`` and every equality) and
     r_i >= -t on the other inequality rows, r = A(X) + a.x - b.
 
-    The view adds a 1x1 block for t and holds every row as an inequality, a
-    forced row twice with its negation right after it.  Strictly feasible on
-    both sides: X = I, x = 0 and a large t; lambda = 0 thanks to eps * I.
+    ``_ipm`` solves a view that adds a 1x1 block for t and holds every row as
+    an inequality with its slack, a forced row twice with its negation right
+    after it.  Strictly feasible on both sides: X = I, x = 0 and a large t;
+    lambda = 0 thanks to eps * I.
     """
     forced = dp.eq_mask.copy()
     forced[list(active)] = True
@@ -265,7 +263,7 @@ def _min_violation(dp: DenseProblem, active) -> float:
         b=signed(dp.b),
         eq_mask=np.zeros(rows.size, dtype=bool),
     )
-    X = _ipm(*_equality_form(phase), 1e-8, 200)[0]
+    X = _ipm(phase, 1e-8, 200)[0]
     return float(X[len(dp.sizes)][0, 0])
 
 
@@ -279,7 +277,7 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
     """
     dp = densify(problem)
     try:
-        X, lam, _, x, it, pobj, dobj = _ipm(*_equality_form(dp), tol, max_iter)
+        X, lam, _, x, it, pobj, dobj = _ipm(dp, tol, max_iter)
     except (MaxIterationsError, np.linalg.LinAlgError) as exc:
         try:
             t = _min_violation(dp, ())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lrsdp.certification import (
+    LicqResult,
     Multipliers,
     active_set,
     certify,
@@ -310,6 +311,38 @@ class TestLicq:
             built = build_sensing_psd(6, 2, 5, seed)
             res = licq_check(densify(built.problem), built.planted_point)
             assert res.holds
+
+    def test_no_active_row_holds_with_rank_zero(self):
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        prob = make_problem((2,), 1, 0, [np.eye(2)], [], [([e11], [], 1.0, "I")])
+        y = FactorizedPoint((np.array([[np.sqrt(2.0)], [0.0]]),), (), np.zeros(0))
+        assert licq_check(densify(prob), y) == LicqResult(True, 0, 0)
+        mult = estimate_multipliers(densify(prob), y)
+        # no active row: lambda = 0 and the residual is the cost gradient 2 C Y
+        np.testing.assert_array_equal(mult.values, [0.0])
+        assert mult.residual == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-14)
+
+
+class TestBlockLayout:
+    def test_point_missing_its_tail_block_raises(self):
+        # one factor and no tail on a problem with a tail block: every entry
+        # point rejects the short block list instead of reading the tail as zero
+        dp = densify(generate_random(BlockStructure((3, 2), 1, 0), 3, "EEE", 1))
+        point = FactorizedPoint((np.random.default_rng(0).standard_normal((3, 2)),), (), np.zeros(0))
+        lam = np.zeros(dp.m)
+        mult = Multipliers(lam, "FromSolver")
+        calls = {
+            "al_value_grad": lambda: al_value_grad(dp, point, lam, 1.0),
+            "active_set": lambda: active_set(dp, point),
+            "kkt_residuals": lambda: kkt_residuals(dp, point, mult),
+            "certify": lambda: certify(dp, point, [mult]),
+            "estimate_multipliers": lambda: estimate_multipliers(dp, point),
+            "licq_check": lambda: licq_check(dp, point),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError):
+                call()
+                pytest.fail(f"{name} accepted a point without its tail block")
 
 
 class TestStaircase:

@@ -260,6 +260,25 @@ class TestFlagValidation:
             pytest.param(["experiment", "licq", "--n", "4", "--p", "2", "--trials", "1", "--oracle"],
                          "error: --oracle applies to genericity only, not licq",
                          id="licq-oracle"),
+            # the solver flags act on genericity only; a default value counts as given
+            pytest.param(["experiment", "adversarial", "--n", "4", "--p", "2", "--trials", "1", "--tol", "1e-8"],
+                         "error: --tol applies to genericity only, not adversarial",
+                         id="adversarial-tol-default"),
+            pytest.param(["experiment", "adversarial", "--n", "4", "--p", "2", "--trials", "1", "--max-outer", "5"],
+                         "error: --max-outer applies to genericity only, not adversarial",
+                         id="adversarial-max-outer"),
+            pytest.param(["experiment", "adversarial", "--n", "4", "--p", "2", "--trials", "1", "--restarts", "3"],
+                         "error: --restarts applies to genericity only, not adversarial",
+                         id="adversarial-restarts-default"),
+            pytest.param(["experiment", "licq", "--n", "4", "--p", "2", "--trials", "1", "--tol", "1e-6"],
+                         "error: --tol applies to genericity only, not licq",
+                         id="licq-tol"),
+            pytest.param(["experiment", "licq", "--n", "4", "--p", "2", "--trials", "1", "--max-outer", "50"],
+                         "error: --max-outer applies to genericity only, not licq",
+                         id="licq-max-outer-default"),
+            pytest.param(["experiment", "licq", "--n", "4", "--p", "2", "--trials", "1", "--restarts", "0"],
+                         "error: --restarts applies to genericity only, not licq",
+                         id="licq-restarts"),
             pytest.param(["bound", "{path}", "--ranks", ""],
                          "error: --ranks sets tail rank ranges, and this problem has no tail block",
                          id="bound-empty-ranks-without-tails"),
@@ -309,6 +328,33 @@ class TestFlagValidation:
         assert code == 1
         assert out == ""
         assert err.splitlines()[-1] == last_line.format(**files)
+
+    # min <I, X> (+ x) s.t. X_11 (+ x) = 1 over 2x2 PSD (and one free variable)
+    PLAIN = "1\n1 0 1\n2\nE\n{b}\n0 1 1 1 {c11}\n0 1 2 2 1\n1 1 1 1 1\n1 1 2 2 {a22}\n"
+    FREE = "1\n1 1 1\n2\nE\n1\n0 0 1 0 {c_free}\n0 1 1 1 1\n0 1 2 2 1\n1 0 1 0 {a_free}\n1 1 1 1 1\n"
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            pytest.param(PLAIN.format(b=1, c11="nan", a22=0), "error: cost: block 0 has non-finite entries",
+                         id="cost-block-nan"),
+            pytest.param(PLAIN.format(b=1, c11=1, a22="nan"), "error: constraint 0: block 0 has non-finite entries",
+                         id="row-block-nan"),
+            pytest.param(PLAIN.format(b="inf", c11=1, a22=0), "error: constraint 0: non-finite right-hand side",
+                         id="rhs-inf"),
+            pytest.param(FREE.format(c_free="nan", a_free=1), "error: cost: free part has non-finite entries",
+                         id="cost-free-nan"),
+            pytest.param(FREE.format(c_free=1, a_free="inf"), "error: constraint 0: free part has non-finite entries",
+                         id="row-free-inf"),
+            pytest.param("2\n1 0 1\n2\nIE\n1 1\n0 1 1 1 1\n1 1 1 1 1\n2 1 2 2 1\n",
+                         "error: constraint 1: equality listed after an inequality", id="equality-after-inequality"),
+        ],
+    )
+    def test_invalid_problem_exits_one_with_error_line(self, tmp_path, text, line):
+        path = os.path.join(tmp_path, "bad.sdp")
+        Path(path).write_text(text)
+        code, out, err = run_cli(["solve", path])
+        assert (code, out, err.splitlines()) == (1, "", [line])
 
     @pytest.mark.parametrize(
         "factor_rows,tail_rows",

@@ -56,6 +56,17 @@ def test_validate_flags_inequality_before_equality():
     assert any("equality listed after an inequality" in d for d in diags)
 
 
+def test_validate_flags_non_finite_entries_of_dense_input():
+    e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    bad_row = make_problem((2,), 1, 1, [np.eye(2)], [0.0], [([np.diag([1.0, np.nan])], [np.inf], 1.0, "E")])
+    assert validate(bad_row) == [
+        "constraint 0: block 0 has non-finite entries",
+        "constraint 0: free part has non-finite entries",
+    ]
+    bad_cost = make_problem((2,), 1, 1, [np.eye(2)], [np.nan], [([e11], [1.0], 1.0, "E")])
+    assert validate(bad_cost) == ["cost: free part has non-finite entries"]
+
+
 def test_normalized_constructor_reorders():
     rowI = Constraint(
         (CooSymmetric.from_dense(np.eye(2)),), np.zeros(0), 0.0, ConstraintKind.INEQUALITY

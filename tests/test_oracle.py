@@ -160,29 +160,28 @@ class TestEqualityForm:
         assert set(orders) == {(0, 0)}
 
     def test_slack_vector_on_inequality_rows(self):
-        from lrsdp.oracle import _equality_form, _ipm
+        from lrsdp.oracle import _ipm
 
         prob = generate_random(BlockStructure((4, 3), 2, 2), 6, "EIEIIE", 3)
         dp = densify(prob)
-        eqf, rows = _equality_form(dp)
-        assert eqf.eq_mask.all() and eqf.m == dp.m
-        assert eqf.sizes == dp.sizes and eqf.A is dp.A and eqf.b is dp.b
-        np.testing.assert_array_equal(rows, np.flatnonzero(dp.ineq_mask))
+        rows = np.flatnonzero(dp.ineq_mask)
 
         # slack k enters row rows[k] with -1: A(X) + a.x - w = b at the solve
-        X, lam, w, x = _ipm(eqf, rows, 1e-9, 100)[:4]
+        X, lam, w, x = _ipm(dp, 1e-9, 100)[:4]
+        assert w.shape == rows.shape
         r = dp.apply(X, x) - dp.b
         np.testing.assert_allclose(r[rows], w, atol=1e-7)
         np.testing.assert_allclose(r[dp.eq_mask], 0.0, atol=1e-7)
         assert w.min() >= 0.0 and lam[rows].min() >= -1e-9
 
     def test_equality_only_view_unchanged(self):
-        from lrsdp.oracle import _equality_form
+        from lrsdp.oracle import _ipm
 
+        # the view is solved as posed, with an empty slack vector
         dp = densify(generate_random(BlockStructure((4,), 1, 0), 3, "EEE", 1))
-        eqf, rows = _equality_form(dp)
-        assert rows.shape == (0,)
-        assert eqf.eq_mask.all() and eqf.sizes == dp.sizes and eqf.A is dp.A and eqf.b is dp.b
+        X, lam, w, x = _ipm(dp, 1e-9, 100)[:4]
+        assert w.shape == (0,) and lam.shape == (3,)
+        np.testing.assert_allclose(dp.apply(X, x), dp.b, atol=1e-7)
 
     def test_ratio_step_matches_diagonal_block(self):
         from lrsdp.oracle import _inv_sqrt, _max_step, _ratio_step
