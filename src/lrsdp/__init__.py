@@ -24,12 +24,11 @@ from .factorization import (
     FactorizedPoint,
     NotPsdError,
     RankBoundReport,
-    RankTooSmallError,
     append_column,
-    factor,
     initial_rank_bound,
     m_prime_conic,
     m_prime_inequality,
+    psd_factor,
     triangular,
 )
 from .dense import DenseProblem, densify

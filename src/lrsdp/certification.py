@@ -106,7 +106,7 @@ class Certificate:
 
     @property
     def slack_min_eig(self) -> float:
-        return min(float(s[0]) for s in self.slack_spectrum) if self.slack_spectrum else 0.0
+        return min((float(s[0]) for s in self.slack_spectrum), default=0.0)
 
 
 @dataclass(frozen=True, eq=False)

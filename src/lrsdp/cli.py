@@ -31,15 +31,14 @@ from .dense import densify
 from .factorization import (
     FactorizedPoint,
     NotPsdError,
-    factor,
     m_prime_conic,
     m_prime_inequality,
+    psd_factor,
     single_factor_block,
 )
 from .model import (
     BlockStructure,
     ConicSdpProblem,
-    PrimalPoint,
     ProblemFormatError,
     SymmetricMatrix,
     read_problem,
@@ -177,19 +176,20 @@ def read_point(text: str) -> FactorizedPoint:
             raise ValueError(
                 f"point section header {lines[pos - 1]!r} needs {header_fields[toks[0]]} fields"
             )
+        if not all(t.isdecimal() for t in toks[1:]):
+            raise ValueError(f"point section header {lines[pos - 1]!r} needs nonnegative integer sizes")
+        sizes = [int(t) for t in toks[1:]]
         if toks[0] == "factor":
-            n, p = int(toks[1]), int(toks[2])
-            factors.append(take_rows(n, p))
+            factors.append(take_rows(*sizes))
         elif toks[0] == "tail":
-            n = int(toks[1])
-            tail = take_rows(n, n)
+            tail = take_rows(sizes[0], sizes[0])
             if not np.array_equal(tail, tail.T):
                 raise ValueError(f"tail block {len(tails)} is not symmetric")
             tails.append(SymmetricMatrix.from_dense(tail))
         else:
             if free is not None:
                 raise ValueError("point file has a second free section")
-            free = take_rows(1, int(toks[1]))[0]
+            free = take_rows(1, sizes[0])[0]
     return FactorizedPoint(tuple(factors), tuple(tails), np.zeros(0) if free is None else free)
 
 
@@ -327,10 +327,11 @@ def cmd_certify(args) -> int:
             raise UsageError(f"tail block {j} has dim {sm.dim}, expected {st.psd_sizes[k + j]}")
     if point.free.shape != (st.free_dim,):
         raise UsageError("free part length mismatch")
-    try:
-        factor(PrimalPoint(point.tail_blocks, point.free), [sm.dim for sm in point.tail_blocks])
-    except NotPsdError as exc:
-        raise UsageError(f"tail {exc}") from exc
+    for j, sm in enumerate(point.tail_blocks):
+        try:
+            psd_factor(sm.to_dense())
+        except NotPsdError as exc:
+            raise UsageError(f"tail block {j}: {exc}") from exc
 
     dp = densify(problem)
     licq = licq_check(dp, point)

@@ -19,7 +19,6 @@ from . import oracle
 from .model import (
     BlockStructure,
     ConicSdpProblem,
-    PrimalPoint,
     SymmetricMatrix,
     packed_index,
     packed_size,
@@ -29,9 +28,8 @@ __all__ = [
     "FactorizedPoint",
     "RankBoundReport",
     "NotPsdError",
-    "RankTooSmallError",
     "triangular",
-    "factor",
+    "psd_factor",
     "m_prime_inequality",
     "m_prime_conic",
     "append_column",
@@ -40,13 +38,10 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-9  # relative threshold for numerical ranks throughout
+PSD_TOL = 1e-9  # relative floor below which an eigenvalue makes a block not PSD
 
 
 class NotPsdError(ValueError):
-    pass
-
-
-class RankTooSmallError(ValueError):
     pass
 
 
@@ -77,42 +72,21 @@ class RankBoundReport:
     method: str  # ExactEnumeration | RankUpperBound | ConicFormula
 
 
-def factor(point: PrimalPoint, p: list[int], psd_tol: float = 1e-9) -> FactorizedPoint:
-    """Factor the first len(p) blocks of a PSD point at the requested ranks.
+def psd_factor(a: np.ndarray) -> np.ndarray:
+    """Full-rank factor Y with Y Y^T = a for a PSD matrix a.
 
-    Uses symmetric eigendecomposition: eigenvalues down to -psd_tol * max(1,
+    Uses symmetric eigendecomposition: eigenvalues down to -PSD_TOL * max(1,
     lambda_max) are clamped to zero, and one below raises NotPsdError.  Columns
-    beyond the numerical rank are zero.  Raises RankTooSmallError when p_j is
-    below the numerical rank of block j.
+    run in descending eigenvalue order and are zero beyond the numerical rank.
     """
-    k = len(p)
-    if k > len(point.psd_blocks):
-        raise ValueError("more ranks than PSD blocks")
-    factors = []
-    for j in range(k):
-        a = point.psd_blocks[j].to_dense()
-        n = a.shape[0]
-        w, v = np.linalg.eigh(a)
-        scale = max(1.0, float(w[-1]))
-        if w[0] < -psd_tol * scale:
-            raise NotPsdError(f"block {j}: eigenvalue {w[0]:.3e} below -{psd_tol:.0e}")
-        # descending order, as the numerical-rank rule reads it
-        w = np.clip(w, 0.0, None)[::-1]
-        rank = _rank_from_singular_values(w)
-        if p[j] < rank:
-            raise RankTooSmallError(f"block {j}: numerical rank {rank} exceeds p = {p[j]}")
-        # keep the p leading eigenpairs, zero beyond the rank
-        w = w[: p[j]]
-        v = v[:, ::-1][:, : p[j]]
-        w[rank:] = 0.0
-        y = np.zeros((n, p[j]))
-        y[:, : v.shape[1]] = v * np.sqrt(w)
-        factors.append(y)
-    return FactorizedPoint(
-        factors=tuple(factors),
-        tail_blocks=tuple(point.psd_blocks[k:]),
-        free=np.array(point.free, dtype=float),
-    )
+    w, v = np.linalg.eigh(a)
+    scale = max(1.0, float(w[-1]))
+    if w[0] < -PSD_TOL * scale:
+        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{PSD_TOL:.0e}")
+    # descending order, as the numerical-rank rule reads it
+    w = np.clip(w, 0.0, None)[::-1]
+    w[_rank_from_singular_values(w):] = 0.0
+    return v[:, ::-1] * np.sqrt(w)
 
 
 def append_column(point: FactorizedPoint, block: int, v: np.ndarray, alpha: float) -> FactorizedPoint:

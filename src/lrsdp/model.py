@@ -445,8 +445,11 @@ def read_problem(text: str) -> ConicSdpProblem:
         fv.setflags(write=False)
 
     cost_blocks = []
-    for coo in blocks[0]:
-        packed = np.zeros(packed_size(coo.dim))
+    for blk, coo in enumerate(blocks[0], start=1):
+        try:
+            packed = np.zeros(packed_size(coo.dim))
+        except (ValueError, MemoryError):
+            raise ProblemFormatError(f"block {blk} of size {coo.dim} is too large to store", lines[2][0])
         packed[packed_index(coo.dim, coo.rows, coo.cols)] += coo.vals
         packed.setflags(write=False)
         cost_blocks.append(SymmetricMatrix(coo.dim, packed))

@@ -41,8 +41,8 @@ import numpy as np
 
 # densify is unused here; it stays importable for tools that wrap solver.densify
 from .dense import DenseProblem, densify  # noqa: F401
-from .factorization import FactorizedPoint, factor
-from .model import PrimalPoint, SymmetricMatrix
+from .factorization import FactorizedPoint, psd_factor
+from .model import SymmetricMatrix
 
 __all__ = [
     "SolverConfig",
@@ -113,8 +113,8 @@ def kkt_scales(dp: DenseProblem, lam) -> tuple[float, float, float]:
     """
     norm_c = max([float(np.linalg.norm(c)) for c in dp.C] + [0.0])
     norm_c += float(np.linalg.norm(dp.c_free))
-    lam_scale = float(np.max(np.abs(lam))) if np.size(lam) else 0.0
-    b_scale = float(np.max(np.abs(dp.b))) if dp.m else 0.0
+    lam_scale = float(np.max(np.abs(lam), initial=0.0))
+    b_scale = float(np.max(np.abs(dp.b), initial=0.0))
     return 1.0 + norm_c + lam_scale, 1.0 + b_scale, 1.0 + lam_scale
 
 
@@ -131,13 +131,7 @@ def _lifted_blocks(point: FactorizedPoint) -> list[np.ndarray]:
 def _internal_factors(point: FactorizedPoint) -> list[np.ndarray]:
     """Factor matrices for every block: given factors plus full-rank tails."""
     ys = [np.asarray(y, dtype=float) for y in point.factors]
-    if point.tail_blocks:
-        tail = factor(
-            PrimalPoint(tuple(point.tail_blocks), np.zeros(0)),
-            [sm.dim for sm in point.tail_blocks],
-        )
-        ys.extend(tail.factors)
-    return ys
+    return ys + [psd_factor(t.to_dense()) for t in point.tail_blocks]
 
 
 # the probe settles when lambda_min(H) >= -CURV_FLOOR * max(1, lambda_max(H))
@@ -462,7 +456,7 @@ def al_value_grad(dp: DenseProblem, point: FactorizedPoint, lam, rho: float):
 
 def _initial_z(work: _Work, rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
     # i.i.d. normal factors scaled so lifted diagonals start near the rhs scale
-    theta = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+    theta = max(1.0, float(np.max(np.abs(b), initial=0.0)))
     ys = [rng.standard_normal((n, q)) * np.sqrt(theta / q) for n, q in work.shapes]
     return work.pack(ys, np.zeros(work.dp.d))
 

@@ -18,7 +18,7 @@ from lrsdp.certification import (
     staircase_solve,
 )
 from lrsdp.dense import densify
-from lrsdp.factorization import FactorizedPoint, append_column, factor
+from lrsdp.factorization import FactorizedPoint, append_column, psd_factor
 from lrsdp.model import BlockStructure
 from lrsdp.solver import SolverConfig, al_solve, al_value_grad
 from lrsdp.apps import (
@@ -54,7 +54,7 @@ class TestActiveSet:
     def test_iqm_matches_oracle_complementarity(self):
         built = build_integer_quadratic(iqm_cost(1.0, -0.8, 0.16))
         sol = oracle_solve(built.problem)
-        pt = factor(sol.X, [2], psd_tol=1e-6)
+        pt = FactorizedPoint((psd_factor(sol.X.psd_blocks[0].to_dense())[:, :2],), (), sol.X.free)
         act = active_set(densify(built.problem), pt)
         # indices with strictly positive multiplier must be active
         for i in np.flatnonzero(sol.lam > 1e-6):

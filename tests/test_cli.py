@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lrsdp
 from lrsdp.apps import (
     adversarial_instance,
     build_integer_quadratic,
@@ -18,7 +21,7 @@ from lrsdp.apps import (
 from lrsdp.certification import certify, estimate_multipliers
 from lrsdp.cli import main, read_point, write_point
 from lrsdp.dense import densify
-from lrsdp.factorization import FactorizedPoint, factor
+from lrsdp.factorization import FactorizedPoint, psd_factor
 from lrsdp.model import BlockStructure, SymmetricMatrix, read_problem, write_problem
 from lrsdp.oracle import oracle_solve
 
@@ -87,6 +90,15 @@ class TestSolveCommand:
         report = json.loads(out)
         assert report["final"]["verdict"] == "GlobalOptimal"
         assert report["final"]["objective"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_out_file_holds_the_module_entry_stdout(self, trivial_file, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(lrsdp.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-m", "lrsdp.cli", "solve", trivial_file],
+                             capture_output=True, env=env, timeout=120)
+        assert (run.returncode, run.stderr) == (0, b"")
+        out_path = os.path.join(tmp_path, "report.json")
+        assert run_cli(["solve", trivial_file, "--out", out_path]) == (0, "", "")
+        assert Path(out_path).read_bytes() == run.stdout
 
     def test_report_schema(self, trivial_file):
         if jsonschema is None:
@@ -403,7 +415,7 @@ class TestCertifyCommand:
         sol = oracle_solve(prob)
         w = np.linalg.eigvalsh(sol.X.psd_blocks[0].to_dense())
         nrank = int(np.sum(w > 1e-7 * w[-1]))
-        pt = factor(sol.X, [nrank], psd_tol=1e-6)
+        pt = FactorizedPoint((psd_factor(sol.X.psd_blocks[0].to_dense())[:, :nrank],), (), sol.X.free)
         ppath = os.path.join(tmp_path, "gen.sdp")
         Path(ppath).write_text(write_problem(prob))
         tpath = os.path.join(tmp_path, "gen.point")
@@ -446,13 +458,58 @@ class TestCertifyCommand:
         code, _, err = run_cli(["certify", trivial_file, tpath])
         assert code == 1 and "factor 0" in err
 
-    @pytest.mark.parametrize("header", ["factor 2", "factor 2 1 1", "tail", "free 1 2"])
-    def test_malformed_section_header_exit_one(self, tmp_path, trivial_file, header):
+    @pytest.mark.parametrize(
+        "header,needs",
+        [
+            pytest.param(header, needs, id=header)
+            for header, needs in [
+                ("factor 2", "3 fields"),
+                ("factor 2 1 1", "3 fields"),
+                ("tail", "2 fields"),
+                ("free 1 2", "2 fields"),
+                ("factor x 1", "nonnegative integer sizes"),
+                ("factor 2.0 1", "nonnegative integer sizes"),
+                ("tail -2", "nonnegative integer sizes"),
+                ("free -1", "nonnegative integer sizes"),
+                ("factor -1 1", "nonnegative integer sizes"),
+            ]
+        ],
+    )
+    def test_malformed_section_header_exit_one(self, tmp_path, trivial_file, header, needs):
         tpath = os.path.join(tmp_path, "bad.point")
         Path(tpath).write_text(header + "\n1\n0\n")
         code, out, err = run_cli(["certify", trivial_file, tpath])
         assert code == 1 and out == ""
-        assert err.startswith("error: point section header")
+        assert err == f"error: point section header {header!r} needs {needs}\n"
+
+    @pytest.mark.parametrize(
+        "point_text,last_line",
+        [
+            pytest.param("factor 2 1\n1\n", "error: point file ended early", id="ended-early"),
+            pytest.param("factor 2 1\n1 2\n0\n", "error: expected 1 values per row, got 2", id="row-width"),
+            pytest.param("blob 1\n", "error: unknown point section 'blob'", id="unknown-section"),
+            pytest.param("factor 2 1\n1\n0\nfactor 2 1\n1\n0\n",
+                         "error: point block layout does not match the problem", id="block-layout"),
+            pytest.param("factor 2 1\n1\n0\ntail 3\n1 0 0\n0 1 0\n0 0 1\n",
+                         "error: tail block 0 has dim 3, expected 2", id="tail-dim"),
+            pytest.param("factor 2 1\n1\n0\ntail 2\n1 0\n0 1\nfree 1\n0\n",
+                         "error: free part length mismatch", id="free-length"),
+            pytest.param("factor 2 1\n1\n0\ntail 2\n1 0\n0 -1\n",
+                         "error: tail block 0: eigenvalue -1.000e+00 below -1e-09", id="tail-not-psd"),
+        ],
+    )
+    def test_bad_point_exits_one_with_error_line(self, tmp_path, point_text, last_line):
+        # one factorized 2x2 block, one 2x2 tail block, no free part
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        ppath = os.path.join(tmp_path, "two_block.sdp")
+        Path(ppath).write_text(write_problem(make_problem(
+            (2, 2), 1, 0, [np.eye(2), np.eye(2)], [], [([e11, np.zeros((2, 2))], [], 1.0, "E")]
+        )))
+        tpath = os.path.join(tmp_path, "bad.point")
+        Path(tpath).write_text(point_text)
+        code, out, err = run_cli(["certify", ppath, tpath])
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == last_line
 
     def test_point_roundtrip(self):
         rng = np.random.default_rng(0)

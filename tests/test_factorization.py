@@ -8,15 +8,14 @@ from lrsdp.factorization import (
     FactorizedPoint,
     NotPsdError,
     RankBoundReport,
-    RankTooSmallError,
     append_column,
-    factor,
     initial_rank_bound,
     m_prime_conic,
     m_prime_inequality,
+    psd_factor,
     triangular,
 )
-from lrsdp.model import BlockStructure, PrimalPoint, SymmetricMatrix
+from lrsdp.model import BlockStructure
 from lrsdp.oracle import oracle_solve
 from lrsdp.solver import SolverConfig, al_solve
 from lrsdp.apps import build_integer_quadratic, generate_random
@@ -54,32 +53,24 @@ def gram(point: FactorizedPoint, block: int = 0) -> np.ndarray:
 
 class TestLiftFactor:
     def test_factor_unit_matrix(self):
-        x = PrimalPoint((SymmetricMatrix.from_dense(np.diag([1.0, 0.0])),), np.zeros(0))
-        y = factor(x, [1]).factors[0]
-        np.testing.assert_allclose(np.abs(y), [[1.0], [0.0]], atol=1e-14)
-
-    def test_factor_rank_too_small(self):
-        x = PrimalPoint((SymmetricMatrix.from_dense(np.eye(2)),), np.zeros(0))
-        with pytest.raises(RankTooSmallError):
-            factor(x, [1])
+        y = psd_factor(np.diag([1.0, 0.0]))
+        np.testing.assert_allclose(np.abs(y), [[1.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
     def test_factor_rejects_indefinite(self):
-        x = PrimalPoint((SymmetricMatrix.from_dense(np.diag([1.0, -1.0])),), np.zeros(0))
-        with pytest.raises(NotPsdError):
-            factor(x, [2])
+        with pytest.raises(NotPsdError, match=r"^eigenvalue -1\.000e\+00 below -1e-09$"):
+            psd_factor(np.diag([1.0, -1.0]))
 
     def test_factor_roundtrip_rank2(self):
         rng = np.random.default_rng(7)
         for trial in range(10):
             g = rng.standard_normal((6, 2))
             x_mat = g @ g.T
-            x = PrimalPoint((SymmetricMatrix.from_dense(x_mat),), np.zeros(0))
-            y = factor(x, [3])
-            back = gram(y)
-            err = np.linalg.norm(back - x_mat)
+            y = psd_factor(x_mat)
+            assert y.shape == (6, 6) and y.flags.c_contiguous
+            err = np.linalg.norm(y @ y.T - x_mat)
             assert err <= 1e-8 * (1.0 + np.linalg.norm(x_mat))
-            # column beyond the numerical rank is zero
-            assert np.linalg.norm(y.factors[0][:, 2]) == 0.0
+            # columns beyond the numerical rank are zero
+            assert np.linalg.norm(y[:, 2:]) == 0.0
 
 
 class TestAppendColumn:

@@ -1,5 +1,7 @@
 """Problem data model: validation, the constraint map of its dense view, text format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,44 @@ def test_validate_flags_non_finite_entries_of_dense_input():
     ]
     bad_cost = make_problem((2,), 1, 1, [np.eye(2)], [np.nan], [([e11], [1.0], 1.0, "E")])
     assert validate(bad_cost) == ["cost: free part has non-finite entries"]
+
+
+def _with_row(prob, **changes):
+    return replace(prob, constraints=(replace(prob.constraints[0], **changes),))
+
+
+@pytest.mark.parametrize(
+    "edit,diags",
+    [
+        pytest.param(lambda p: replace(p, structure=BlockStructure((0,), 1, 0)), [
+            "structure: PSD block sizes must be positive",
+            "cost: block 0 has dim 2, expected 0",
+            "constraint 0: block 0 has dim 2, expected 0",
+        ], id="zero-block-size"),
+        pytest.param(lambda p: replace(p, structure=BlockStructure((2,), 2, 0)),
+                     ["structure: factorized_count 2 outside [0, 1]"], id="factorized-count"),
+        pytest.param(lambda p: replace(p, structure=BlockStructure((2,), 1, -1)), [
+            "structure: free_dim must be nonnegative",
+            "cost: free part has length (0,), expected -1",
+            "constraint 0: free part length (0,), expected -1",
+        ], id="negative-free-dim"),
+        pytest.param(lambda p: replace(p, cost_blocks=()), ["cost: 0 blocks, structure declares 1"],
+                     id="cost-block-count"),
+        pytest.param(lambda p: replace(p, cost_blocks=(SymmetricMatrix.from_dense(np.eye(3)),)),
+                     ["cost: block 0 has dim 3, expected 2"], id="cost-block-dim"),
+        pytest.param(lambda p: replace(p, cost_free=np.zeros(1)),
+                     ["cost: free part has length (1,), expected 0"], id="cost-free-length"),
+        pytest.param(lambda p: _with_row(p, blocks=()), ["constraint 0: 0 blocks, structure declares 1"],
+                     id="row-block-count"),
+        pytest.param(lambda p: _with_row(p, blocks=(CooSymmetric(2, np.array([1]), np.array([0]), np.array([1.0])),)),
+                     ["constraint 0: block 0 stores lower-triangle entries"], id="row-lower-triangle"),
+        pytest.param(lambda p: _with_row(p, free=np.zeros(1)),
+                     ["constraint 0: free part length (1,), expected 0"], id="row-free-length"),
+    ],
+)
+def test_validate_flags_hand_built_structure(edit, diags):
+    # no file that read_problem accepts gives any of these problems
+    assert validate(edit(trivial_sdp())) == diags
 
 
 def test_normalized_constructor_reorders():
@@ -238,6 +278,48 @@ EEI
         text = self.MINIMAL.replace("\n2\n", "\n2 3\n")
         with pytest.raises(ProblemFormatError, match="inconsistent dimension"):
             read_problem(text)
+
+    @pytest.mark.parametrize(
+        "old,new,line,message",
+        [
+            pytest.param("\n1\n0 1 1 1 1\n0 1 2 2 1\n1 1 1 1 1\n", "\n", None,
+                         "file has fewer than 5 header lines", id="short-header"),
+            pytest.param("1\n1 0 1\n", "x\n1 0 1\n", 1, "could not parse constraint count", id="bad-m"),
+            pytest.param("1\n1 0 1\n", "-1\n1 0 1\n", 1, "negative constraint count", id="negative-m"),
+            pytest.param("\n1 0 1\n", "\n1 0 2\n", 2,
+                         "inconsistent dimension declaration: nblocks=1 d=0 k=2", id="bad-nblocks-d-k"),
+            pytest.param("\n2\n", "\n0\n", 3, "block sizes must be positive", id="zero-block-size"),
+            pytest.param("\n2\n", "\n100000000000000000000\n", 3,
+                         "block 1 of size 100000000000000000000 is too large to store", id="huge-block"),
+            pytest.param("\nE\n", "\nEE\n", 4,
+                         "inconsistent dimension declaration: kind string has length 2, m = 1", id="kind-length"),
+            pytest.param("\nE\n", "\nX\n", 4, "unknown constraint kind 'X'", id="unknown-kind"),
+            pytest.param("\nE\n1\n", "\nE\nz\n", 5, "could not parse right-hand side", id="bad-rhs"),
+            pytest.param("\nE\n1\n", "\nE\n1 2\n", 5,
+                         "inconsistent dimension declaration: 2 rhs values, m = 1", id="rhs-count"),
+            pytest.param("1 1 1 1 1\n", "1 1 1 1\n", 8,
+                         "expected 'con block i j value', got '1 1 1 1'", id="entry-tokens"),
+            pytest.param("1 1 1 1 1\n", "2 1 1 1 1\n", 8, "constraint index 2 outside [0, 1]", id="con-index"),
+            pytest.param("1 1 1 1 1\n", "1 0 1 0 1\n", 8, "free index 1 outside [1, 0]", id="free-index"),
+        ],
+    )
+    def test_reader_diagnostics(self, old, new, line, message):
+        with pytest.raises(ProblemFormatError) as err:
+            read_problem(self.MINIMAL.replace(old, new, 1))
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+    @pytest.mark.parametrize(
+        "text,diags",
+        [
+            pytest.param("0\n0 0 0\n\n\n\n", ["structure: no PSD blocks and free_dim == 0"], id="no-variables"),
+            pytest.param(MINIMAL + "0 1 1 2 nan\n", ["cost: block 0 has non-finite entries"], id="cost-nan"),
+            pytest.param(MINIMAL.replace("\nE\n1\n", "\nE\ninf\n"), ["constraint 0: non-finite right-hand side"],
+                         id="rhs-inf"),
+        ],
+    )
+    def test_validate_flags_parsed_problem(self, text, diags):
+        assert validate(read_problem(text)) == diags
 
     def test_lower_triangle_entry_rejected(self):
         text = self.MINIMAL + "1 1 2 1 5\n"

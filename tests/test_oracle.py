@@ -8,7 +8,7 @@ import scipy.linalg
 
 from lrsdp.certification import Multipliers, certify
 from lrsdp.dense import densify
-from lrsdp.factorization import factor
+from lrsdp.factorization import FactorizedPoint, psd_factor
 from lrsdp.model import (
     BlockStructure,
     ConicSdpProblem,
@@ -69,7 +69,7 @@ class TestInteriorPoint:
             sol = oracle_solve(prob)
             w = np.linalg.eigvalsh(sol.X.psd_blocks[0].to_dense())
             nrank = int(np.sum(w > 1e-7 * w[-1]))
-            pt = factor(sol.X, [nrank], psd_tol=1e-6)
+            pt = FactorizedPoint((psd_factor(sol.X.psd_blocks[0].to_dense())[:, :nrank],), (), sol.X.free)
             dp = densify(prob)
             mult = Multipliers(sol.lam, "FromSolver")
             cert = certify(dp, pt, [mult], cert_tol=1e-4)

@@ -97,6 +97,28 @@ class TestValueGrad:
         with pytest.raises(NumericalFailure), np.errstate(over="ignore"):
             al_value_grad(densify(trivial_sdp()), y, [1e308], 10.0)
 
+    @pytest.mark.parametrize(
+        "kind,factors,rho,error,message",
+        [
+            pytest.param("E", (), 1.0, ValueError, "need 1 factor ranks, got 0", id="factor-count"),
+            pytest.param("I", ([[1.0], [0.0]],), 0.0, NumericalFailure,
+                         "PHR terms need rho > 0 with inequality rows", id="rho-zero-with-inequality"),
+            # X_11 - 1 = 3, so 0.5 rho c^2 overflows
+            pytest.param("E", ([[2.0], [0.0]],), 1e308, NumericalFailure,
+                         "non-finite augmented Lagrangian evaluation", id="non-finite-value"),
+        ],
+    )
+    def test_guards_raise(self, kind, factors, rho, error, message):
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        dp = densify(make_problem((2,), 1, 0, [np.eye(2)], [], [([e11], [], 1.0, kind)]))
+        y = FactorizedPoint(tuple(np.array(f) for f in factors), (), np.zeros(0))
+        with pytest.raises(error, match=f"^{message}$"), np.errstate(over="ignore"):
+            al_value_grad(dp, y, [0.0], rho)
+
+    def test_al_solve_rejects_wrong_rank_count(self):
+        with pytest.raises(ValueError, match="^need 1 factor ranks, got 2$"):
+            al_solve(densify(trivial_sdp()), [1, 1], SolverConfig())
+
 
 def stepped(ev, d, t):
     """_Eval at ev's point moved by t d, at ev's multipliers and penalty."""
