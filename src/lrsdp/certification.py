@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.optimize
 
-from .dense import DenseProblem, densify
+from .dense import CERT_TOL, DenseProblem, densify
 from .factorization import (
     FactorizedPoint,
     RankBoundReport,
@@ -47,12 +47,10 @@ from .solver import (
     _lifted_blocks,
     al_solve,
     al_value_grad,
-    kkt_scales,
 )
 
 __all__ = [
     "CERT_TOL",
-    "ACTIVE_TOL",
     "Multipliers",
     "KktResiduals",
     "Certificate",
@@ -68,11 +66,6 @@ __all__ = [
     "licq_check",
     "staircase_solve",
 ]
-
-# relative tolerance of the certificate's KKT and slack tests (``certify``)
-CERT_TOL = 1e-7
-# an inequality is active when |<A_i, X> - b_i| <= ACTIVE_TOL * (1 + |b_i|)
-ACTIVE_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +147,9 @@ class SolveReport:
 
 
 def active_set(dp: DenseProblem, point: FactorizedPoint) -> frozenset:
-    """Equalities plus the inequalities tight at the point (``ACTIVE_TOL``)."""
+    """Equalities plus the inequalities tight at the point: |<A_i, X> - b_i| <= CERT_TOL * (1 + |b_i|)."""
     c = dp.apply(_lifted_blocks(point), point.free) - dp.b
-    tight = dp.eq_mask | (np.abs(c) <= ACTIVE_TOL * (1.0 + np.abs(dp.b)))
+    tight = dp.eq_mask | (np.abs(c) <= CERT_TOL * (1.0 + np.abs(dp.b)))
     return frozenset(int(i) for i in np.flatnonzero(tight))
 
 
@@ -189,9 +182,7 @@ def estimate_multipliers(dp: DenseProblem, point: FactorizedPoint) -> Multiplier
         lam[i] = sol[col]
     residual = float(np.linalg.norm(r0 - g_cols @ sol))
     # enforce the sign invariant against roundoff from the bounded solver
-    for i in np.flatnonzero(dp.ineq_mask):
-        if lam[i] < 0.0:
-            lam[i] = 0.0 if lam[i] > -1e-10 else lam[i]
+    lam[dp.ineq_mask] = np.maximum(lam[dp.ineq_mask], 0.0)
     return Multipliers(lam, "LeastSquares", residual)
 
 
@@ -256,15 +247,7 @@ def certify(
     primal = dp.objective(X, point.free)
     duality_gap = primal - float(dp.b @ mult.values)
 
-    stat_scale, feas_scale, lam_scale = kkt_scales(dp, mult.values)
-    tols = {
-        "stationarity": cert_tol * stat_scale,
-        "feasibility": cert_tol * feas_scale,
-        "complementarity": cert_tol * lam_scale * feas_scale,
-        "sign": cert_tol,
-        "free": cert_tol * stat_scale,
-        "slack": cert_tol,
-    }
+    tols = dp.tolerances(mult.values, cert_tol)
 
     residuals_ok = (
         kkt.stationarity <= tols["stationarity"]
@@ -355,7 +338,7 @@ def staircase_solve(
     Every stage ends in exactly one outcome, recorded by one ``StageRecord``:
     ``certified`` on GlobalOptimal; ``rank-increment`` when some blocks can
     grow by one column; else ``restart`` while the restart budget
-    (``SolverConfig.restarts``, the only budget) lasts; else ``stop``.  The
+    (``SolverConfig.restarts`` per rank) lasts; else ``stop``.  The
     blocks to grow are the escape block of an Escapable certificate, whose
     slack eigenvector is appended as a column with a line search on its scale
     and warm-starts the next stage, and, after a local solve raises
@@ -364,7 +347,10 @@ def staircase_solve(
     rank bound the rank-p matrices can miss the feasible set altogether; when
     no block can grow the error propagates.  A rank increment resets the
     restart budget, and a stage that passes no warm start to the next one
-    advances the seed.
+    advances the seed.  The loop ends only through these budgets: from the
+    starting ranks p_j there are at most sum_j (n_j - p_j) rank increments and
+    at most ``restarts`` restarts per rank, so at most
+    (sum_j (n_j - p_j) + 1) * (restarts + 1) stages.
     """
     t0 = time.perf_counter()
     sizes = problem.structure.psd_sizes
@@ -377,13 +363,11 @@ def staircase_solve(
     warm = None
     cur_seed = config.seed
     restarts_left = config.restarts
-    state = None
-    cert = None
 
     def growable(j):
         return j < len(cur_ranks) and cur_ranks[j] < sizes[j]
 
-    for _ in range(100):
+    while True:
         ranks_at_solve, seed = tuple(cur_ranks), cur_seed
         warm_in, warm = warm, None  # only an escape column sets the next warm start
         try:
@@ -434,8 +418,6 @@ def staircase_solve(
         if action in ("certified", "stop"):
             break
 
-    if state is None or cert is None:
-        raise InfeasibleError("no rank admitted a feasible point")
     final_verdict = cert.verdict if cert.verdict == "GlobalOptimal" else "Indeterminate"
     return SolveReport(
         seed=config.seed,

@@ -153,6 +153,7 @@ def read_point(text: str) -> FactorizedPoint:
 
     def take_rows(count, width):
         nonlocal pos
+        header = lines[pos - 1]  # take_rows runs right after its section header
         rows = []
         # a zero-width row is written blank, and blank lines were dropped
         for _ in range(count if width else 0):
@@ -165,7 +166,10 @@ def read_point(text: str) -> FactorizedPoint:
                 raise ValueError(f"non-finite value in point file line {lines[pos]!r}")
             rows.append(vals)
             pos += 1
-        return np.array(rows).reshape(count, width)
+        try:
+            return np.array(rows).reshape(count, width)
+        except ValueError:
+            raise ValueError(f"point section header {header!r} is too large to store") from None
 
     while pos < len(lines):
         toks = lines[pos].split()

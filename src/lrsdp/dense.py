@@ -7,6 +7,8 @@ arrays.  ``DenseProblem`` is that one conversion, and its ``apply``,
 solver, the certifier and the interior-point oracle evaluate A(X),
 A*(lambda) and C - A*(lambda) through the same view, with one entry per PSD
 block in every block list (another length raises ``ValueError``).
+``tolerances`` is the one tolerance policy, read by the local solve's stop,
+the certificate and the oracle's phase-I rule.
 
 Callers build the view and pass it down.  Only these build one:
 ``staircase_solve`` once per solve, for every local solve, certificate check
@@ -22,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BlockStructure, ConicSdpProblem, ConstraintKind
+
+CERT_TOL = 1e-7  # relative tolerance of certify, active_set and the phase-I rule _feasible
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +89,20 @@ class DenseProblem:
         if self.d:
             parts.append(self.Af[sel])
         return np.hstack(parts) if parts else np.zeros((r, 0))
+
+    def tolerances(self, lam, rel: float) -> dict:
+        """Absolute KKT and slack tolerances at multipliers `lam`: `rel` times SDPT3's scales,
+        1 + ||C|| + ||lam||_inf for stationarity and free (||C|| the largest cost-block
+        Frobenius norm plus ||c_free||), 1 + ||b||_inf for feasibility, and
+        (1 + ||lam||_inf)(1 + ||b||_inf) for complementarity."""
+        norm_c = max([float(np.linalg.norm(c)) for c in self.C] + [0.0])
+        norm_c += float(np.linalg.norm(self.c_free))
+        lam_scale = float(np.max(np.abs(lam), initial=0.0))
+        b_scale = float(np.max(np.abs(self.b), initial=0.0))
+        stat = rel * (1.0 + norm_c + lam_scale)
+        return {"stationarity": stat, "feasibility": rel * (1.0 + b_scale),
+                "complementarity": rel * (1.0 + lam_scale) * (1.0 + b_scale),
+                "sign": rel, "free": stat, "slack": rel}
 
     def objective(self, blocks: list[np.ndarray], x: np.ndarray) -> float:
         val = sum(float(np.vdot(c, xb)) for c, xb in zip(self.C, blocks, strict=True))

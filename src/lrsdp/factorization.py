@@ -37,8 +37,7 @@ __all__ = [
     "initial_rank_bound",
 ]
 
-RANK_TOL = 1e-9  # relative threshold for numerical ranks throughout
-PSD_TOL = 1e-9  # relative floor below which an eigenvalue makes a block not PSD
+RANK_TOL = 1e-9  # relative threshold for numerical ranks, and psd_factor's PSD floor
 
 
 class NotPsdError(ValueError):
@@ -75,14 +74,14 @@ class RankBoundReport:
 def psd_factor(a: np.ndarray) -> np.ndarray:
     """Full-rank factor Y with Y Y^T = a for a PSD matrix a.
 
-    Uses symmetric eigendecomposition: eigenvalues down to -PSD_TOL * max(1,
+    Uses symmetric eigendecomposition: eigenvalues down to -RANK_TOL * max(1,
     lambda_max) are clamped to zero, and one below raises NotPsdError.  Columns
     run in descending eigenvalue order and are zero beyond the numerical rank.
     """
     w, v = np.linalg.eigh(a)
     scale = max(1.0, float(w[-1]))
-    if w[0] < -PSD_TOL * scale:
-        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{PSD_TOL:.0e}")
+    if w[0] < -RANK_TOL * scale:
+        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{RANK_TOL:.0e}")
     # descending order, as the numerical-rank rule reads it
     w = np.clip(w, 0.0, None)[::-1]
     w[_rank_from_singular_values(w):] = 0.0

@@ -407,7 +407,10 @@ def read_problem(text: str) -> ConicSdpProblem:
 
     # entry lists: cost and one slot per constraint
     block_entries = [[[] for _ in range(nblocks)] for _ in range(m + 1)]
-    free_entries = [np.zeros(d) for _ in range(m + 1)]
+    try:
+        free_entries = [np.zeros(d) for _ in range(m + 1)]
+    except (ValueError, MemoryError):
+        raise ProblemFormatError(f"free dimension {d} is too large to store", lines[1][0])
 
     for lineno, content in lines[5:]:
         if not content:

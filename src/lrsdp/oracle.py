@@ -14,7 +14,8 @@ One phase I (``_min_violation``: the least uniform violation of the rows,
 some forced active) answers every feasibility question on a view of the same
 ``DenseProblem``.  The m' enumeration forces the full inequality set first,
 then each candidate active set whose rank could raise m'; ``oracle_solve``
-forces none to diagnose a stall.  Both decide with the one rule ``_feasible``.
+forces none to diagnose a stall.  Both decide with the one rule ``_feasible``,
+the certificate's feasibility tolerance at ``CERT_TOL`` (``DenseProblem.tolerances``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import DenseProblem, densify
+from .dense import CERT_TOL, DenseProblem, densify
 from .model import ConicSdpProblem, PrimalPoint, SymmetricMatrix
 
 __all__ = [
@@ -225,10 +226,10 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
     )
 
 
-def _feasible(t: float, b: np.ndarray) -> bool:
+def _feasible(t: float, dp: DenseProblem) -> bool:
     """The one feasibility rule: a least uniform violation t (``_min_violation``)
-    counts as feasible up to 1e-7 * (1 + ||b||_inf)."""
-    return t <= 1e-7 * (1.0 + float(np.linalg.norm(b, np.inf)))
+    counts as feasible up to the certificate's feasibility tolerance at CERT_TOL."""
+    return t <= dp.tolerances((), CERT_TOL)["feasibility"]
 
 
 def _min_violation(dp: DenseProblem, active) -> float:
@@ -263,7 +264,7 @@ def _min_violation(dp: DenseProblem, active) -> float:
         b=signed(dp.b),
         eq_mask=np.zeros(rows.size, dtype=bool),
     )
-    X = _ipm(phase, 1e-8, 200)[0]
+    X = _ipm(phase, CERT_TOL / 10, 200)[0]
     return float(X[len(dp.sizes)][0, 0])
 
 
@@ -283,7 +284,7 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
             t = _min_violation(dp, ())
         except (MaxIterationsError, np.linalg.LinAlgError):
             raise MaxIterationsError(str(exc)) from exc
-        if not _feasible(t, dp.b):
+        if not _feasible(t, dp):
             raise NotStrictlyFeasibleError(f"least uniform violation {t:.3e}") from exc
         raise MaxIterationsError(str(exc)) from exc
 
@@ -300,4 +301,5 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
 def active_subset_feasible(problem: ConicSdpProblem, active: tuple[int, ...]) -> bool:
     """Whether a feasible point holds the rows `active` at equality (the m' enumeration's test):
     the phase I ``_min_violation`` with those rows forced active, judged by ``_feasible``."""
-    return _feasible(_min_violation(densify(problem), active), problem.b)
+    dp = densify(problem)
+    return _feasible(_min_violation(dp, active), dp)

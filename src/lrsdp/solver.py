@@ -2,8 +2,8 @@
 
 Outer loop: safeguarded augmented Lagrangian with Powell-Hestenes-Rockafellar
 treatment of inequality rows, stopped by the scale-relative tolerances of
-``kkt_scales`` that certification also uses, with one relative tolerance
-(``SolverConfig.tol``) for stationarity and feasibility.  Inner loop:
+``DenseProblem.tolerances`` that certification also uses, at one relative
+tolerance (``SolverConfig.tol``) for stationarity and feasibility.  Inner loop:
 trust-region Newton with truncated CG on exact Hessian-vector products, plus
 a negative-curvature probe at (near-)stationary points so the method settles
 only at second-order points.
@@ -40,7 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 # densify is unused here; it stays importable for tools that wrap solver.densify
-from .dense import DenseProblem, densify  # noqa: F401
+from .dense import CERT_TOL, DenseProblem, densify  # noqa: F401
 from .factorization import FactorizedPoint, psd_factor
 from .model import SymmetricMatrix
 
@@ -49,7 +49,6 @@ __all__ = [
     "LagrangianState",
     "InfeasibleError",
     "NumericalFailure",
-    "kkt_scales",
     "al_value_grad",
     "al_solve",
 ]
@@ -76,7 +75,7 @@ MAX_INNER = 500
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-8  # relative stationarity and feasibility tolerance of ``al_solve``
+    tol: float = CERT_TOL / 10  # ``al_solve``'s relative stop, ten times inside the certificate
     max_outer: int = 50
     seed: int = 0
     restarts: int = 3
@@ -101,21 +100,6 @@ class LagrangianState:
     infeasibility: float
     stationarity: float
     converged: bool = True
-
-
-def kkt_scales(dp: DenseProblem, lam) -> tuple[float, float, float]:
-    """Scales of the KKT tolerances, shared by ``al_solve`` and certification.
-
-    Returns (1 + ||C|| + ||lam||_inf, 1 + ||b||_inf, 1 + ||lam||_inf), with
-    ||C|| the largest cost-block Frobenius norm plus the free cost's norm.
-    Stationarity scales with the first, feasibility with the second and
-    complementarity with the product of the last two.
-    """
-    norm_c = max([float(np.linalg.norm(c)) for c in dp.C] + [0.0])
-    norm_c += float(np.linalg.norm(dp.c_free))
-    lam_scale = float(np.max(np.abs(lam), initial=0.0))
-    b_scale = float(np.max(np.abs(dp.b), initial=0.0))
-    return 1.0 + norm_c + lam_scale, 1.0 + b_scale, 1.0 + lam_scale
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +455,7 @@ def al_solve(
 
     Starts from ``warm_start = (point, lam)`` or a random point, at penalty ``PENALTY_INIT``.
     Stops when infeasibility <= tol * (1 + ||b||_inf) and the AL gradient
-    norm <= tol * (1 + ||C|| + ||lam||_inf) (``kkt_scales``);
+    norm <= tol * (1 + ||C|| + ||lam||_inf) (``DenseProblem.tolerances``);
     the penalty grows only while infeasibility is above its tolerance.
     Returns (final LagrangianState, trace of per-outer-iteration records).
     Raises InfeasibleError after 5 stalls in a row: infeasibility above its
@@ -492,7 +476,7 @@ def al_solve(
         lam = np.zeros(problem.m)
     rho = PENALTY_INIT
 
-    feas_tol = config.tol * kkt_scales(problem, lam)[1]
+    feas_tol = problem.tolerances(lam, config.tol)["feasibility"]
     trace = []
     ev = _Eval(work, z, lam, rho)
     best_infeas = ev.infeasibility()
@@ -523,7 +507,7 @@ def al_solve(
             infeasibility=infeas,
             stationarity=stationarity,
         )
-        stat_tol = config.tol * kkt_scales(problem, lam)[0]
+        stat_tol = problem.tolerances(lam, config.tol)["stationarity"]
         if infeas <= feas_tol and stationarity <= stat_tol:
             return state, trace
 

@@ -2,10 +2,13 @@
 
 import dataclasses
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from lrsdp import certification, dense, oracle
 from lrsdp.certification import (
     LicqResult,
     Multipliers,
@@ -85,6 +88,15 @@ class TestEstimateMultipliers:
             norm_c = max(np.linalg.norm(sm.to_dense()) for sm in prob.cost_blocks)
             assert ls.residual <= 1e-6 * (1.0 + norm_c)
             np.testing.assert_allclose(ls.values, state.lam, atol=1e-5)
+
+    @pytest.mark.parametrize("value", [-1e-12, -1e-6])
+    def test_sign_clip_zeroes_negative_inequality_multipliers(self, monkeypatch, value):
+        # X_11 >= 1 is tight at E1, so its column goes to the bounded fit
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        prob = make_problem((2,), 1, 0, [np.eye(2)], [], [([e11], [], 1.0, "I")])
+        monkeypatch.setattr(scipy.optimize, "lsq_linear", lambda *a, **k: SimpleNamespace(x=np.array([value])))
+        mult = estimate_multipliers(densify(prob), FactorizedPoint((E1,), (), np.zeros(0)))
+        assert mult.values.tolist() == [0.0]
 
     def test_active_inequality_multipliers_nonnegative(self):
         built = build_integer_quadratic(iqm_cost(1.0, -0.8, 0.16))
@@ -232,7 +244,40 @@ class TestCertify:
         assert certify(dp, point, [first, second]).multipliers is first
 
 
+class TestTolerancePolicy:
+    def test_certificate_and_phase_one_read_the_dense_view(self):
+        # one factorized block, one tail block, a free part, E and I rows
+        prob = generate_random(BlockStructure((4, 3), 1, 2), 5, "EEIII", 3)
+        dp = densify(prob)
+        point = random_factor_point(prob, [2], 3)
+        mult = estimate_multipliers(dp, point)
+        assert certification.CERT_TOL is dense.CERT_TOL
+        assert SolverConfig().tol == dense.CERT_TOL / 10
+        for cert_tol in (dense.CERT_TOL, 1e-4):
+            assert certify(dp, point, [mult], cert_tol=cert_tol).tolerances == dp.tolerances(mult.values, cert_tol)
+        lam, rel = np.array([0.5, -3.0, 0.0, 2.0, 1.0]), 1e-6
+        norm_c = max(np.linalg.norm(c) for c in dp.C) + np.linalg.norm(dp.c_free)
+        b_inf = np.max(np.abs(dp.b))
+        assert dp.tolerances(lam, rel) == {
+            "stationarity": rel * (1.0 + norm_c + 3.0),
+            "feasibility": rel * (1.0 + b_inf),
+            "complementarity": rel * (1.0 + 3.0) * (1.0 + b_inf),
+            "sign": rel,
+            "free": rel * (1.0 + norm_c + 3.0),
+            "slack": rel,
+        }
+        t = dp.tolerances((), dense.CERT_TOL)["feasibility"]
+        assert oracle._feasible(t, dp)
+        assert not oracle._feasible(np.nextafter(t, np.inf), dp)
+
+
 class TestEscapeDirection:
+    def test_certificate_without_escape_data_raises(self):
+        point = FactorizedPoint((E1,), (), np.zeros(0))
+        cert = certify(densify(trivial_sdp()), point, [Multipliers(np.array([1.0]), "FromSolver")])
+        assert cert.verdict == "GlobalOptimal"
+        with pytest.raises(ValueError, match="no escape data"):
+            escape_direction(point, cert)
     def test_kernel_direction_from_rank_deficient_factor(self):
         y = FactorizedPoint((np.array([[1.0, 0.0], [0.0, 0.0]]),), (), np.zeros(0))
         dp = densify(unconstrained_indefinite())
@@ -551,6 +596,18 @@ class TestStaircase:
             ((3,), "GlobalOptimal", "certified", 6),
         ]
         assert escape_blocks == [1, 1, None]
+
+    def test_restart_budget_alone_bounds_the_stages(self, monkeypatch):
+        # trivial_sdp starts at full rank, so only restarts remain: 120 of
+        # them, then a stop, with no cap on the number of stages
+        def indeterminate(*args, **kwargs):
+            cert = certify(*args, **kwargs)
+            return dataclasses.replace(cert, verdict="Indeterminate", escape_block=None)
+
+        monkeypatch.setattr(certification, "certify", indeterminate)
+        report = staircase_solve(trivial_sdp(), SolverConfig(seed=0, restarts=120))
+        assert [s.action for s in report.stages] == ["restart"] * 120 + ["stop"]
+        assert report.verdict == "Indeterminate"
 
     def test_report_is_deterministic(self):
         prob = generate_random(BlockStructure((6,), 1, 0), 5, "EEEEI", 17)

@@ -19,7 +19,7 @@ from lrsdp.apps import (
     generate_random,
 )
 from lrsdp.certification import certify, estimate_multipliers
-from lrsdp.cli import main, read_point, write_point
+from lrsdp.cli import format_report, main, read_point, write_point
 from lrsdp.dense import densify
 from lrsdp.factorization import FactorizedPoint, psd_factor
 from lrsdp.model import BlockStructure, SymmetricMatrix, read_problem, write_problem
@@ -459,28 +459,29 @@ class TestCertifyCommand:
         assert code == 1 and "factor 0" in err
 
     @pytest.mark.parametrize(
-        "header,needs",
+        "header,fault",
         [
-            pytest.param(header, needs, id=header)
-            for header, needs in [
-                ("factor 2", "3 fields"),
-                ("factor 2 1 1", "3 fields"),
-                ("tail", "2 fields"),
-                ("free 1 2", "2 fields"),
-                ("factor x 1", "nonnegative integer sizes"),
-                ("factor 2.0 1", "nonnegative integer sizes"),
-                ("tail -2", "nonnegative integer sizes"),
-                ("free -1", "nonnegative integer sizes"),
-                ("factor -1 1", "nonnegative integer sizes"),
+            pytest.param(header, fault, id=header)
+            for header, fault in [
+                ("factor 2", "needs 3 fields"),
+                ("factor 2 1 1", "needs 3 fields"),
+                ("tail", "needs 2 fields"),
+                ("free 1 2", "needs 2 fields"),
+                ("factor x 1", "needs nonnegative integer sizes"),
+                ("factor 2.0 1", "needs nonnegative integer sizes"),
+                ("tail -2", "needs nonnegative integer sizes"),
+                ("free -1", "needs nonnegative integer sizes"),
+                ("factor -1 1", "needs nonnegative integer sizes"),
+                ("factor 100000000000000000000 0", "is too large to store"),
             ]
         ],
     )
-    def test_malformed_section_header_exit_one(self, tmp_path, trivial_file, header, needs):
+    def test_malformed_section_header_exit_one(self, tmp_path, trivial_file, header, fault):
         tpath = os.path.join(tmp_path, "bad.point")
         Path(tpath).write_text(header + "\n1\n0\n")
         code, out, err = run_cli(["certify", trivial_file, tpath])
         assert code == 1 and out == ""
-        assert err == f"error: point section header {header!r} needs {needs}\n"
+        assert err == f"error: point section header {header!r} {fault}\n"
 
     @pytest.mark.parametrize(
         "point_text,last_line",
@@ -705,6 +706,10 @@ class TestDeterminism:
         _, out1, _ = run_cli(argv)
         _, out2, _ = run_cli(argv)
         assert out1 == out2
+
+    def test_unsupported_report_value_raises(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            format_report({"value": object()})
 
     def test_floats_serialized_with_full_precision(self, trivial_file):
         _, out, _ = run_cli(["solve", trivial_file])

@@ -288,6 +288,8 @@ EEI
             pytest.param("1\n1 0 1\n", "-1\n1 0 1\n", 1, "negative constraint count", id="negative-m"),
             pytest.param("\n1 0 1\n", "\n1 0 2\n", 2,
                          "inconsistent dimension declaration: nblocks=1 d=0 k=2", id="bad-nblocks-d-k"),
+            pytest.param("1\n1 0 1\n", "1\n1 100000000000000000000 1\n", 2,
+                         "free dimension 100000000000000000000 is too large to store", id="huge-free"),
             pytest.param("\n2\n", "\n0\n", 3, "block sizes must be positive", id="zero-block-size"),
             pytest.param("\n2\n", "\n100000000000000000000\n", 3,
                          "block 1 of size 100000000000000000000 is too large to store", id="huge-block"),
@@ -329,6 +331,8 @@ EEI
     def test_comments_ignored(self):
         text = '" a comment\n' + self.MINIMAL
         assert read_problem(text).m == 1
+        spaced = self.MINIMAL.replace("0 1 2 2 1\n", "0 1 2 2 1\n\n   \n")
+        assert write_problem(read_problem(spaced)) == write_problem(read_problem(self.MINIMAL))
 
     def test_repeated_constraint_entry_reads_as_sum(self):
         bl = read_problem(self.MINIMAL + "1 1 1 2 0.25\n1 1 1 2 0.5\n").constraints[0].blocks[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lrsdp import oracle
 from lrsdp.certification import Multipliers, certify
 from lrsdp.dense import densify
 from lrsdp.factorization import FactorizedPoint, psd_factor
@@ -103,6 +104,14 @@ class TestInteriorPoint:
         with pytest.raises(MaxIterationsError) as info:
             oracle_solve(prob)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_lost_schur_definiteness_reports_stall(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(oracle.sla, "cho_factor", fail)
+        with pytest.raises(MaxIterationsError, match="^Schur complement lost positive definiteness$"):
+            oracle_solve(trivial_sdp())
 
     def test_negative_complementarity_is_not_converged(self):
         # min -2 X_12 s.t. X_11 = 0 has no dual Slater point (optimum 0): the
