@@ -21,7 +21,6 @@ from .model import (
     ConicSdpProblem,
     SymmetricMatrix,
     packed_index,
-    packed_size,
 )
 
 __all__ = [
@@ -117,13 +116,16 @@ def _min_rank_for(m_prime: int, n: int) -> int:
 
 
 def _stack_rows(problem: ConicSdpProblem, idx) -> np.ndarray:
+    """Rows `idx` as packed vectors, restricted to the packed columns some of
+    them touch: all-zero columns do not change the singular values."""
     n = problem.structure.psd_sizes[0]
-    rows = np.zeros((len(idx), packed_size(n)))
-    for r, i in enumerate(idx):
-        bl = problem.constraints[i].blocks[0]
-        pos = packed_index(n, bl.rows, bl.cols)
+    blocks = [problem.constraints[i].blocks[0] for i in idx]
+    pos = [packed_index(n, bl.rows, bl.cols) for bl in blocks]
+    cols = np.unique(np.concatenate([np.zeros(0, dtype=int)] + pos))
+    rows = np.zeros((len(blocks), cols.size))
+    for r, (bl, p) in enumerate(zip(blocks, pos)):
         # off-diagonal entries scaled so packed vectors are isometric to matrices
-        rows[r, pos] = np.where(bl.rows == bl.cols, bl.vals, np.sqrt(2.0) * bl.vals)
+        rows[r, np.searchsorted(cols, p)] = np.where(bl.rows == bl.cols, bl.vals, np.sqrt(2.0) * bl.vals)
     return rows
 
 

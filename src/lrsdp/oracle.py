@@ -1,18 +1,18 @@
 """Independent ground-truth solvers for desk-scale problems.
 
 ``oracle_solve`` is a dense primal-dual path-following interior-point method
-(Mehrotra predictor-corrector, HKM direction) on the problem's dense view as
-posed: the inequality slacks and their duals are a vector pair (SDPT3's linear
-block: ratio-test steps, w/z on the Schur diagonal), and free variables are
+(Mehrotra predictor-corrector, HKM direction) on the problem's view as posed:
+the inequality slacks and their duals are a vector pair (SDPT3's linear block:
+ratio-test steps, w/z on the Schur diagonal), and free variables are
 eliminated directly from the Schur system.  Residuals, objective and search
 directions go through the ``DenseProblem`` operator the solver and certifier
-use.  It anchors every derived test value in the suite, so it is deliberately
-boring: one eigendecomposition of each block of X and S per iterate, one
-convergence measure, no randomness, fraction-to-boundary 0.99.
+use; only the Schur complement reads its dense export ``A``.  It anchors every
+derived test value, so it is deliberately boring: one eigh of each block of X
+and S per iterate, one convergence measure, no randomness, step fraction 0.99.
 
 One phase I (``_min_violation``: the least uniform violation of the rows,
-some forced active) answers every feasibility question on a view of the same
-``DenseProblem``.  The m' enumeration forces the full inequality set first,
+some forced active) answers every feasibility question on a view remapped
+from the problem's.  The m' enumeration forces the full inequality set first,
 then each candidate active set whose rank could raise m'; ``oracle_solve``
 forces none to diagnose a stall.  Both decide with the one rule ``_feasible``,
 the certificate's feasibility tolerance at ``CERT_TOL`` (``DenseProblem.tolerances``).
@@ -20,7 +20,7 @@ the certificate's feasibility tolerance at ``CERT_TOL`` (``DenseProblem.toleranc
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -239,30 +239,32 @@ def _min_violation(dp: DenseProblem, active) -> float:
 
     ``_ipm`` solves a view that adds a 1x1 block for t and holds every row as
     an inequality with its slack, a forced row twice with its negation right
-    after it.  Strictly feasible on both sides: X = I, x = 0 and a large t;
-    lambda = 0 thanks to eps * I.
+    after it: the rows and triplets of ``dp``, remapped.  Strictly feasible on
+    both sides: X = I, x = 0 and a large t; lambda = 0 thanks to eps * I.
     """
     forced = dp.eq_mask.copy()
     forced[list(active)] = True
     rows = np.repeat(np.arange(dp.m), np.where(forced, 2, 1))
     neg = np.zeros(rows.size, dtype=bool)
     neg[1:] = rows[1:] == rows[:-1]
+    first = np.flatnonzero(~neg)  # the new index of each row's first copy
 
     def signed(a: np.ndarray) -> np.ndarray:
         a = a[rows]
         a[neg] = 0.0 - a[neg]  # 0.0 - a: no -0.0 enters the data
         return a
 
-    eps = 1e-10
-    phase = replace(
-        dp,
-        sizes=dp.sizes + (1,),
-        C=[eps * np.eye(n) for n in dp.sizes] + [np.ones((1, 1))],
-        A=[signed(a) for a in dp.A] + [np.ones((rows.size, 1, 1))],
-        Af=signed(dp.Af),
-        c_free=np.zeros(dp.d),
-        b=signed(dp.b),
-        eq_mask=np.zeros(rows.size, dtype=bool),
+    def remapped(row, pos, val):
+        dup = forced[row]
+        new = np.concatenate([first[row], first[row[dup]] + 1])
+        order = np.argsort(new, kind="stable")
+        return new[order], np.concatenate([pos, pos[dup]])[order], np.concatenate([val, -val[dup]])[order]
+
+    eps, t_rows = 1e-10, np.arange(rows.size)
+    phase = DenseProblem(
+        sizes=dp.sizes + (1,), k=dp.k, d=dp.d, C=[eps * np.eye(n) for n in dp.sizes] + [np.ones((1, 1))],
+        triplets=[remapped(*t) for t in dp.triplets] + [(t_rows, np.zeros_like(t_rows), np.ones(rows.size))],
+        Af=signed(dp.Af), c_free=np.zeros(dp.d), b=signed(dp.b), eq_mask=np.zeros(rows.size, dtype=bool),
     )
     X = _ipm(phase, CERT_TOL / 10, 200)[0]
     return float(X[len(dp.sizes)][0, 0])

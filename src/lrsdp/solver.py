@@ -13,13 +13,14 @@ rows and 0 elsewhere, and a Hessian-vector product is 2 S_j U_j + J^T (w * J u).
 The probe rotates the active rows of J into the slack eigenbasis, where
 H = diag(d) + rho Jq^T Jq, and decides H + tau I >= 0 at the settle floor tau
 from a Schur complement of order k q (k negative slack eigenvalues) through a
-factor of order m_a (active rows), so it forms no matrix of order dim.
-The probe runs at most once per evaluation point: a rejected escape step
-shrinks the radius and reuses the direction.  Likewise the truncated-CG path
-is recorded once per point (``_CgPath``): a rejected CG step replays it at the
-smaller radius with no new Hessian-vector product.  A trial point computes
-only its AL value; its slack, gradient and Jacobian are built once it is
-accepted.
+factor of order m_a (active rows), so it forms no matrix of order dim; when
+no d lies below the floor of max(max d, tr H / dim) <= lambda_max(H) it
+settles at once, unrotated.  It runs at most once per point: a rejected escape
+step reuses the direction.  The truncated-CG path is recorded once per point
+(``_CgPath``): a rejected CG step replays it at the smaller radius with no new
+Hessian-vector product, and the recorded z.Hz, d.Hz and d.Hd give each step's
+model decrease (an escape step pays one product).  A trial point computes only
+its AL value; its slack, gradient and Jacobian wait until it is accepted.
 
 Tail PSD blocks are parameterized internally at full rank (any PSD matrix of
 size n factors at rank n), so one variable layout serves every block; the
@@ -33,7 +34,8 @@ lifted blocks), shared by the solver's evaluations and ``al_value_grad``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
@@ -180,15 +182,19 @@ def _al_terms(dp: DenseProblem, X, x, lam: np.ndarray, rho: float):
     objective = dp.objective(X, x)
     eq = dp.eq_mask
     shifted = lam - rho * c
-    lam_t = np.where(eq, shifted, np.maximum(0.0, shifted))
-    value = objective + float(np.sum((-lam * c + 0.5 * rho * c * c)[eq]))
-    if np.any(~eq):
+    if eq.all():  # no PHR terms: the same bits as the masked formulas below
+        value = objective + float((-lam * c + 0.5 * rho * c * c).sum())
+        lam_t, active = shifted, eq
+    else:
         if rho <= 0.0:
             raise NumericalFailure("PHR terms need rho > 0 with inequality rows")
+        lam_t = np.where(eq, shifted, np.maximum(0.0, shifted))
+        value = objective + float(np.sum((-lam * c + 0.5 * rho * c * c)[eq]))
         value += float(np.sum((lam_t[~eq] ** 2 - lam[~eq] ** 2))) / (2.0 * rho)
-    if not np.isfinite(value):
+        active = eq | (shifted > 0.0)
+    if not math.isfinite(value):
         raise NumericalFailure("non-finite augmented Lagrangian evaluation")
-    return value, c, objective, lam_t, eq | (shifted > 0.0)
+    return value, c, objective, lam_t, active
 
 
 class _Work:
@@ -200,13 +206,10 @@ class _Work:
             raise ValueError(f"need {dp.k} factor ranks, got {len(ranks)}")
         self.dp = dp
         self.shapes = list(zip(dp.sizes, [int(q) for q in ranks] + list(dp.sizes[dp.k:])))
-        self.offsets = []
-        off = 0
-        for n, q in self.shapes:
-            self.offsets.append(off)
-            off += n * q
-        self.free_off = off
-        self.dim = off + dp.d
+        sizes = [n * q for n, q in self.shapes]
+        self.offsets = [sum(sizes[:j]) for j in range(len(sizes))]
+        self.free_off = sum(sizes)
+        self.dim = self.free_off + dp.d
 
     def pack(self, ys, x) -> np.ndarray:
         z = np.empty(self.dim)
@@ -216,10 +219,7 @@ class _Work:
         return z
 
     def unpack(self, z):
-        ys = [
-            z[off:off + n * q].reshape(n, q)
-            for off, (n, q) in zip(self.offsets, self.shapes)
-        ]
+        ys = [z[off:off + n * q].reshape(n, q) for off, (n, q) in zip(self.offsets, self.shapes)]
         return ys, z[self.free_off:]
 
     def to_point(self, z) -> FactorizedPoint:
@@ -239,8 +239,8 @@ class _Eval:
     and 0 elsewhere.
 
     The constructor computes only what a trial point needs: the AL value
-    (``_al_terms``), checked finite.  The slack, gradient (checked finite), J,
-    CG path and probe are computed on first use and kept.
+    (``_al_terms``), checked finite.  The slack and 2 S_j, gradient (checked
+    finite), J, ``hvp`` weights, CG path and probe are computed on first use.
     """
 
     def __init__(self, work: _Work, z: np.ndarray, lam: np.ndarray, rho: float):
@@ -248,15 +248,19 @@ class _Eval:
         self.z = z
         self.lam = lam
         self.rho = rho
-        ys, x = work.unpack(z)
+        self.ys, x = work.unpack(z)
         self.value, self.c, self.sdp_objective, self.lam_tilde, self.active = _al_terms(
-            work.dp, [y @ y.T for y in ys], x, lam, rho
+            work.dp, [y.dot(y.T) for y in self.ys], x, lam, rho
         )
-        self.hvp_weight = np.where(self.active, rho, 0.0)
 
     @cached_property
-    def _slack(self) -> tuple[list[np.ndarray], np.ndarray]:
-        return self.work.dp.slack(self.lam_tilde)
+    def hvp_weight(self) -> np.ndarray:
+        return np.where(self.active, self.rho, 0.0)
+
+    @cached_property
+    def _slack(self) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+        S, free = self.work.dp.slack(self.lam_tilde)
+        return S, free, [2.0 * s for s in S]  # 2 S_j: the blocks of the gradient and of H
 
     @property
     def S(self) -> list[np.ndarray]:
@@ -265,21 +269,21 @@ class _Eval:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        (S, free), ys = self._slack, self.work.unpack(self.z)[0]
-        grad = self.work.pack([2.0 * s @ y for s, y in zip(S, ys)], free)
+        _, free, S2 = self._slack
+        grad = self.work.pack([s2 @ y for s2, y in zip(S2, self.ys)], free)
         if not np.all(np.isfinite(grad)):
             raise NumericalFailure("non-finite augmented Lagrangian gradient")
         return grad
 
     @cached_property
     def J(self) -> np.ndarray:
-        return self.work.dp.jacobian(self.work.unpack(self.z)[0])
+        return self.work.dp.jacobian(self.ys)
 
     def hvp(self, u: np.ndarray) -> np.ndarray:
         """H u."""
-        out = self.J.T @ (self.hvp_weight * (self.J @ u))
-        for off, (n, q), s in zip(self.work.offsets, self.work.shapes, self.S):
-            out[off:off + n * q] += (2.0 * s @ u[off:off + n * q].reshape(n, q)).ravel()
+        out = self.J.T.dot(self.hvp_weight * self.J.dot(u))  # .dot: the bits of @, without its dispatch cost
+        for off, (n, q), s2 in zip(self.work.offsets, self.work.shapes, self._slack[2]):
+            out[off:off + n * q] += s2.dot(u[off:off + n * q].reshape(n, q)).ravel()
         return out
 
     @cached_property
@@ -292,17 +296,20 @@ class _Eval:
         J, and d = 2 lam_j repeated q times (0 on free variables).
         lambda_max(H) lies between its largest diagonal entry lo and
         hi = max d + rho lambda_max(Jq Jq^T): escape when ``_schur_escape``
-        fails at the floor of hi, settle when it passes at that of lo (at once
-        when no d is below it), else use the exact one.
+        fails at the floor of hi, settle when it passes at that of lo, else
+        use the exact one.  No d below the floor of max(max d, tr H / dim) <= lo settles unrotated.
         """
         work, rho = self.work, self.rho
         eigs = [np.linalg.eigh(s) for s in self.S]
+        d = np.concatenate([np.repeat(2.0 * lam, q) for (_, q), (lam, _) in zip(work.shapes, eigs)]
+                           + [np.zeros(work.dp.d)])
         jq = self.J[self.active]
-        d = np.zeros(work.dim)
-        for off, (n, q), (lam, v) in zip(work.offsets, work.shapes, eigs):
+        lo_bound = max(float(np.max(d)), (float(np.sum(d)) + rho * float(np.vdot(jq, jq))) / work.dim)
+        if float(np.min(d)) > -CURV_FLOOR * max(1.0, lo_bound):
+            return None
+        for off, (n, q), (_, v) in zip(work.offsets, work.shapes, eigs):
             cols = jq[:, off:off + n * q]
             cols[:] = (v.T @ cols.reshape(-1, n, q)).reshape(cols.shape)
-            d[off:off + n * q] = np.repeat(2.0 * lam, q)
         lo = float(np.max(d + rho * np.sum(jq * jq, axis=0)))
         hi = float(np.max(d)) + rho * float(np.max(np.linalg.eigvalsh(jq @ jq.T), initial=0.0))
         u = _schur_escape(d, jq, rho, CURV_FLOOR * max(1.0, hi))
@@ -312,7 +319,7 @@ class _Eval:
             return None
         for off, (n, q), (_, v) in zip(work.offsets, work.shapes, eigs):
             u[off:off + n * q] = (v @ u[off:off + n * q].reshape(n, q)).ravel()
-        return u / np.linalg.norm(u)
+        return u / math.sqrt(float(u @ u))
 
     @cached_property
     def cg_path(self) -> _CgPath:
@@ -320,7 +327,7 @@ class _Eval:
 
     def infeasibility(self) -> float:
         viol = np.where(self.work.dp.eq_mask, self.c, np.minimum(self.c, 0.0))
-        return float(np.linalg.norm(viol))
+        return math.sqrt(float(viol @ viol))
 
 
 class _CgPath:
@@ -332,52 +339,58 @@ class _CgPath:
     depend on delta, so the path is recorded once: ``step`` replays it with
     delta's exit tests and runs CG, one Hessian-vector product per iteration,
     only past the end of the record.  A smaller radius after a rejected step
-    costs no product, and every step equals a fresh run at its radius.
+    costs no product, and every step equals a fresh run at its radius.  As r_k =
+    g + H z_k, z_k.(r_k - g) and d_k.(r_k - g) give s.H s for the model decrease.
     """
 
     def __init__(self, g: np.ndarray, max_cg: int):
-        rr = float(g @ g)
-        gnorm = np.sqrt(rr)
-        self.stop = min(0.5, np.sqrt(gnorm)) * gnorm
-        # (z_k, d_k, |z_{k+1}|^2) per iteration, with inf for negative
-        # curvature; d_k is None once CG has converged or run max_cg iterations
+        rr = float(g.dot(g))
+        gnorm = math.sqrt(rr)
+        self.g = g
+        self.stop = min(0.5, math.sqrt(gnorm)) * gnorm
+        # (z_k, d_k, |z_{k+1}|^2 or inf on negative curvature, z_k.H z_k, d_k.H z_k,
+        # d_k.H d_k) per iteration; d_k is None once CG converged or ran max_cg iterations
         self.record = []
         self._state = (np.zeros_like(g), g, -g, rr, max_cg)  # (z, r, d, r.r, iterations left)
 
-    def step(self, delta: float, hvp) -> np.ndarray:
-        """The truncated-CG step at radius delta.  ``hvp`` is H at the point,
-        passed per call so the path holds no reference cycle through its point."""
+    def step(self, delta: float, hvp) -> tuple[np.ndarray, float]:
+        """The truncated-CG step s at radius delta, and s.H s.  ``hvp`` is H at the
+        point, passed per call so the path holds no reference cycle through it."""
         k = 0
         while True:
             if k == len(self.record):
                 self.record.append(self._iterate(hvp))
-            z, d, zz = self.record[k]
+            z, d, zz, zhz, dhz, dhd = self.record[k]
             if d is None:
-                return z
+                return z, zhz
             if zz >= delta * delta:  # the step from z along d meets the boundary
-                a = float(d @ d)
-                bq = 2.0 * float(z @ d)
-                cq = float(z @ z) - delta * delta
+                a = float(d.dot(d))
+                bq = 2.0 * float(z.dot(d))
+                cq = float(z.dot(z)) - delta * delta
                 disc = max(bq * bq - 4.0 * a * cq, 0.0)
-                return z + ((-bq + np.sqrt(disc)) / (2.0 * a)) * d
+                tau = (-bq + math.sqrt(disc)) / (2.0 * a)
+                return z + tau * d, zhz + tau * (2.0 * dhz + tau * dhd)
             k += 1
 
     def _iterate(self, hvp):
         z, r, d, rr, left = self._state
+        rg = r - self.g
+        zhz = float(z.dot(rg))
         if left == 0:
-            return z, None, None
+            return z, None, None, zhz, None, None
         hd = hvp(d)
-        dhd = float(d @ hd)
-        if dhd <= 1e-14 * float(d @ d):
+        dhd = float(d.dot(hd))
+        dhz = float(d.dot(rg))
+        if dhd <= 1e-14 * float(d.dot(d)):
             self._state = (z, r, d, rr, 0)
-            return z, d, np.inf
+            return z, d, np.inf, zhz, dhz, dhd
         alpha = rr / dhd
         z_next = z + alpha * d
         r = r + alpha * hd
-        rr_next = float(r @ r)
-        left = 0 if np.sqrt(rr_next) <= self.stop else left - 1
-        self._state = (z_next, r, -r + (rr_next / rr) * d, rr_next, left)
-        return z, d, float(z_next @ z_next)
+        rr_next = float(r.dot(r))
+        left = 0 if math.sqrt(rr_next) <= self.stop else left - 1
+        self._state = (z_next, r, (rr_next / rr) * d - r, rr_next, left)
+        return z, d, float(z_next.dot(z_next)), zhz, dhz, dhd
 
 
 def _inner(ev: _Eval, tol, max_iter):
@@ -387,15 +400,16 @@ def _inner(ev: _Eval, tol, max_iter):
     accepted = 0
     for _ in range(max_iter):
         g = ev.grad
-        if float(np.linalg.norm(g)) <= tol:
+        if math.sqrt(float(g @ g)) <= tol:
             # gradient is flat: probe the spectrum for escapable curvature
             direction = ev.curvature
             if direction is None:
                 break
             step = delta * (-direction if float(g @ direction) > 0.0 else direction)
+            curv = float(step @ ev.hvp(step))
         else:
-            step = ev.cg_path.step(delta, ev.hvp)
-        model_dec = -(float(g @ step) + 0.5 * float(step @ ev.hvp(step)))
+            step, curv = ev.cg_path.step(delta, ev.hvp)
+        model_dec = -(float(g @ step) + 0.5 * curv)
 
         ratio = -np.inf  # a step the model cannot rank is rejected
         if 0.0 < model_dec < np.inf:
@@ -408,7 +422,7 @@ def _inner(ev: _Eval, tol, max_iter):
             delta = min(delta * 2.0, 1e10)
         elif ratio < 0.1:
             delta *= 0.25
-            if delta < 1e-13 * (1.0 + float(np.linalg.norm(ev.z))):
+            if delta < 1e-13 * (1.0 + math.sqrt(float(ev.z @ ev.z))):
                 break
     return ev, accepted
 
@@ -482,13 +496,12 @@ def al_solve(
     best_infeas = ev.infeasibility()
     stall_ref = np.inf  # best outer-iterate infeasibility; a warm start may begin far more feasible
     stall = 0
-    state = None
     for outer in range(1, config.max_outer + 1):
         tol_inner = max(config.tol, 0.1 * best_infeas)
         ev, accepted = _inner(ev, tol_inner, MAX_INNER)
         lam_prev, lam = lam, np.clip(ev.lam_tilde, -DUAL_CAP, DUAL_CAP)
         infeas = ev.infeasibility()
-        stationarity = float(np.linalg.norm(ev.grad))
+        stationarity = math.sqrt(float(ev.grad @ ev.grad))
         trace.append(
             {
                 "outer": outer,
@@ -499,17 +512,9 @@ def al_solve(
                 "inner_accepted": accepted,
             }
         )
-        state = LagrangianState(
-            point=work.to_point(ev.z),
-            lam=lam,
-            rho=rho,
-            objective=ev.sdp_objective,
-            infeasibility=infeas,
-            stationarity=stationarity,
-        )
         stat_tol = problem.tolerances(lam, config.tol)["stationarity"]
         if infeas <= feas_tol and stationarity <= stat_tol:
-            return state, trace
+            break
 
         if infeas > feas_tol and infeas > best_infeas / 4.0:
             rho = min(rho * PENALTY_GROWTH, PENALTY_CAP)
@@ -524,4 +529,7 @@ def al_solve(
         stall_ref = min(stall_ref, infeas)
         ev = _Eval(work, ev.z, lam, rho)
 
-    return replace(state, converged=False), trace
+    # the last outer iterate (ev holds its point) and its stopping test
+    state = LagrangianState(work.to_point(ev.z), lam, trace[-1]["rho"], ev.sdp_objective, infeas, stationarity,
+                            infeas <= feas_tol and stationarity <= stat_tol)
+    return state, trace

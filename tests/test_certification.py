@@ -33,7 +33,9 @@ from lrsdp.apps import (
 )
 from lrsdp.oracle import oracle_solve
 
-from helpers import apply_reference, iqm_cost, lifted, make_problem, random_factor_point, trivial_sdp
+from helpers import (
+    apply_reference, iqm_cost, lifted, make_problem, maxcut_sdp, random_factor_point, trivial_sdp,
+)
 
 E1 = np.array([[1.0], [0.0]])
 
@@ -388,6 +390,20 @@ class TestBlockLayout:
             with pytest.raises(ValueError):
                 call()
                 pytest.fail(f"{name} accepted a point without its tail block")
+
+
+class TestSparseOperatorOnly:
+    def test_staircase_never_builds_the_dense_export(self, monkeypatch):
+        # DenseProblem.A is the oracle's dense (m, n, n) export; the solve,
+        # certify and escalate path runs on the triplet kernels alone
+        def no_export(dp):
+            raise AssertionError("the staircase built the dense (m, n, n) export")
+
+        monkeypatch.setattr(dense.DenseProblem, "A", property(no_export))
+        with pytest.raises(AssertionError):
+            densify(trivial_sdp()).A
+        for prob in (maxcut_sdp(12, 0), generate_random(BlockStructure((4, 3), 1, 2), 5, "EEIII", 3)):
+            assert staircase_solve(prob, SolverConfig(seed=0)).verdict == "GlobalOptimal"
 
 
 class TestStaircase:

@@ -19,7 +19,7 @@ from lrsdp.model import (
 )
 from lrsdp.dense import densify
 
-from helpers import apply_reference, make_problem, trivial_sdp
+from helpers import apply_reference, make_problem, maxcut_sdp, trivial_sdp
 
 
 def test_validate_clean_problem():
@@ -200,6 +200,118 @@ class TestApplyAdjoint:
             lhs = float(np.tensordot(blocks[0], x)) + float(free @ xf)
             rhs = float(lam @ apply_reference(prob, [x], xf))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+
+
+def sparse_row_cases():
+    """Seeded problems with tail blocks, free variables and E/I rows, plus a
+    zero row and a row of duplicate entries that accumulate; MaxCut's
+    diagonal rows; and a problem with no rows."""
+    from lrsdp.apps import generate_random
+
+    for seed in range(3):
+        prob = generate_random(BlockStructure((4, 3), 1, 2), 5, "EEIII", seed)
+        sizes = prob.structure.psd_sizes
+        zero = Constraint(tuple(CooSymmetric.from_entries(n, []) for n in sizes), np.zeros(2), 0.0,
+                          ConstraintKind.INEQUALITY)
+        dup = [(0, 1, 0.5), (0, 1, -1.25), (1, 1, 2.0), (0, 1, 0.25), (1, 1, 1.0), (0, 0, 0.0)]
+        dup = Constraint(tuple(CooSymmetric.from_entries(n, dup) for n in sizes), np.array([1.0, -2.0]), 1.0,
+                         ConstraintKind.EQUALITY)
+        yield ConicSdpProblem.normalized(prob.structure, prob.cost_blocks, prob.cost_free,
+                                         prob.constraints + (zero, dup))
+    yield maxcut_sdp(9, 1)
+    yield make_problem((3, 2), 1, 1, [np.eye(3), np.diag([1.0, -1.0])], [0.5], [])
+
+
+def dense_rows(prob):
+    """The (m, n_j, n_j) row stacks and the (m, d) free columns, from ``to_dense``."""
+    cons, st = prob.constraints, prob.structure
+    stacks = [np.array([con.blocks[j].to_dense() for con in cons]).reshape(len(cons), n, n)
+              for j, n in enumerate(st.psd_sizes)]
+    return stacks, np.array([con.free for con in cons]).reshape(len(cons), st.free_dim)
+
+
+def assert_close(got, want):
+    assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
+
+
+class TestSparseRows:
+    """The triplet kernels against einsum on the ``to_dense`` stacks."""
+
+    def test_cases_cover_zero_and_accumulated_rows(self):
+        cases = list(sparse_row_cases())
+        dups = [con for prob in cases[:3] for con in prob.constraints if con.rhs == 1.0 and con.free[1] == -2.0]
+        assert all(bl.vals.tolist() == [0.0, -0.5, 3.0] for con in dups for bl in con.blocks)
+        assert all(any(sum(bl.nnz for bl in con.blocks) == 0 for con in p.constraints) for p in cases[:3])
+        assert cases[-1].m == 0 and cases[-1].structure.free_dim == 1
+
+    def test_apply_adjoint_slack_and_export_match_dense_stacks(self):
+        for seed, prob in enumerate(sparse_row_cases()):
+            dp, (stacks, af) = densify(prob), dense_rows(prob)
+            rng = np.random.default_rng(seed)
+            X = [_sym(rng.standard_normal((n, n))) for n in dp.sizes]
+            x, lam = rng.standard_normal(dp.d), rng.standard_normal(dp.m)
+            for got, want in zip(dp.A, stacks, strict=True):
+                np.testing.assert_array_equal(got, want)
+            assert_close(dp.apply(X, x), sum(np.einsum("iab,ab->i", a, xb) for a, xb in zip(stacks, X)) + af @ x)
+            adj, adj_free = dp.adjoint(lam)
+            S, s_free = dp.slack(lam)
+            for a, s, c, stack in zip(adj, S, dp.C, stacks, strict=True):
+                assert_close(a, np.einsum("i,iab->ab", lam, stack))
+                assert_close(s, c - np.einsum("i,iab->ab", lam, stack))
+            assert_close(adj_free, af.T @ lam)
+            assert_close(s_free, dp.c_free - af.T @ lam)
+
+    def test_jacobian_and_row_subsets_match_dense_stacks(self):
+        for seed, prob in enumerate(sparse_row_cases()):
+            dp, (stacks, af) = densify(prob), dense_rows(prob)
+            rng = np.random.default_rng(seed)
+            for qs in ([1] + list(dp.sizes[1:]), [3] + list(dp.sizes[1:]), [1] + list(dp.sizes[1:])):
+                ys = [rng.standard_normal((n, q)) for n, q in zip(dp.sizes, qs)]
+                want = np.hstack([2.0 * np.einsum("iab,bq->iaq", a, y).reshape(dp.m, y.size) for a, y in zip(stacks, ys)]
+                                 + [af])
+                assert_close(dp.jacobian(ys), want)
+                for rows in ([], [dp.m - 1], sorted(rng.choice(dp.m, dp.m // 2, replace=False)), range(dp.m)):
+                    if dp.m or not rows:
+                        assert_close(dp.jacobian(ys, list(rows)), want[list(rows)])
+
+    def test_phase_one_view_equals_signed_dense_copies(self, monkeypatch):
+        from lrsdp import oracle
+
+        views = []
+
+        def capture(view, tol, max_iter):
+            views.append(view)
+            raise oracle.MaxIterationsError("view captured")
+
+        monkeypatch.setattr(oracle, "_ipm", capture)
+        for prob in sparse_row_cases():
+            dp, (stacks, af) = densify(prob), dense_rows(prob)
+            ineq = list(prob.inequality_indices())
+            for active in ((), tuple(ineq[:1]), tuple(ineq)):
+                with pytest.raises(oracle.MaxIterationsError):
+                    oracle._min_violation(dp, active)
+                view = views.pop()
+                # the phase I as built on the dense stacks: every row once, a
+                # forced row twice with its negation right after it, and t
+                forced = dp.eq_mask.copy()
+                forced[list(active)] = True
+                rows = np.repeat(np.arange(dp.m), np.where(forced, 2, 1))
+                neg = np.zeros(rows.size, dtype=bool)
+                neg[1:] = rows[1:] == rows[:-1]
+
+                def signed(a):
+                    a = a[rows]
+                    a[neg] = 0.0 - a[neg]
+                    return a
+
+                for got, want in zip(view.A, [signed(a) for a in stacks] + [np.ones((rows.size, 1, 1))], strict=True):
+                    np.testing.assert_array_equal(got, want)
+                for got, want in zip(view.C, [1e-10 * np.eye(n) for n in dp.sizes] + [np.ones((1, 1))], strict=True):
+                    np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(view.Af, signed(af))
+                np.testing.assert_array_equal(view.b, signed(dp.b))
+                assert view.sizes == dp.sizes + (1,) and not view.eq_mask.any()
+                np.testing.assert_array_equal(view.c_free, np.zeros(dp.d))
 
 
 class TestTextFormat:

@@ -466,8 +466,9 @@ class TestCurvatureProbe:
             ev = eval_point(maxcut_sdp(n, 0), state.point, state.lam, state.rho)
             assert min(np.linalg.eigvalsh(ev.S[0])) < 0.0  # settled by the floor, not by S >= 0
             direction, dense = probe_with_calls(ev, eigh_calls)
-            # no slack eigenvalue falls below the floor: no Schur complement is formed
-            assert dense == 0 and [name for name, _ in eigh_calls] == ["eigh", "eigvalsh"]
+            # no slack eigenvalue falls below the floor: the probe settles after
+            # the slack eigensolve, with no bound on lambda_max(H) and no Schur complement
+            assert dense == 0 and [name for name, _ in eigh_calls] == ["eigh"]
             assert direction is None and check_curvature(ev) is None
 
     def test_rejected_escape_reuses_the_probe(self, eigh_calls):
@@ -539,13 +540,32 @@ class TestCgPath:
         path = _CgPath(g, 24)
         for delta in (1.0, 0.25, 1.0 / 16.0, 4.0):
             before = products[0]
-            step = path.step(delta, hvp)
+            step, curv = path.step(delta, hvp)
             if delta < 1.0:  # a smaller radius only replays the record
                 assert products[0] == before
             np.testing.assert_array_equal(step, reference_steihaug(g, lambda u: h @ u, delta, 24))
+            assert abs(curv - step @ h @ step) <= 1e-12 * abs(step @ h @ step)
             assert np.linalg.norm(step) <= delta * (1.0 + 1e-12)
         if lowest > 0.0:  # the unit radius stops early and radius 4 runs past the record
             assert products[0] > before
+
+    def test_step_curvature_matches_a_product_on_every_exit(self):
+        # s.H s from the recorded scalars, on interior, boundary and
+        # negative-curvature exits of fresh paths
+        from lrsdp.solver import _CgPath
+
+        rng = np.random.default_rng(5)
+        exits = []
+        for lowest in (0.05, -0.5):
+            q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+            h = (q * np.append(np.linspace(0.1, 10.0, 11), lowest)) @ q.T
+            for delta in (0.1, 1.0, 100.0):
+                path = _CgPath(rng.standard_normal(12), 24)
+                step, curv = path.step(delta, lambda u: h @ u)
+                _, d, zz = path.record[-1][:3]
+                exits.append("interior" if d is None else "negative" if zz == np.inf else "boundary")
+                assert abs(curv - step @ h @ step) <= 1e-12 * abs(step @ h @ step)
+        assert set(exits) == {"interior", "boundary", "negative"}
 
     def test_inner_equals_fresh_cg_on_every_call(self, monkeypatch):
         from lrsdp import solver
@@ -555,7 +575,8 @@ class TestCgPath:
                 self.ev = ev
 
             def step(self, delta, hvp):
-                return reference_steihaug(self.ev.grad, hvp, delta, 2 * self.ev.work.dim)
+                s = reference_steihaug(self.ev.grad, hvp, delta, 2 * self.ev.work.dim)
+                return s, float(s @ hvp(s))
 
         products = [0]
         hvp = solver._Eval.hvp
