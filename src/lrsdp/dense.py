@@ -7,9 +7,9 @@ value; an off-diagonal entry at both (a, b) and (b, a)).  Its ``apply``,
 ``adjoint``, ``slack`` and ``jacobian`` are the one constraint operator,
 ``np.bincount`` gathers and scatters over the triplets used by the solver,
 the certifier and the oracle, with one entry per PSD block in every block
-list (another length raises ``ValueError``).  ``A``, the dense (m, n_j, n_j)
-stacks, is built on first use for the oracle alone.  ``tolerances`` is the one
-tolerance policy: of the local solve's stop, the certificate and the phase I.
+list (another length raises ``ValueError``); no dense (m, n_j, n_j) stack is
+built.  ``tolerances`` is the one tolerance policy: of the local solve's stop,
+the certificate and the phase I.
 
 Callers build the view and pass it down: ``staircase_solve`` once per solve,
 each oracle entry point once per call (the phase I remaps its triplets), and
@@ -62,11 +62,6 @@ class DenseProblem:
     @property
     def ineq_mask(self) -> np.ndarray:
         return ~self.eq_mask
-
-    @cached_property
-    def A(self) -> list[np.ndarray]:  # the dense (m, n_j, n_j) stacks, for the oracle's Schur complement
-        return [_scatter(row * n * n + pos, val, self.m * n * n).reshape(self.m, n, n)
-                for (row, pos, val), n in zip(self.triplets, self.sizes)]
 
     def _check(self, blocks) -> None:
         if len(blocks) != len(self.sizes):

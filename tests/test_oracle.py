@@ -29,7 +29,7 @@ from lrsdp.oracle import (
 from lrsdp.apps import build_integer_quadratic, generate_random
 
 from brute_force import _lp2_values, _rotated, brute_force_2x2
-from helpers import correlation_sdp, indefinite_trace_sdp, iqm_cost, make_problem, trivial_sdp
+from helpers import correlation_sdp, dense_rows, indefinite_trace_sdp, iqm_cost, make_problem, trivial_sdp
 
 
 class TestInteriorPoint:
@@ -101,9 +101,10 @@ class TestInteriorPoint:
         # solve and in its phase I alike
         e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
         prob = make_problem((2,), 1, 1, [np.eye(2)], [0.0], [([e11], [0.0], 1.0, "E")])
-        with pytest.raises(MaxIterationsError) as info:
-            oracle_solve(prob)
-        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        for solve in (oracle_solve, lambda p: active_subset_feasible(p, ())):
+            with pytest.raises(MaxIterationsError) as info:
+                solve(prob)
+            assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_lost_schur_definiteness_reports_stall(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -278,9 +279,10 @@ class TestBruteForce2x2:
                     a[0, 1] = a[1, 0] = 0.0  # boundary rays along the axes
                 rows.append(([a], [], float(rng.standard_normal()), "EI"[rng.integers(2)]))
             cost = rng.standard_normal((2, 2))
-            dp = densify(make_problem((2,), 1, 0, [cost + cost.T], [], rows))
+            prob = make_problem((2,), 1, 0, [cost + cost.T], [], rows)
+            dp = densify(prob)
             thetas = np.append(rng.uniform(0.0, np.pi / 2, 40), 0.0)
-            a, c = _rotated(dp.A[0], thetas), _rotated(dp.C[0][None], thetas)[:, 0]
+            a, c = _rotated(dense_rows(prob)[0][0], thetas), _rotated(dp.C[0][None], thetas)[:, 0]
             got = _lp2_values(a, dp.b, dp.eq_mask, c, 1e-9)
             want = [reference_lp2_value(r, dp.b, dp.eq_mask, cr, 1e-9) for r, cr in zip(a, c)]
             # the same 2x2 solves and 2-term dots, summed in another order
