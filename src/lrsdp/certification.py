@@ -44,7 +44,6 @@ from .solver import (
     LagrangianState,
     SolverConfig,
     _internal_factors,
-    _lifted_blocks,
     al_solve,
     al_value_grad,
 )
@@ -146,6 +145,11 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
+def _lifted_blocks(point: FactorizedPoint) -> list[np.ndarray]:
+    """Dense X_j: Y_j Y_j^T for factor blocks, tail blocks as given."""
+    return [y @ y.T for y in point.factors] + [t.to_dense() for t in point.tail_blocks]
+
+
 def active_set(dp: DenseProblem, point: FactorizedPoint) -> frozenset:
     """Equalities plus the inequalities tight at the point: |<A_i, X> - b_i| <= CERT_TOL * (1 + |b_i|)."""
     c = dp.apply(_lifted_blocks(point), point.free) - dp.b
@@ -227,9 +231,10 @@ def certify(
     ``Multipliers``; the candidate of least stationarity (the earlier one on a
     tie) is certified and returned as ``Certificate.multipliers``.
     GlobalOptimal requires every KKT residual under its tolerance and every
-    slack block PSD up to -cert_tol * (1 + ||S_j||_2); a clearly negative
-    slack eigenvalue gives Escapable with the offending eigenpair; everything
-    else is Indeterminate.  The primal objective at the point and the duality
+    slack block PSD up to -tolerances["slack"] * (1 + ||S_j||_2), so the verdict
+    uses every entry of ``Certificate.tolerances``; a clearly negative slack
+    eigenvalue gives Escapable with the offending eigenpair; everything else is
+    Indeterminate.  The primal objective at the point and the duality
     gap it gives are reported as an independent numerical witness.
     """
     X = _lifted_blocks(point)
@@ -261,7 +266,7 @@ def certify(
     for j, w in enumerate(spectra):
         scale = 1.0 + max(abs(float(w[0])), abs(float(w[-1])))
         rel = float(w[0]) / scale
-        if rel < -cert_tol and rel < worst_rel:
+        if rel < -tols["slack"] and rel < worst_rel:
             worst_rel = rel
             worst_block = j
 

@@ -25,8 +25,9 @@ its AL value; its slack, gradient and Jacobian wait until it is accepted.
 Tail PSD blocks are parameterized internally at full rank (any PSD matrix of
 size n factors at rank n), so one variable layout serves every block; the
 factorized/tail distinction matters again only for rank bounds and for
-certification reporting.  The AL value has one formula (``_al_terms``, on the
-lifted blocks), shared by the solver's evaluations and ``al_value_grad``.
+certification reporting.  One evaluator, ``_Eval``, gives the AL value and
+gradient to ``al_solve`` and, in the point's shape, to ``al_value_grad``; every
+point enters the layout through ``_Work.pack``, which checks its block list.
 
 ``al_solve`` and ``al_value_grad`` take the problem's dense view
 (``densify``) from their caller and build none.
@@ -109,11 +110,6 @@ class LagrangianState:
 # ---------------------------------------------------------------------------
 
 
-def _lifted_blocks(point: FactorizedPoint) -> list[np.ndarray]:
-    """Dense X_j: Y_j Y_j^T for factor blocks, tail blocks as given."""
-    return [y @ y.T for y in point.factors] + [t.to_dense() for t in point.tail_blocks]
-
-
 def _internal_factors(point: FactorizedPoint) -> list[np.ndarray]:
     """Factor matrices for every block: given factors plus full-rank tails."""
     ys = [np.asarray(y, dtype=float) for y in point.factors]
@@ -171,32 +167,6 @@ def _lambda_max(d: np.ndarray, jq: np.ndarray, rho: float) -> float:
     return t
 
 
-def _al_terms(dp: DenseProblem, X, x, lam: np.ndarray, rho: float):
-    """AL value at the lifted blocks X and free part x, checked finite.
-
-    Returns (value, c = A(X) - b, <C, X> + c_free . x, lam~, active rows), with
-    lam~ = lam - rho c clipped at 0 on inequality rows and an inequality row
-    active while lam_i - rho c_i > 0.
-    """
-    c = dp.apply(X, x) - dp.b
-    objective = dp.objective(X, x)
-    eq = dp.eq_mask
-    shifted = lam - rho * c
-    if eq.all():  # no PHR terms: the same bits as the masked formulas below
-        value = objective + float((-lam * c + 0.5 * rho * c * c).sum())
-        lam_t, active = shifted, eq
-    else:
-        if rho <= 0.0:
-            raise NumericalFailure("PHR terms need rho > 0 with inequality rows")
-        lam_t = np.where(eq, shifted, np.maximum(0.0, shifted))
-        value = objective + float(np.sum((-lam * c + 0.5 * rho * c * c)[eq]))
-        value += float(np.sum((lam_t[~eq] ** 2 - lam[~eq] ** 2))) / (2.0 * rho)
-        active = eq | (shifted > 0.0)
-    if not math.isfinite(value):
-        raise NumericalFailure("non-finite augmented Lagrangian evaluation")
-    return value, c, objective, lam_t, active
-
-
 class _Work:
     """Dense data plus the flattened (Y_1..Y_L, x) variable layout, with
     every tail block held as a full-rank factor."""
@@ -212,6 +182,7 @@ class _Work:
         self.dim = self.free_off + dp.d
 
     def pack(self, ys, x) -> np.ndarray:
+        self.dp._check(ys)
         z = np.empty(self.dim)
         for off, (n, q), y in zip(self.offsets, self.shapes, ys):
             z[off:off + n * q] = y.ravel()
@@ -238,9 +209,11 @@ class _Eval:
     blockdiag(kron(2 S_j, I_q)) + J^T diag(w) J, with w = rho on active rows
     and 0 elsewhere.
 
-    The constructor computes only what a trial point needs: the AL value
-    (``_al_terms``), checked finite.  The slack and 2 S_j, gradient (checked
-    finite), J, ``hvp`` weights, CG path and probe are computed on first use.
+    The constructor computes only what a trial point needs: the AL value at
+    X_j = Y_j Y_j^T (checked finite), c = A(X) - b, lam~ = lam - rho c clipped at
+    0 on inequality rows, and the active rows (an inequality while lam_i - rho c_i > 0).
+    The slack and 2 S_j, gradient (checked finite), J, ``hvp`` weights, CG path
+    and probe are computed on first use.
     """
 
     def __init__(self, work: _Work, z: np.ndarray, lam: np.ndarray, rho: float):
@@ -249,9 +222,24 @@ class _Eval:
         self.lam = lam
         self.rho = rho
         self.ys, x = work.unpack(z)
-        self.value, self.c, self.sdp_objective, self.lam_tilde, self.active = _al_terms(
-            work.dp, [y.dot(y.T) for y in self.ys], x, lam, rho
-        )
+        dp, eq = work.dp, work.dp.eq_mask
+        X = [y.dot(y.T) for y in self.ys]
+        self.c = c = dp.apply(X, x) - dp.b
+        self.sdp_objective = value = dp.objective(X, x)
+        shifted = lam - rho * c
+        if eq.all():  # no PHR terms: the same bits as the masked formulas below
+            value += float((-lam * c + 0.5 * rho * c * c).sum())
+            self.lam_tilde, self.active = shifted, eq
+        else:
+            if rho <= 0.0:
+                raise NumericalFailure("PHR terms need rho > 0 with inequality rows")
+            self.lam_tilde = lam_t = np.where(eq, shifted, np.maximum(0.0, shifted))
+            value += float(np.sum((-lam * c + 0.5 * rho * c * c)[eq]))
+            value += float(np.sum((lam_t[~eq] ** 2 - lam[~eq] ** 2))) / (2.0 * rho)
+            self.active = eq | (shifted > 0.0)
+        if not math.isfinite(value):
+            raise NumericalFailure("non-finite augmented Lagrangian evaluation")
+        self.value = value
 
     @cached_property
     def hvp_weight(self) -> np.ndarray:
@@ -433,23 +421,19 @@ def _inner(ev: _Eval, tol, max_iter):
 
 
 def al_value_grad(dp: DenseProblem, point: FactorizedPoint, lam, rho: float):
-    """Augmented-Lagrangian value and gradient on the problem's dense view.
+    """Augmented-Lagrangian value and gradient on the problem's dense view: ``_Eval``
+    at the point, with tail blocks factored through ``psd_factor`` (a tail that
+    is not PSD raises ``NotPsdError``).
 
     Gradient is returned in the same shape as the point: 2*S_j*Y_j for factor
     blocks, the slack-matrix component for tail blocks, and the free-part
-    slack for the free variables, with S built from lam~ (``_al_terms``).
+    slack for the free variables, with S built from lam~.
     """
-    if len(point.factors) != dp.k:
-        raise ValueError(f"need {dp.k} factor ranks, got {len(point.factors)}")
-    lam = np.asarray(lam, dtype=float)
-    x = np.asarray(point.free, dtype=float)
-    value, _, _, lam_t, _ = _al_terms(dp, _lifted_blocks(point), x, lam, rho)
-    S, free = dp.slack(lam_t)
-    factors = [2.0 * s @ y for s, y in zip(S, point.factors)]
-    if not all(np.all(np.isfinite(g)) for g in factors + S[dp.k:] + [free]):
-        raise NumericalFailure("non-finite augmented Lagrangian gradient")
-    tails = tuple(SymmetricMatrix.from_dense(s) for s in S[dp.k:])
-    return value, FactorizedPoint(tuple(factors), tails, free)
+    work = _Work(dp, point.ranks)
+    ev = _Eval(work, work.pack(_internal_factors(point), point.free), np.asarray(lam, dtype=float), rho)
+    ys, free = work.unpack(ev.grad)
+    tails = tuple(SymmetricMatrix.from_dense(s) for s in ev.S[dp.k:])
+    return ev.value, FactorizedPoint(tuple(ys[:dp.k]), tails, free)
 
 
 def _initial_z(work: _Work, rng: np.random.Generator, b: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lrsdp.model import BlockStructure, ConicSdpProblem, SymmetricMatrix
+from lrsdp.model import BlockStructure, ConicSdpProblem, Constraint, ConstraintKind, CooSymmetric, SymmetricMatrix
 from lrsdp.factorization import FactorizedPoint
 
 
@@ -76,13 +76,15 @@ def correlation_sdp():
 
 
 def maxcut_sdp(n: int, seed: int):
-    """MaxCut relaxation of G(n, 0.3): min <-L/4, X> s.t. X_ii = 1."""
+    """MaxCut relaxation of G(n, 0.3): min <-L/4, X> s.t. X_ii = 1, each row one sparse entry."""
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < 0.3, 1).astype(float)
     adj = upper + upper.T
     laplacian = np.diag(adj.sum(axis=1)) - adj
-    rows = [([np.diag(np.eye(n)[i])], [], 1.0, "E") for i in range(n)]
-    return make_problem((n,), 1, 0, [-0.25 * laplacian], [], rows, name=f"maxcut-n{n}-s{seed}")
+    rows = [Constraint((CooSymmetric.from_entries(n, [(i, i, 1.0)]),), np.zeros(0), 1.0, ConstraintKind.EQUALITY)
+            for i in range(n)]
+    return ConicSdpProblem.normalized(BlockStructure((n,), 1, 0), (SymmetricMatrix.from_dense(-0.25 * laplacian),),
+                                      np.zeros(0), rows, name=f"maxcut-n{n}-s{seed}")
 
 
 def iqm_cost(a: float, b: float, c: float) -> np.ndarray:

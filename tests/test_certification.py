@@ -385,6 +385,7 @@ class TestBlockLayout:
             "certify": lambda: certify(dp, point, [mult]),
             "estimate_multipliers": lambda: estimate_multipliers(dp, point),
             "licq_check": lambda: licq_check(dp, point),
+            "al_solve": lambda: al_solve(dp, [2], SolverConfig(), warm_start=(point, lam)),
         }
         for name, call in calls.items():
             with pytest.raises(ValueError):

@@ -500,6 +500,18 @@ def test_generated_corpus_roundtrips_structurally():
         assert write_problem(again) == text
 
 
+@pytest.mark.parametrize("n, seed", [(5, 0), (12, 0), (40, 3)])
+def test_maxcut_sdp_serializes_as_its_dense_row_build(n, seed):
+    # the same graph with every row built as a dense n x n matrix and then converted
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < 0.3, 1).astype(float)
+    adj = upper + upper.T
+    laplacian = np.diag(adj.sum(axis=1)) - adj
+    rows = [([np.diag(np.eye(n)[i])], [], 1.0, "E") for i in range(n)]
+    dense = make_problem((n,), 1, 0, [-0.25 * laplacian], [], rows, name=f"maxcut-n{n}-s{seed}")
+    assert write_problem(maxcut_sdp(n, seed)) == write_problem(dense)
+
+
 def test_symmetric_matrix_roundtrip_and_inner():
     rng = np.random.default_rng(5)
     g = rng.standard_normal((4, 4))

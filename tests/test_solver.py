@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lrsdp.dense import densify
-from lrsdp.factorization import FactorizedPoint
-from lrsdp.model import BlockStructure
+from lrsdp.factorization import FactorizedPoint, NotPsdError
+from lrsdp.model import BlockStructure, SymmetricMatrix
 from lrsdp.solver import (
     InfeasibleError,
     NumericalFailure,
@@ -96,6 +96,14 @@ class TestValueGrad:
         y = FactorizedPoint((np.array([[1.0], [0.0]]),), (), np.zeros(0))
         with pytest.raises(NumericalFailure), np.errstate(over="ignore"):
             al_value_grad(densify(trivial_sdp()), y, [1e308], 10.0)
+
+    def test_tail_that_is_not_psd_raises(self):
+        # the tail enters the solver's layout through its PSD factor, as a warm start does
+        dp = densify(generate_random(BlockStructure((3, 2), 1, 0), 3, "EEE", 1))
+        y = np.random.default_rng(0).standard_normal((3, 2))
+        point = FactorizedPoint((y,), (SymmetricMatrix.from_dense(-np.eye(2)),), np.zeros(0))
+        with pytest.raises(NotPsdError):
+            al_value_grad(dp, point, np.zeros(dp.m), 1.0)
 
     @pytest.mark.parametrize(
         "kind,factors,rho,error,message",
