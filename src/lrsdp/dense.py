@@ -8,8 +8,8 @@ value; an off-diagonal entry at both (a, b) and (b, a)).  Its ``apply``,
 ``np.bincount`` gathers and scatters over the triplets used by the solver,
 the certifier and the oracle, with one entry per PSD block in every block
 list (another length raises ``ValueError``); no dense (m, n_j, n_j) stack is
-built.  ``tolerances`` is the one tolerance policy: of the local solve's stop,
-the certificate and the phase I.
+built.  ``tolerances`` is the one tolerance policy: of the local solve's inner
+and outer stops, the certificate and the phase I.
 
 Callers build the view and pass it down: ``staircase_solve`` once per solve,
 each oracle entry point once per call (the phase I remaps its triplets), and

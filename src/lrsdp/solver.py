@@ -1,12 +1,13 @@
 """Local solver for the factorized problem.
 
 Outer loop: safeguarded augmented Lagrangian with Powell-Hestenes-Rockafellar
-treatment of inequality rows, stopped by the scale-relative tolerances of
-``DenseProblem.tolerances`` that certification also uses, at one relative
-tolerance (``SolverConfig.tol``) for stationarity and feasibility.  Inner loop:
-trust-region Newton with truncated CG on exact Hessian-vector products, plus
-a negative-curvature probe at (near-)stationary points so the method settles
-only at second-order points.
+treatment of inequality rows.  It stops at a point within the scale-relative
+tolerances of ``DenseProblem.tolerances`` (one relative ``SolverConfig.tol``,
+shared with certification) where a negative-curvature probe settles, so only
+at second-order points.  Inner loop: trust-region Newton with truncated CG on
+exact Hessian-vector products; at a gradient below the larger of that
+stationarity tolerance and a tenth of the best infeasibility it probes if the
+outer stop test passes and returns otherwise.
 Both go through the constraint Jacobian J at the point: the Hessian is
 H = blockdiag(2 S_j (x) I_q) + J^T diag(w) J, with w the penalty on active
 rows and 0 elsewhere, and a Hessian-vector product is 2 S_j U_j + J^T (w * J u).
@@ -27,7 +28,7 @@ size n factors at rank n), so one variable layout serves every block; the
 factorized/tail distinction matters again only for rank bounds and for
 certification reporting.  One evaluator, ``_Eval``, gives the AL value and
 gradient to ``al_solve`` and, in the point's shape, to ``al_value_grad``; every
-point enters the layout through ``_Work.pack``, which checks its block list.
+point enters the layout through ``_Work.pack``, which checks each block's shape.
 
 ``al_solve`` and ``al_value_grad`` take the problem's dense view
 (``densify``) from their caller and build none.
@@ -184,8 +185,12 @@ class _Work:
     def pack(self, ys, x) -> np.ndarray:
         self.dp._check(ys)
         z = np.empty(self.dim)
-        for off, (n, q), y in zip(self.offsets, self.shapes, ys):
-            z[off:off + n * q] = y.ravel()
+        for j, (off, shape, y) in enumerate(zip(self.offsets, self.shapes, ys)):
+            if np.shape(y) != shape:
+                raise ValueError(f"block {j}: expected shape {shape}, got {np.shape(y)}")
+            z[off:off + y.size] = y.ravel()
+        if np.shape(x) != (self.dp.d,):
+            raise ValueError(f"free part: expected shape {(self.dp.d,)}, got {np.shape(x)}")
         z[self.free_off:] = x
         return z
 
@@ -258,7 +263,7 @@ class _Eval:
     @cached_property
     def grad(self) -> np.ndarray:
         _, free, S2 = self._slack
-        grad = self.work.pack([s2 @ y for s2, y in zip(S2, self.ys)], free)
+        grad = np.concatenate([(s2 @ y).ravel() for s2, y in zip(S2, self.ys)] + [free])
         if not np.all(np.isfinite(grad)):
             raise NumericalFailure("non-finite augmented Lagrangian gradient")
         return grad
@@ -276,8 +281,8 @@ class _Eval:
 
     @cached_property
     def curvature(self) -> np.ndarray | None:
-        """The probe at this point, computed once: None when lambda_min(H) >=
-        -CURV_FLOOR * max(1, lambda_max(H)), else a unit u with u^T H u below it.
+        """The probe at this point, computed once, where al_solve can stop: None when
+        lambda_min(H) >= -CURV_FLOOR * max(1, lambda_max(H)), else a unit u with u^T H u below it.
 
         With S_j = V_j diag(lam_j) V_j^T and Q = blockdiag(V_j (x) I_q, I),
         Q^T H Q = diag(d) + rho Jq^T Jq for Jq = J_a Q, J_a the active rows of
@@ -381,35 +386,45 @@ class _CgPath:
         return z, d, float(z_next.dot(z_next)), zhz, dhz, dhd
 
 
-def _inner(ev: _Eval, tol, max_iter):
-    """Trust-region Newton on the AL from ev's point; returns (eval, accepted)."""
-    work = ev.work
+def _first_order(ev: _Eval, rel: float) -> bool:
+    """al_solve's stop test before the probe, on ``DenseProblem.tolerances`` at ev's multiplier update."""
+    tols = ev.work.dp.tolerances(np.clip(ev.lam_tilde, -DUAL_CAP, DUAL_CAP), rel)
+    return ev.infeasibility() <= tols["feasibility"] and math.sqrt(float(ev.grad @ ev.grad)) <= tols["stationarity"]
+
+
+def _inner(ev: _Eval, tol, rel, max_iter):
+    """Trust-region Newton on the AL from ev's point; returns (eval, accepted).
+
+    At a gradient norm <= tol it returns, unless ``_first_order(ev, rel)`` holds: there it
+    returns once the probe settles, else steps along the escape direction.  A rejected step s
+    sets the radius to |s| / 4, so no trial point is evaluated twice; it doubles after a step
+    of ratio >= 0.75 that reached it (Nocedal & Wright, Algorithm 4.1).
+    """
     delta = TR_RADIUS_INIT
     accepted = 0
     for _ in range(max_iter):
         g = ev.grad
         if math.sqrt(float(g @ g)) <= tol:
-            # gradient is flat: probe the spectrum for escapable curvature
-            direction = ev.curvature
-            if direction is None:
+            if not _first_order(ev, rel) or (direction := ev.curvature) is None:
                 break
             step = delta * (-direction if float(g @ direction) > 0.0 else direction)
             curv = float(step @ ev.hvp(step))
         else:
             step, curv = ev.cg_path.step(delta, ev.hvp)
         model_dec = -(float(g @ step) + 0.5 * curv)
+        step_norm = math.sqrt(float(step @ step))
 
         ratio = -np.inf  # a step the model cannot rank is rejected
         if 0.0 < model_dec < np.inf:
-            ev_trial = _Eval(work, ev.z + step, ev.lam, ev.rho)
+            ev_trial = _Eval(ev.work, ev.z + step, ev.lam, ev.rho)
             ratio = (ev.value - ev_trial.value) / model_dec
         if ratio >= 0.1:
             ev = ev_trial
             accepted += 1
-        if ratio >= 0.75:
+        if ratio >= 0.75 and step_norm >= (1.0 - 1e-9) * delta:
             delta = min(delta * 2.0, 1e10)
         elif ratio < 0.1:
-            delta *= 0.25
+            delta = 0.25 * step_norm
             if delta < 1e-13 * (1.0 + math.sqrt(float(ev.z @ ev.z))):
                 break
     return ev, accepted
@@ -452,8 +467,8 @@ def al_solve(
     """Full augmented-Lagrangian solve on a dense view at the given factor ranks.
 
     Starts from ``warm_start = (point, lam)`` or a random point, at penalty ``PENALTY_INIT``.
-    Stops when infeasibility <= tol * (1 + ||b||_inf) and the AL gradient
-    norm <= tol * (1 + ||C|| + ||lam||_inf) (``DenseProblem.tolerances``);
+    Stops where infeasibility <= tol * (1 + ||b||_inf), the AL gradient norm <= tol *
+    (1 + ||C|| + ||lam||_inf) at the updated lam (``DenseProblem.tolerances``) and the probe settles;
     the penalty grows only while infeasibility is above its tolerance.
     Returns (final LagrangianState, trace of per-outer-iteration records).
     Raises InfeasibleError after 5 stalls in a row: infeasibility above its
@@ -481,8 +496,8 @@ def al_solve(
     stall_ref = np.inf  # best outer-iterate infeasibility; a warm start may begin far more feasible
     stall = 0
     for outer in range(1, config.max_outer + 1):
-        tol_inner = max(config.tol, 0.1 * best_infeas)
-        ev, accepted = _inner(ev, tol_inner, MAX_INNER)
+        tol_inner = max(problem.tolerances(lam, config.tol)["stationarity"], 0.1 * best_infeas)
+        ev, accepted = _inner(ev, tol_inner, config.tol, MAX_INNER)
         lam_prev, lam = lam, np.clip(ev.lam_tilde, -DUAL_CAP, DUAL_CAP)
         infeas = ev.infeasibility()
         stationarity = math.sqrt(float(ev.grad @ ev.grad))
@@ -496,8 +511,8 @@ def al_solve(
                 "inner_accepted": accepted,
             }
         )
-        stat_tol = problem.tolerances(lam, config.tol)["stationarity"]
-        if infeas <= feas_tol and stationarity <= stat_tol:
+        converged = _first_order(ev, config.tol) and ev.curvature is None  # a probe _inner ran is not rerun
+        if converged:
             break
 
         if infeas > feas_tol and infeas > best_infeas / 4.0:
@@ -515,5 +530,5 @@ def al_solve(
 
     # the last outer iterate (ev holds its point) and its stopping test
     state = LagrangianState(work.to_point(ev.z), lam, trace[-1]["rho"], ev.sdp_objective, infeas, stationarity,
-                            infeas <= feas_tol and stationarity <= stat_tol)
+                            converged)
     return state, trace

@@ -1,6 +1,7 @@
 """Multiplier recovery, certificates, escapes, LICQ, staircase."""
 
 import dataclasses
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -392,6 +393,19 @@ class TestBlockLayout:
                 call()
                 pytest.fail(f"{name} accepted a point without its tail block")
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+    def test_factor_of_the_wrong_shape_raises(self, shape):
+        # a (2, 3) factor has the six entries of a (3, 2) one: it must not be
+        # read as one, nor a (3, 3) factor end in numpy's broadcast error
+        dp = densify(generate_random(BlockStructure((3,), 1, 0), 3, "EEE", 1))
+        point = FactorizedPoint((np.random.default_rng(0).standard_normal(shape),), (), np.zeros(0))
+        lam = np.zeros(dp.m)
+        with pytest.raises(ValueError, match=re.escape(f"block 0: expected shape (3, 2), got {shape}")):
+            al_solve(dp, [2], SolverConfig(), warm_start=(point, lam))
+        if shape[0] != 3:  # al_value_grad reads the rank off the point
+            with pytest.raises(ValueError, match=re.escape(f"block 0: expected shape (3, 3), got {shape}")):
+                al_value_grad(dp, point, lam, 1.0)
+
 
 class TestStaircase:
     def test_trivial_certifies_first_stage(self):
@@ -411,18 +425,24 @@ class TestStaircase:
         assert max(seq) >= 2
         assert abs(report.objective - target) <= 1e-5 * (1.0 + abs(target))
 
-    def test_escapable_stage_at_full_rank_restarts(self):
-        # one outer iteration leaves every solve unconverged; at rank 4 = n the
-        # factor cannot take another column, so the Escapable stage restarts
+    def test_escapable_stage_at_full_rank_restarts(self, monkeypatch):
+        # every stage is Escapable at block 0; at rank 4 = n the factor cannot
+        # take another column, so the Escapable stage restarts
+        def escapable(*args, **kwargs):
+            cert = certify(*args, **kwargs)
+            return dataclasses.replace(cert, verdict="Escapable", escape_block=0, escape_vector=np.eye(4)[0])
+
+        monkeypatch.setattr(certification, "certify", escapable)
         prob = generate_random(BlockStructure((4,), 1, 0), 3, "EEE", 6)
-        report = staircase_solve(prob, SolverConfig(seed=6, tol=1e-6, max_outer=1), ranks=[2])
-        stages = [(s.ranks, s.verdict, s.action) for s in report.stages]
-        assert stages[:3] == [
-            ((2,), "Escapable", "rank-increment"),
-            ((3,), "Escapable", "rank-increment"),
-            ((4,), "Escapable", "restart"),
+        report = staircase_solve(prob, SolverConfig(seed=6), ranks=[2])
+        assert [(s.ranks, s.verdict, s.action, s.seed) for s in report.stages] == [
+            ((2,), "Escapable", "rank-increment", 6),
+            ((3,), "Escapable", "rank-increment", 6),
+            ((4,), "Escapable", "restart", 6),
+            ((4,), "Escapable", "restart", 7),
+            ((4,), "Escapable", "restart", 8),
+            ((4,), "Escapable", "stop", 9),
         ]
-        assert all(s.action in ("restart", "stop") for s in report.stages[2:])
         assert report.verdict == "Indeterminate"
 
     def test_one_dense_view_and_two_residual_evaluations_per_stage(self, monkeypatch):
@@ -580,24 +600,27 @@ class TestStaircase:
             ]
 
     def test_escapable_tail_block_restarts_from_a_fresh_seed(self, monkeypatch):
-        # the escape block is the SOC instance's tail block, which has no
-        # factor to grow: each such stage restarts with the next seed
+        # the first two stages escape along the SOC instance's tail block,
+        # which has no factor to grow: each such stage restarts with the next
+        # seed, and the third solves at seed 4, where the instance certifies
         from lrsdp import certification
 
         escape_blocks = []
 
         def spy(*args, **kwargs):
             cert = certify(*args, **kwargs)
+            if len(escape_blocks) < 2:
+                cert = dataclasses.replace(cert, verdict="Escapable", escape_block=1)
             escape_blocks.append(cert.escape_block)
             return cert
 
         monkeypatch.setattr(certification, "certify", spy)
         prob = random_soc_fixture(3, 3, 3, 4).problem
-        report = staircase_solve(prob, SolverConfig(seed=4))
+        report = staircase_solve(prob, SolverConfig(seed=2))
         assert [(s.ranks, s.verdict, s.action, s.seed) for s in report.stages] == [
-            ((3,), "Escapable", "restart", 4),
-            ((3,), "Escapable", "restart", 5),
-            ((3,), "GlobalOptimal", "certified", 6),
+            ((3,), "Escapable", "restart", 2),
+            ((3,), "Escapable", "restart", 3),
+            ((3,), "GlobalOptimal", "certified", 4),
         ]
         assert escape_blocks == [1, 1, None]
 

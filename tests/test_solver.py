@@ -215,11 +215,13 @@ def eval_point(problem, point, lam, rho):
 
 
 def run_inner(problem, point, lam, rho, max_inner=500):
-    """_inner from a point at fixed (lam, rho), with al_solve's first inner tolerance."""
+    """_inner from a point at fixed (lam, rho), with al_solve's first inner tolerance and stop test."""
     from lrsdp.solver import _inner
 
     ev0 = eval_point(problem, point, lam, rho)
-    ev, _ = _inner(ev0, max(SolverConfig().tol, 0.1 * ev0.infeasibility()), max_inner)
+    tol = SolverConfig().tol
+    stat_tol = ev0.work.dp.tolerances(ev0.lam, tol)["stationarity"]
+    ev, _ = _inner(ev0, max(stat_tol, 0.1 * ev0.infeasibility()), tol, max_inner)
     return ev
 
 
@@ -595,7 +597,7 @@ class TestCgPath:
 
         def run():
             products[0] = 0
-            ev, accepted = solver._inner(eval_at(maxcut_sdp(12, 0), [3], 0), 1e-10, 500)
+            ev, accepted = solver._inner(eval_at(maxcut_sdp(12, 0), [3], 0), 1e-10, SolverConfig().tol, 500)
             return ev.z, accepted, products[0]
 
         monkeypatch.setattr(solver._Eval, "hvp", counting)
@@ -648,6 +650,23 @@ class TestInnerMinimize:
         ev = run_inner(prob, y0, np.zeros(0), 1.0, max_inner=15)
         assert ev.sdp_objective < -1e-6  # strictly left the saddle
 
+    def test_rejected_step_is_never_retried(self, monkeypatch):
+        # a rejected step s sets the radius to |s| / 4, so the next trial differs
+        from lrsdp import solver
+
+        trials = []
+        init = solver._Eval.__init__
+
+        def recording(self, work, z, lam, rho):
+            trials.append(z.copy())
+            init(self, work, z, lam, rho)
+
+        ev0 = eval_at(maxcut_sdp(12, 2), [3], 0)  # shrinking to delta / 4 re-tries 18 trial points here
+        monkeypatch.setattr(solver._Eval, "__init__", recording)
+        _, accepted = solver._inner(ev0, 1e-10, SolverConfig().tol, 500)
+        assert len(trials) > accepted  # some steps were rejected
+        assert not any(np.array_equal(a, b) for a, b in zip(trials, trials[1:]))
+
 
 class TestOuterLoop:
     def test_trivial_sdp(self):
@@ -667,6 +686,31 @@ class TestOuterLoop:
         assert len(trace) <= 10
         assert all(rec["rho"] < cfg.penalty_cap for rec in trace)
         assert state.infeasibility <= cfg.tol * 2.0
+
+    @pytest.mark.parametrize("n, seed", [(20, 2), (30, 3), (40, 2)])
+    def test_every_converged_return_was_probed(self, monkeypatch, n, seed):
+        # the curvature probe is part of the stop test: a converged return
+        # carries a probe that settled at exactly the returned point
+        from functools import cached_property
+
+        from lrsdp import solver
+        from lrsdp.factorization import initial_rank_bound
+
+        probes = []
+        probe = solver._Eval.curvature.func
+
+        def recording(self):
+            probes.append((self.z.copy(), probe(self)))
+            return probes[-1][1]
+
+        wrapped = cached_property(recording)
+        wrapped.__set_name__(solver._Eval, "curvature")
+        monkeypatch.setattr(solver._Eval, "curvature", wrapped)
+        prob = maxcut_sdp(n, seed)
+        state, _ = al_solve(densify(prob), initial_rank_bound(prob).p_per_block, SolverConfig())
+        assert state.converged
+        z = state.point.factors[0].ravel()
+        assert [u is None for y, u in probes if np.array_equal(y, z)] == [True]
 
     def test_config_needs_an_outer_iteration(self):
         with pytest.raises(ValueError, match="max_outer"):
