@@ -6,9 +6,11 @@ the inequality slacks and their duals are a vector pair (SDPT3's linear block:
 ratio-test steps, w/z on the Schur diagonal), and free variables are
 eliminated directly from the Schur system.  Residuals, objective and search
 directions go through the ``DenseProblem`` operator the solver and certifier
-use, the Schur complement too (a Gram matrix of ``jacobian`` rows).  It anchors every
-derived test value, so it is deliberately boring: one eigh of each block of X
-and S per iterate, one convergence measure, no randomness, step fraction 0.99.
+use, and the Schur complement is read off its triplets: sums over pairs of
+stored entries on sparse blocks, a Gram matrix of ``jacobian`` rows on dense
+ones (``_schur_complement``).  It anchors every derived test value, so it is
+deliberately boring: one eigh of each block of X and S per iterate, one
+convergence measure, no randomness, step fraction 0.99.
 
 One phase I (``_min_violation``: the least uniform violation of the rows,
 some forced active) answers every feasibility question on a view remapped
@@ -83,17 +85,37 @@ def _ratio_step(q: np.ndarray) -> float:
     return np.inf if q_min >= -1e-14 else -1.0 / q_min
 
 
-def _schur_complement(dp: DenseProblem, X, FX, FS) -> np.ndarray:
+def _schur_complement(dp: DenseProblem, X, FX, FS, Sinv, pair=None) -> np.ndarray:
     """HKM Schur complement M[i,l] = sum_j <A_ij, X_j A_lj S_j^-1>, without the
-    slack rows' w/z, as the Gram matrix sum_j K_j K_j^T of the rows K_ij = GX_j^T A_ij FS_j:
-    GX_j = X_j FX_j has GX_j GX_j^T = X_j, FS_j FS_j^T = S_j^-1 (``_inv_sqrt``), and
-    row i of ``dp.jacobian(FS)`` holds 2 A_ij FS_j.  Each k @ k.T is exactly symmetric."""
-    J = np.split(dp.jacobian(FS), np.cumsum([n * n for n in dp.sizes], dtype=int), axis=1)  # the last: A_f
+    slack rows' w/z, by one of two rules per block: the pair rule when the
+    block's nt triplets give nt^2 <= m n_j^2 (n_j + m), the Gram rule's work,
+    else the Gram rule (``pair`` forces one rule on every block).
+
+    Pair rule (Fujisawa, Kojima & Nakata 1997): with (a, b) = divmod(pos, n_j),
+    M[i,l] += sum_{t in i, s in l} v_t v_s X_j[b_t, a_s] S_j^-1[b_s, a_t], the
+    nt x nt products summed by row with ``np.add.reduceat`` on both axes (the
+    triplets are sorted by row); on diagonal rows it is X_j o S_j^-1.
+    Gram rule: sum_j K_j K_j^T of the rows K_ij = GX_j^T A_ij FS_j, where
+    GX_j = X_j FX_j has GX_j GX_j^T = X_j, FS_j FS_j^T = S_j^-1 (``_inv_sqrt``),
+    and row i of ``dp.jacobian`` at FS_j holds 2 A_ij FS_j; the pair blocks
+    enter it with no columns.  M is the upper triangle mirrored, exactly symmetric."""
     M = np.zeros((dp.m, dp.m))
-    for x_, fx, j, n in zip(X, FX, J, dp.sizes):
-        k = ((x_ @ fx).T @ j.reshape(dp.m, n, n)).reshape(dp.m, n * n)  # 2 K_j
-        M += k @ k.T
-    return 0.25 * M
+    pairs = [(row.size ** 2 <= dp.m * n * n * (n + dp.m)) if pair is None else pair
+             for (row, _, _), n in zip(dp.triplets, dp.sizes)]
+    if not all(pairs):
+        qs = [0 if p else n for p, n in zip(pairs, dp.sizes)]
+        J = np.split(dp.jacobian([f[:, :q] for f, q in zip(FS, qs)]),
+                     np.cumsum([n * q for n, q in zip(dp.sizes, qs)], dtype=int), axis=1)  # the last: A_f
+    for j, (x_, fx, si, (row, pos, val), n) in enumerate(zip(X, FX, Sinv, dp.triplets, dp.sizes)):
+        if not pairs[j]:
+            k = ((x_ @ fx).T @ J[j].reshape(dp.m, n, n)).reshape(dp.m, n * n)  # 2 K_j
+            M += 0.25 * (k @ k.T)
+        elif row.size:
+            first = np.flatnonzero(np.diff(row, prepend=-1))  # each stored row's first triplet
+            a, b = np.divmod(pos, n)
+            p = np.outer(val, val) * x_[b[:, None], a] * si[b, a[:, None]]
+            M[np.ix_(row[first], row[first])] += np.add.reduceat(np.add.reduceat(p, first, 0), first, 1)
+    return np.triu(M) + np.triu(M, 1).T
 
 
 def _ipm(dp: DenseProblem, tol: float, max_iter: int):
@@ -160,7 +182,7 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
         FS = [_inv_sqrt(s_) for s_ in S]
         Sinv = [f @ f.T for f in FS]
 
-        M = _schur_complement(dp, X, FX, FS)
+        M = _schur_complement(dp, X, FX, FS, Sinv)
         M[rows, rows] += w / z
 
         try:

@@ -265,11 +265,15 @@ class TestSparseRows:
                         assert_close(dp.jacobian(ys, list(rows)), want[list(rows)])
 
     def test_schur_complement_matches_dense_stacks(self):
+        from lrsdp.apps import build_integer_quadratic
         from lrsdp.oracle import _inv_sqrt, _schur_complement
 
         # with no PSD block, only free columns and inequality rows: M = 0
         no_psd = make_problem((), 0, 2, [], [1.0, 1.0], [([], [1.0, 0.0], 1.0, "I"), ([], [1.0, 1.0], 2.0, "I")])
-        for seed, prob in enumerate(list(sparse_row_cases()) + [no_psd]):
+        # the integer-quadratic rows X_ii = X_0i hold off-diagonal entries, and take the pair rule
+        iqm = build_integer_quadratic(np.diag([2.0, 1.0, 3.0, 1.5, 1.0]) + 0.25).problem
+        cases = list(sparse_row_cases()) + [no_psd, iqm]
+        for seed, prob in enumerate(cases):
             dp, (stacks, _) = densify(prob), dense_rows(prob)
             rng = np.random.default_rng(seed)
 
@@ -278,13 +282,15 @@ class TestSparseRows:
                 return g @ g.T + 0.1 * np.eye(n)
 
             X, S = [pd(n) for n in dp.sizes], [pd(n) for n in dp.sizes]
-            M = _schur_complement(dp, X, [_inv_sqrt(x) for x in X], [_inv_sqrt(s) for s in S])
+            FS = [_inv_sqrt(s) for s in S]
             # M[i, l] = sum_j <A_ij, X_j A_lj S_j^-1>
             want = sum((np.einsum("iab,lab->il", a, x @ a @ np.linalg.inv(s)) for a, x, s in zip(stacks, X, S)),
                        np.zeros((dp.m, dp.m)))
-            assert M.shape == (dp.m, dp.m)
-            assert_close(M, want)
-            np.testing.assert_array_equal(M, M.T)
+            for pair in (None, True, False):  # the rule each block picks, then each rule on every block
+                M = _schur_complement(dp, X, [_inv_sqrt(x) for x in X], FS, [f @ f.T for f in FS], pair)
+                assert M.shape == (dp.m, dp.m)
+                assert_close(M, want)
+                np.testing.assert_array_equal(M, M.T)
 
     def test_phase_one_view_equals_signed_dense_copies(self, monkeypatch):
         from lrsdp import oracle

@@ -29,7 +29,8 @@ from lrsdp.oracle import (
 from lrsdp.apps import build_integer_quadratic, generate_random
 
 from brute_force import _lp2_values, _rotated, brute_force_2x2
-from helpers import correlation_sdp, dense_rows, indefinite_trace_sdp, iqm_cost, make_problem, trivial_sdp
+from helpers import (correlation_sdp, dense_rows, indefinite_trace_sdp, iqm_cost, make_problem, maxcut_sdp,
+                     trivial_sdp)
 
 
 class TestInteriorPoint:
@@ -140,6 +141,29 @@ class TestInteriorPoint:
             v = rng.standard_normal((n, 1))
             for psd in (h @ h.T, v @ v.T, np.zeros((n, n))):
                 assert _max_step(f, psd) == np.inf
+
+    def test_schur_rule_forms_no_jacobian_on_maxcut(self, monkeypatch):
+        """MaxCut's one-entry rows take the pair rule, so no m x n^2 Jacobian is formed;
+        dense random rows take the Gram rule."""
+        from lrsdp import SolverConfig, staircase_solve
+        from lrsdp.dense import DenseProblem
+
+        calls = []
+        jacobian = DenseProblem.jacobian
+
+        def counted(self, ys, rows=None):
+            calls.append([y.shape for y in ys])
+            return jacobian(self, ys, rows)
+
+        monkeypatch.setattr(DenseProblem, "jacobian", counted)
+        sol = oracle_solve(maxcut_sdp(60, 0))
+        assert calls == []
+        ref = staircase_solve(maxcut_sdp(60, 0), SolverConfig())
+        assert ref.verdict == "GlobalOptimal"
+        assert abs(sol.objective - ref.objective) <= 1e-6 * abs(ref.objective)
+        calls.clear()
+        oracle_solve(generate_random(BlockStructure((6,), 1, 0), 8, "E" * 8, 0))
+        assert calls and all(shapes == [(6, 6)] for shapes in calls)
 
     def test_deterministic(self):
         prob = generate_random(BlockStructure((5, 3), 2, 1), 6, "EEEEEI", 5)
