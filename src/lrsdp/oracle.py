@@ -9,7 +9,8 @@ directions go through the ``DenseProblem`` operator the solver and certifier
 use, and the Schur complement is read off its triplets: sums over pairs of
 stored entries on sparse blocks, a Gram matrix of ``jacobian`` rows on dense
 ones (``_schur_complement``).  It anchors every derived test value, so it is
-deliberately boring: one eigh of each block of X and S per iterate, one
+deliberately boring: Cholesky factors of X and S with triangular inverses
+(``_inv_factor``, as in SDPT3), one eigvalsh per block and step length, one
 convergence measure, no randomness, step fraction 0.99.
 
 One phase I (``_min_violation``: the least uniform violation of the rows,
@@ -66,16 +67,21 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """F = V diag(w)^(-1/2) from a = V diag(w) V^T, a PD up to roundoff, with
-    w floored at 1e-14 * w_max: F^T a F = I and F F^T = a^-1."""
-    w, v = np.linalg.eigh(a)
-    floor = max(float(w[-1]), 1e-300) * 1e-14
-    return v / np.sqrt(np.clip(w, floor, None))
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """L with a = L L^T, from LAPACK potrf; LinAlgError when a is not numerically PD."""
+    u, info = sla.lapack.dpotrf(a)
+    if info:
+        raise np.linalg.LinAlgError(f"iterate lost positive definiteness (potrf info {info})")
+    return u.T
+
+
+def _inv_factor(a: np.ndarray) -> np.ndarray:
+    """F = L^-T from a = L L^T, by one potrf and one trtri: F^T a F = I and F F^T = a^-1."""
+    return sla.lapack.dtrtri(_cholesky(a).T)[0]
 
 
 def _max_step(f: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx still PSD, given f = _inv_sqrt(x)."""
+    """Largest alpha with x + alpha*dx still PSD, given f = _inv_factor(x)."""
     return _ratio_step(np.linalg.eigvalsh(_sym(f.T @ dx @ f)))
 
 
@@ -85,7 +91,7 @@ def _ratio_step(q: np.ndarray) -> float:
     return np.inf if q_min >= -1e-14 else -1.0 / q_min
 
 
-def _schur_complement(dp: DenseProblem, X, FX, FS, Sinv, pair=None) -> np.ndarray:
+def _schur_complement(dp: DenseProblem, X, FS, Sinv, pair=None) -> np.ndarray:
     """HKM Schur complement M[i,l] = sum_j <A_ij, X_j A_lj S_j^-1>, without the
     slack rows' w/z, by one of two rules per block: the pair rule when the
     block's nt triplets give nt^2 <= m n_j^2 (n_j + m), the Gram rule's work,
@@ -95,9 +101,10 @@ def _schur_complement(dp: DenseProblem, X, FX, FS, Sinv, pair=None) -> np.ndarra
     M[i,l] += sum_{t in i, s in l} v_t v_s X_j[b_t, a_s] S_j^-1[b_s, a_t], the
     nt x nt products summed by row with ``np.add.reduceat`` on both axes (the
     triplets are sorted by row); on diagonal rows it is X_j o S_j^-1.
-    Gram rule: sum_j K_j K_j^T of the rows K_ij = GX_j^T A_ij FS_j, where
-    GX_j = X_j FX_j has GX_j GX_j^T = X_j, FS_j FS_j^T = S_j^-1 (``_inv_sqrt``),
-    and row i of ``dp.jacobian`` at FS_j holds 2 A_ij FS_j; the pair blocks
+    Gram rule: sum_j K_j K_j^T of the rows K_ij = L_j^T A_ij FS_j, where X_j's
+    Cholesky factor has L_j L_j^T = X_j (``_cholesky``, taken again here so that
+    no L_j is held beside FX_j in this step, MaxCut's memory peak), FS_j FS_j^T =
+    S_j^-1, and row i of ``dp.jacobian`` at FS_j holds 2 A_ij FS_j; the pair blocks
     enter it with no columns.  M is the upper triangle mirrored, exactly symmetric."""
     M = np.zeros((dp.m, dp.m))
     pairs = [(row.size ** 2 <= dp.m * n * n * (n + dp.m)) if pair is None else pair
@@ -106,9 +113,9 @@ def _schur_complement(dp: DenseProblem, X, FX, FS, Sinv, pair=None) -> np.ndarra
         qs = [0 if p else n for p, n in zip(pairs, dp.sizes)]
         J = np.split(dp.jacobian([f[:, :q] for f, q in zip(FS, qs)]),
                      np.cumsum([n * q for n, q in zip(dp.sizes, qs)], dtype=int), axis=1)  # the last: A_f
-    for j, (x_, fx, si, (row, pos, val), n) in enumerate(zip(X, FX, Sinv, dp.triplets, dp.sizes)):
+    for j, (x_, si, (row, pos, val), n) in enumerate(zip(X, Sinv, dp.triplets, dp.sizes)):
         if not pairs[j]:
-            k = ((x_ @ fx).T @ J[j].reshape(dp.m, n, n)).reshape(dp.m, n * n)  # 2 K_j
+            k = (_cholesky(x_).T @ J[j].reshape(dp.m, n, n)).reshape(dp.m, n * n)  # 2 K_j
             M += 0.25 * (k @ k.T)
         elif row.size:
             first = np.flatnonzero(np.diff(row, prepend=-1))  # each stored row's first triplet
@@ -157,13 +164,15 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
         dobj = float(dp.b @ lam)
 
         pinf = float(np.linalg.norm(r_p, np.inf)) / scale_b
-        dinf = max(
+        dinf = float(np.max(
             [float(np.linalg.norm(rd, np.inf)) for rd in R_d]
             + [float(np.max(np.abs(r_z), initial=0.0)), float(np.max(np.abs(r_f), initial=0.0))]
-        ) / scale_c
+        )) / scale_c
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-        # |relgap|: an S that lost PSD can make <X, S> negative
-        measure = max(pinf, dinf, abs(relgap))
+        # |relgap|: an S that lost PSD can make <X, S> negative; np.max keeps a NaN
+        measure = float(np.max([pinf, dinf, abs(relgap)]))
+        if not np.isfinite(measure):
+            raise MaxIterationsError(f"non-finite residual measure after {it - 1} iterations")
         if measure <= tol:
             return X, lam, w, x, it - 1, pobj, dobj
 
@@ -177,23 +186,24 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
             if stagnant >= 12:
                 break
 
-        # X^-1/2 and S^-1/2 for the Schur complement and the step lengths, S^-1 for the direction
-        FX = [_inv_sqrt(x_) for x_ in X]
-        FS = [_inv_sqrt(s_) for s_ in S]
+        # F = L^-T of X and S for the step lengths, F_S and S^-1 for the Schur complement and direction
+        FX = [_inv_factor(x_) for x_ in X]
+        FS = [_inv_factor(s_) for s_ in S]
         Sinv = [f @ f.T for f in FS]
 
-        M = _schur_complement(dp, X, FX, FS, Sinv)
+        M = _schur_complement(dp, X, FS, Sinv)
         M[rows, rows] += w / z
 
         try:
-            cfM = sla.cho_factor(M + (1e-13 * (np.trace(M) / max(m, 1))) * np.eye(m), lower=True)
+            cfM = sla.cho_factor(M + (1e-13 * (np.trace(M) / max(m, 1))) * np.eye(m),
+                                 lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             raise MaxIterationsError("Schur complement lost positive definiteness")
 
         def msolve(rhs: np.ndarray) -> np.ndarray:
-            y = sla.cho_solve(cfM, rhs)
+            y = sla.cho_solve(cfM, rhs, check_finite=False)
             # one refinement pass: the Schur system turns ill-conditioned as mu -> 0
-            y += sla.cho_solve(cfM, rhs - M @ y)
+            y += sla.cho_solve(cfM, rhs - M @ y, check_finite=False)
             return y
 
         # free-variable elimination, once per iterate: Y2 = M^-1 A_f and A_f^T Y2

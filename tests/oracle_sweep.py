@@ -9,7 +9,7 @@ the Gram rule of the Schur complement, MaxCut's one-entry rows the pair rule.
 It writes the objectives of each section as JSON, null where that first
 attempt raises (a stall).  A stalled instance is retried through
 ``workloads.oracle_objective``; those that fail there too have lost their
-reference and are listed under ``lost``.
+reference and are listed under ``lost``; the run then exits with status 1.
 
 With ``--against`` a saved run it prints, per section, both stall counts, how
 many instances leave and join the stalled set, and the worst relative
@@ -86,6 +86,7 @@ def main() -> None:
             compare(part, saved[section])
         elif args.against:
             print("  no such section in the saved run")
+    sys.exit(1 if any(part["lost"] for part in run.values()) else 0)
 
 
 if __name__ == "__main__":

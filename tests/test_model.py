@@ -266,7 +266,7 @@ class TestSparseRows:
 
     def test_schur_complement_matches_dense_stacks(self):
         from lrsdp.apps import build_integer_quadratic
-        from lrsdp.oracle import _inv_sqrt, _schur_complement
+        from lrsdp.oracle import _inv_factor, _schur_complement
 
         # with no PSD block, only free columns and inequality rows: M = 0
         no_psd = make_problem((), 0, 2, [], [1.0, 1.0], [([], [1.0, 0.0], 1.0, "I"), ([], [1.0, 1.0], 2.0, "I")])
@@ -282,12 +282,12 @@ class TestSparseRows:
                 return g @ g.T + 0.1 * np.eye(n)
 
             X, S = [pd(n) for n in dp.sizes], [pd(n) for n in dp.sizes]
-            FS = [_inv_sqrt(s) for s in S]
+            FS = [_inv_factor(s) for s in S]
             # M[i, l] = sum_j <A_ij, X_j A_lj S_j^-1>
             want = sum((np.einsum("iab,lab->il", a, x @ a @ np.linalg.inv(s)) for a, x, s in zip(stacks, X, S)),
                        np.zeros((dp.m, dp.m)))
             for pair in (None, True, False):  # the rule each block picks, then each rule on every block
-                M = _schur_complement(dp, X, [_inv_sqrt(x) for x in X], FS, [f @ f.T for f in FS], pair)
+                M = _schur_complement(dp, X, FS, [f @ f.T for f in FS], pair)
                 assert M.shape == (dp.m, dp.m)
                 assert_close(M, want)
                 np.testing.assert_array_equal(M, M.T)

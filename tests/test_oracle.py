@@ -124,13 +124,13 @@ class TestInteriorPoint:
             oracle_solve(prob)
 
     def test_max_step_from_inverse_square_root(self):
-        from lrsdp.oracle import _inv_sqrt, _max_step
+        from lrsdp.oracle import _inv_factor, _max_step
 
         rng = np.random.default_rng(12)
         for n in (2, 3, 6):
             g = rng.standard_normal((n, n))
             x = g @ g.T + 0.1 * np.eye(n)
-            f = _inv_sqrt(x)
+            f = _inv_factor(x)
             np.testing.assert_allclose(f.T @ x @ f, np.eye(n), atol=1e-10)
             h = rng.standard_normal((n, n))
             for dx in (h + h.T, -(h + h.T)):
@@ -172,6 +172,68 @@ class TestInteriorPoint:
         assert s1.objective == s2.objective
         np.testing.assert_array_equal(s1.lam, s2.lam)
 
+    @pytest.mark.parametrize("cost, rhs", [(1e155, 1.0), (1.0, 1e200)], ids=["cost-1e155", "rhs-1e200"])
+    def test_non_finite_measure_stops(self, cost, rhs):
+        """The norms of C or b overflow, so the starting point holds inf * 0 = NaN.
+        The oracle stops with MaxIterationsError: not a wrong optimum from a NaN
+        measure read as 0 (the optimum at cost 1e155 I is 1e155), nor a ValueError
+        from a finiteness scan."""
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        prob = make_problem((2,), 1, 0, [cost * np.eye(2)], [], [([e11], [], rhs, "E")])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(MaxIterationsError):
+            oracle_solve(prob)
+
+
+class TestInverseFactor:
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    def test_factor_identities(self, n):
+        """F^T a F = I and F F^T = a^-1 to 1e-10 relative, up to condition 1e10.
+        The matrices are graded, a = D B D with B well conditioned: Cholesky's
+        error is relative to that diagonal scaling, as in an iterate whose
+        entries span many orders."""
+        from lrsdp.oracle import _cholesky, _inv_factor
+
+        rng = np.random.default_rng(n)
+        for spread in (1.0, 10 ** -2.5, 1e-5):
+            g = rng.standard_normal((n, n))
+            b = g @ g.T / n + np.eye(n)
+            d = np.geomspace(1.0, spread, n) if n > 1 else np.array([spread])
+            a = d[:, None] * b * d
+            l, f = _cholesky(a), _inv_factor(a)
+            np.testing.assert_array_equal(np.triu(l, 1), 0.0)
+            np.testing.assert_allclose(l @ l.T, a, rtol=0, atol=1e-14 * np.abs(a).max())
+            np.testing.assert_allclose(f.T @ a @ f, np.eye(n), rtol=0, atol=1e-10)
+            a_inv = np.linalg.inv(b) / d[:, None] / d
+            np.testing.assert_allclose(f @ f.T, a_inv, rtol=0, atol=1e-10 * np.abs(a_inv).max())
+        assert np.linalg.cond(a) >= (1e9 if n > 1 else 1.0)
+
+    @pytest.mark.parametrize("a", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]], [[0.0]]],
+                             ids=["indefinite", "singular", "zero"])
+    def test_not_positive_definite_raises(self, a):
+        from lrsdp.oracle import _inv_factor
+
+        with pytest.raises(np.linalg.LinAlgError):
+            _inv_factor(np.array(a))
+
+    def test_factor_failure_mid_solve_is_max_iterations(self, monkeypatch):
+        """A factor failure after a few iterates ends oracle_solve (its phase I
+        diagnosis fails too) and active_subset_feasible in MaxIterationsError."""
+        real, calls = oracle._inv_factor, []
+
+        def failing(a):
+            calls.append(a.shape)
+            if len(calls) > 6:
+                raise np.linalg.LinAlgError("injected")
+            return real(a)
+
+        monkeypatch.setattr(oracle, "_inv_factor", failing)
+        prob = generate_random(BlockStructure((4,), 1, 0), 5, "EEEII", 400)
+        for solve in (oracle_solve, lambda p: active_subset_feasible(p, (3,))):
+            calls.clear()
+            with pytest.raises(MaxIterationsError):
+                solve(prob)
+            assert len(calls) > 6
+
 
 class TestEqualityForm:
     def test_no_constraints(self, monkeypatch):
@@ -190,7 +252,7 @@ class TestEqualityForm:
         assert sol.objective == pytest.approx(0.0, abs=1e-7)
         assert sol.lam.shape == (0,)
         # only the 0x0 Schur system is factored: the 3x3 block's S inverse
-        # comes from its eigendecomposition
+        # comes from its LAPACK Cholesky factor (``_inv_factor``)
         assert set(orders) == {(0, 0)}
 
     def test_slack_vector_on_inequality_rows(self):
@@ -218,17 +280,17 @@ class TestEqualityForm:
         np.testing.assert_allclose(dp.apply(X, x), dp.b, atol=1e-7)
 
     def test_ratio_step_matches_diagonal_block(self):
-        from lrsdp.oracle import _inv_sqrt, _max_step, _ratio_step
+        from lrsdp.oracle import _inv_factor, _max_step, _ratio_step
 
         rng = np.random.default_rng(5)
         for s in (1, 3, 7):
             x = rng.uniform(0.1, 2.0, s)
             dx = rng.standard_normal(s)
             dx[0] = -abs(dx[0])
-            want = _max_step(_inv_sqrt(np.diag(x)), np.diag(dx))
+            want = _max_step(_inv_factor(np.diag(x)), np.diag(dx))
             assert _ratio_step(dx / x) == pytest.approx(want, rel=1e-12)
             nonneg = np.abs(dx)
-            assert _ratio_step(nonneg / x) == _max_step(_inv_sqrt(np.diag(x)), np.diag(nonneg)) == np.inf
+            assert _ratio_step(nonneg / x) == _max_step(_inv_factor(np.diag(x)), np.diag(nonneg)) == np.inf
         assert _ratio_step(np.zeros(0)) == np.inf
 
 
