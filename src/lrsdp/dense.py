@@ -37,6 +37,16 @@ def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(index, weights, minlength=size).astype(float, copy=False)
 
 
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a), taken of a / max|a| and scaled back where it overflows on finite entries."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if np.isinf(norm) and np.all(np.isfinite(a)):
+        peak = float(np.max(np.abs(a)))
+        norm = peak * float(np.linalg.norm(a / peak))
+    return norm
+
+
 @dataclass(frozen=True, eq=False)
 class DenseProblem:
     sizes: tuple[int, ...]
@@ -48,7 +58,7 @@ class DenseProblem:
     c_free: np.ndarray           # (d,)
     b: np.ndarray                # (m,)
     eq_mask: np.ndarray          # (m,) bool
-    _jacobian_index: dict = field(default_factory=dict, init=False, repr=False)  # per tuple of ranks
+    _jacobian_index: dict = field(default_factory=dict, init=False, repr=False)  # latest tuple of ranks only
 
     # unused in src; it stays for tools that read it off the view (benchmarks/tracing.py)
     @property
@@ -103,6 +113,7 @@ class DenseProblem:
                 gather.append(((b * q)[:, None] + cols).ravel())
                 weight.append(np.repeat(2.0 * val, q))
                 off += n * q
+            self._jacobian_index.clear()  # one index per staircase stage would pile up on dense rows
             self._jacobian_index[qs] = (_cat(scatter, int), _cat(gather, int), _cat(weight, float))
         scatter, gather, weight = self._jacobian_index[qs]
         yflat = _cat([y.ravel() for y in ys], float)
@@ -114,14 +125,15 @@ class DenseProblem:
 
     @cached_property
     def _scales(self) -> tuple[float, float]:
-        norm_c = max([float(np.linalg.norm(c)) for c in self.C] + [0.0])
-        return norm_c + float(np.linalg.norm(self.c_free)), float(np.max(np.abs(self.b), initial=0.0))
+        norm_c = max([_norm(c) for c in self.C] + [0.0])
+        return norm_c + _norm(self.c_free), float(np.max(np.abs(self.b), initial=0.0))
 
     def tolerances(self, lam, rel: float) -> dict:
         """Absolute KKT and slack tolerances at multipliers `lam`: `rel` times SDPT3's scales,
         1 + ||C|| + ||lam||_inf for stationarity and free (||C|| the largest cost-block
-        Frobenius norm plus ||c_free||), 1 + ||b||_inf for feasibility, and
-        (1 + ||lam||_inf)(1 + ||b||_inf) for complementarity; ||C||, ||b||_inf once per view."""
+        Frobenius norm plus ||c_free||, each by the overflow-safe ``_norm``), 1 + ||b||_inf for
+        feasibility, and (1 + ||lam||_inf)(1 + ||b||_inf) for complementarity; ||C|| and
+        ||b||_inf once per view (``_scales``, which the oracle's stop measure reads too)."""
         norm_c, b_scale = self._scales
         lam_scale = float(np.max(np.abs(lam), initial=0.0))
         stat = rel * (1.0 + norm_c + lam_scale)

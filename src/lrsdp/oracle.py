@@ -3,15 +3,15 @@
 ``oracle_solve`` is a dense primal-dual path-following interior-point method
 (Mehrotra predictor-corrector, HKM direction) on the problem's view as posed:
 the inequality slacks and their duals are a vector pair (SDPT3's linear block:
-ratio-test steps, w/z on the Schur diagonal), and free variables are
-eliminated directly from the Schur system.  Residuals, objective and search
-directions go through the ``DenseProblem`` operator the solver and certifier
-use, and the Schur complement is read off its triplets: sums over pairs of
-stored entries on sparse blocks, a Gram matrix of ``jacobian`` rows on dense
-ones (``_schur_complement``).  It anchors every derived test value, so it is
-deliberately boring: Cholesky factors of X and S with triangular inverses
-(``_inv_factor``, as in SDPT3), one eigvalsh per block and step length, one
-convergence measure, no randomness, step fraction 0.99.
+ratio-test steps, w/z on the Schur diagonal), and free variables are eliminated
+directly from the Schur system.  Residuals, objective, search directions and
+the stop measure's scales (``_scales``) come from the ``DenseProblem`` view the
+solver and certifier use, and the Schur complement is read off its triplets:
+sums over pairs of stored entries on sparse blocks, a Gram matrix of
+``jacobian`` rows on dense ones (``_schur_complement``).  It anchors every
+derived test value, so it is deliberately boring: Cholesky factors of X and S
+with triangular inverses (``_inv_factor``, as in SDPT3), one eigvalsh per block
+and step length, one convergence measure, no randomness, step fraction 0.99.
 
 One phase I (``_min_violation``: the least uniform violation of the rows,
 some forced active) answers every feasibility question on a view remapped
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import CERT_TOL, DenseProblem, densify
+from .dense import CERT_TOL, DenseProblem, _norm, densify
 from .model import ConicSdpProblem, PrimalPoint, SymmetricMatrix
 
 __all__ = [
@@ -135,13 +135,9 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
     if N == 0:
         raise NoPsdBlockError("interior-point solve needs a PSD block or an inequality row")
     m, d = dp.m, dp.d
-    scale_b = 1.0 + float(np.max(np.abs(dp.b), initial=0.0))
-    scale_c = 1.0 + max(
-        [float(np.linalg.norm(c)) for c in dp.C] + [float(np.linalg.norm(dp.c_free))]
-    )
-
-    eta_p = max(1.0, float(np.linalg.norm(dp.b)) / max(1.0, np.sqrt(max(m, 1))))
-    eta_d = scale_c
+    norm_c, norm_b = dp._scales  # the tolerance policy's ||C|| and ||b||_inf
+    eta_p = max(1.0, _norm(dp.b) / max(1.0, np.sqrt(max(m, 1))))
+    eta_d = 1.0 + norm_c
     X = [eta_p * np.eye(n) for n in dp.sizes]
     S = [eta_d * np.eye(n) for n in dp.sizes]
     w, z = np.full(rows.size, eta_p), np.full(rows.size, eta_d)
@@ -163,11 +159,11 @@ def _ipm(dp: DenseProblem, tol: float, max_iter: int):
         pobj = dp.objective(X, x)
         dobj = float(dp.b @ lam)
 
-        pinf = float(np.linalg.norm(r_p, np.inf)) / scale_b
+        pinf = float(np.linalg.norm(r_p, np.inf)) / (1.0 + norm_b)
         dinf = float(np.max(
             [float(np.linalg.norm(rd, np.inf)) for rd in R_d]
             + [float(np.max(np.abs(r_z), initial=0.0)), float(np.max(np.abs(r_f), initial=0.0))]
-        )) / scale_c
+        )) / (1.0 + norm_c)
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         # |relgap|: an S that lost PSD can make <X, S> negative; np.max keeps a NaN
         measure = float(np.max([pinf, dinf, abs(relgap)]))

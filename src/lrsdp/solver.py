@@ -153,12 +153,13 @@ def _lambda_max(d: np.ndarray, jq: np.ndarray, rho: float) -> float:
     Start at the largest diagonal entry t <= lambda_max: a zero column of jq is
     an eigenvector of eigenvalue d <= t, and over the others, whose d lie below
     t, f(t) = lambda_min(I/rho - jq diag(t - d)^-1 jq^T) is increasing and
-    concave, so Newton's iterates rise to its root, lambda_max, unless f(t) >= 0.
+    concave, so Newton's iterates rise to its root, lambda_max, unless f(t) >= 0
+    or jq has no rows (then lambda_max = t = max d).
     """
     t = float(np.max(d + rho * np.sum(jq * jq, axis=0)))
     d = np.where(np.any(jq != 0.0, axis=0), d, -np.inf)  # zero columns drop out of f
     step = np.inf
-    while step > 1e-15 * max(1.0, abs(t)):
+    while len(jq) and step > 1e-15 * max(1.0, abs(t)):
         w = 1.0 / (t - d)
         f, v = np.linalg.eigh(np.eye(len(jq)) / rho - (jq * w) @ jq.T)
         if f[0] >= 0.0:
@@ -287,10 +288,8 @@ class _Eval:
         With S_j = V_j diag(lam_j) V_j^T and Q = blockdiag(V_j (x) I_q, I),
         Q^T H Q = diag(d) + rho Jq^T Jq for Jq = J_a Q, J_a the active rows of
         J, and d = 2 lam_j repeated q times (0 on free variables).
-        lambda_max(H) lies between its largest diagonal entry lo and
-        hi = max d + rho lambda_max(Jq Jq^T): escape when ``_schur_escape``
-        fails at the floor of hi, settle when it passes at that of lo, else
-        use the exact one.  No d below the floor of max(max d, tr H / dim) <= lo settles unrotated.
+        ``_schur_escape`` tests H at the floor of the exact lambda_max(H) (``_lambda_max``);
+        no d below the floor of max(max d, tr H / dim) <= lambda_max(H) settles unrotated.
         """
         work, rho = self.work, self.rho
         eigs = [np.linalg.eigh(s) for s in self.S]
@@ -303,11 +302,7 @@ class _Eval:
         for off, (n, q), (_, v) in zip(work.offsets, work.shapes, eigs):
             cols = jq[:, off:off + n * q]
             cols[:] = (v.T @ cols.reshape(-1, n, q)).reshape(cols.shape)
-        lo = float(np.max(d + rho * np.sum(jq * jq, axis=0)))
-        hi = float(np.max(d)) + rho * float(np.max(np.linalg.eigvalsh(jq @ jq.T), initial=0.0))
-        u = _schur_escape(d, jq, rho, CURV_FLOOR * max(1.0, hi))
-        if u is None and _schur_escape(d, jq, rho, CURV_FLOOR * max(1.0, lo)) is not None:
-            u = _schur_escape(d, jq, rho, CURV_FLOOR * max(1.0, _lambda_max(d, jq, rho)))
+        u = _schur_escape(d, jq, rho, CURV_FLOOR * max(1.0, _lambda_max(d, jq, rho)))
         if u is None:
             return None
         for off, (n, q), (_, v) in zip(work.offsets, work.shapes, eigs):
@@ -451,9 +446,9 @@ def al_value_grad(dp: DenseProblem, point: FactorizedPoint, lam, rho: float):
     return ev.value, FactorizedPoint(tuple(ys[:dp.k]), tails, free)
 
 
-def _initial_z(work: _Work, rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
-    # i.i.d. normal factors scaled so lifted diagonals start near the rhs scale
-    theta = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+def _initial_z(work: _Work, rng: np.random.Generator) -> np.ndarray:
+    # i.i.d. normal factors scaled so lifted diagonals start near the rhs scale ||b||_inf
+    theta = max(1.0, work.dp._scales[1])
     ys = [rng.standard_normal((n, q)) * np.sqrt(theta / q) for n, q in work.shapes]
     return work.pack(ys, np.zeros(work.dp.d))
 
@@ -485,7 +480,7 @@ def al_solve(
         z = work.pack(_internal_factors(point0), point0.free)
         lam = np.array(lam, dtype=float)
     else:
-        z = _initial_z(work, rng, problem.b)
+        z = _initial_z(work, rng)
         lam = np.zeros(problem.m)
     rho = PENALTY_INIT
 

@@ -273,6 +273,20 @@ class TestTolerancePolicy:
         assert oracle._feasible(t, dp)
         assert not oracle._feasible(np.nextafter(t, np.inf), dp)
 
+    def test_scales_take_overflow_safe_norms(self):
+        # np.linalg.norm bit for bit wherever it is finite, also near underflow
+        rng = np.random.default_rng(0)
+        for a in (rng.standard_normal((5, 5)), 1e150 * rng.standard_normal(7), 1e-170 * rng.standard_normal(4),
+                  np.zeros((3, 3)), np.zeros(0), np.array([1e-300, np.finfo(float).tiny / 8])):
+            assert dense._norm(a) == float(np.linalg.norm(a))
+        # ||1e155 I_2||_F = 1.414e155 overflows np.linalg.norm; inf entries stay inf
+        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        dp = densify(make_problem((2,), 1, 0, [1e155 * np.eye(2)], [], [([e11], [], 1.0, "E")]))
+        assert dp._scales == (pytest.approx(np.sqrt(2.0) * 1e155, rel=1e-15), 1.0)
+        assert all(np.isfinite(v) for v in dp.tolerances((), 1e-6).values())
+        assert dp.tolerances((), 1e-6)["stationarity"] == pytest.approx(1e-6 * np.sqrt(2.0) * 1e155, rel=1e-15)
+        assert dense._norm(np.array([np.inf, 1.0])) == np.inf
+
 
 class TestEscapeDirection:
     def test_certificate_without_escape_data_raises(self):

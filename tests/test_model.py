@@ -260,9 +260,24 @@ class TestSparseRows:
                 want = np.hstack([2.0 * np.einsum("iab,bq->iaq", a, y).reshape(dp.m, y.size) for a, y in zip(stacks, ys)]
                                  + [af])
                 assert_close(dp.jacobian(ys), want)
+                assert len(dp._jacobian_index) == 1  # the latest ranks' index only
                 for rows in ([], [dp.m - 1], sorted(rng.choice(dp.m, dp.m // 2, replace=False)), range(dp.m)):
                     if dp.m or not rows:
                         assert_close(dp.jacobian(ys, list(rows)), want[list(rows)])
+
+    def test_staircase_ranks_keep_one_jacobian_index(self):
+        from lrsdp.solver import SolverConfig, al_solve
+
+        prob = maxcut_sdp(6, 0)
+        dp, (stacks, _) = densify(prob), dense_rows(prob)
+        rng = np.random.default_rng(0)
+        for q in (2, 3):
+            al_solve(dp, [q], SolverConfig())
+            assert len(dp._jacobian_index) == 1
+        for q in (2, 3):
+            y = rng.standard_normal((6, q))
+            assert_close(dp.jacobian([y]), 2.0 * np.einsum("iab,bq->iaq", stacks[0], y).reshape(dp.m, y.size))
+            assert list(dp._jacobian_index) == [(q,)]
 
     def test_schur_complement_matches_dense_stacks(self):
         from lrsdp.apps import build_integer_quadratic

@@ -172,14 +172,19 @@ class TestInteriorPoint:
         assert s1.objective == s2.objective
         np.testing.assert_array_equal(s1.lam, s2.lam)
 
-    @pytest.mark.parametrize("cost, rhs", [(1e155, 1.0), (1.0, 1e200)], ids=["cost-1e155", "rhs-1e200"])
+    @pytest.mark.parametrize("cost, rhs", [(1e155, 1.0), (1.0, 1e200), (1e200, 1e200)],
+                             ids=["cost-1e155", "rhs-1e200", "both-1e200"])
     def test_non_finite_measure_stops(self, cost, rhs):
-        """The norms of C or b overflow, so the starting point holds inf * 0 = NaN.
-        The oracle stops with MaxIterationsError: not a wrong optimum from a NaN
-        measure read as 0 (the optimum at cost 1e155 I is 1e155), nor a ValueError
-        from a finiteness scan."""
+        """min <cost I, X> with X_11 = rhs, optimum cost * rhs.  The norms of C and
+        b are overflow-safe, so cost 1e155 or rhs 1e200 alone solves.  At both,
+        the optimum 1e400 is past the float range and the measure is not finite:
+        the oracle stops with MaxIterationsError, not a wrong optimum from a NaN
+        measure read as 0, nor a ValueError from a finiteness scan."""
         e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
         prob = make_problem((2,), 1, 0, [cost * np.eye(2)], [], [([e11], [], rhs, "E")])
+        if cost * rhs < np.inf:
+            assert abs(oracle_solve(prob).objective - cost * rhs) <= 1e-8 * cost * rhs
+            return
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(MaxIterationsError):
             oracle_solve(prob)
 

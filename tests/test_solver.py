@@ -364,8 +364,7 @@ class TestCurvatureProbe:
         for d, jq, rho, shift in near_floor_cases():
             h = np.diag(d) + rho * jq.T @ jq
             w = np.linalg.eigvalsh(h)
-            if len(jq):
-                assert abs(_lambda_max(d, jq, rho) - w[-1]) <= 1e-12 * max(1.0, abs(w[-1]))
+            assert abs(_lambda_max(d, jq, rho) - w[-1]) <= 1e-12 * max(1.0, abs(w[-1]))
             tau = CURV_FLOOR * max(1.0, w[-1])
             u = _schur_escape(d, jq, rho, tau)
             assert (u is None) == (w[0] >= -tau) == (shift > -1e-8)
@@ -448,16 +447,22 @@ class TestCurvatureProbe:
         # / sqrt(rho): H = diag(1, 0, 2 s) + [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
         # so lambda_min(H) = 2 s, the largest diagonal entry is 2, the upper
         # bound max d + rho |J|^2 is 3, and lambda_max(H) = (3 + sqrt 5) / 2:
-        # 2 s lies between the floors at 2 and 3, on either side of the exact one
+        # 2 s lies between the floors at 2 and 3, on either side of the exact one,
+        # and one Schur complement test at the exact floor decides
         from lrsdp import solver
 
-        lambda_max, exact = solver._lambda_max, []
+        lambda_max, schur_escape, exact, tested = solver._lambda_max, solver._schur_escape, [], []
 
         def spy(*args):
             exact.append(lambda_max(*args))
             return exact[-1]
 
+        def escape_spy(*args):
+            tested.append(args[-1])
+            return schur_escape(*args)
+
         monkeypatch.setattr(solver, "_lambda_max", spy)
+        monkeypatch.setattr(solver, "_schur_escape", escape_spy)
         s = -1.4e-8 if escapes else -1.15e-8
         a = 1.0 / np.sqrt(40.0)
         row = ([[[a, a, 0.0], [a, 0.0, 0.0], [0.0, 0.0, 0.0]]], [], a, "E")
@@ -469,6 +474,7 @@ class TestCurvatureProbe:
         assert (check_curvature(ev) is not None) == escapes
         assert dense == 0
         assert len(exact) == 1 and abs(exact[0] - floors[1] / solver.CURV_FLOOR) <= 1e-14
+        assert tested == [solver.CURV_FLOOR * exact[0]]
 
     def test_slack_settled_point_runs_no_order_dim_eigensolve(self, eigh_calls):
         for n in (6, 10):
